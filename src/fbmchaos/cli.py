@@ -7,7 +7,10 @@ config: identical inputs give byte-identical results files (only the
 manifest carries a timestamp).
 
 Exit codes: 0 success, 1 a verification invariant failed (the failing
-invariant is named on stderr), 2 configuration error.
+invariant is named on stderr), 2 the run was refused or could not finish:
+a configuration, domain, capacity or consistency error, or a numerical
+failure (a refinement that did not converge, a stepper that diverged).
+Code 2 prints one line on stderr and no traceback.
 """
 
 import argparse
@@ -23,7 +26,13 @@ import numpy as np
 import scipy
 
 from . import experiments, young
-from .errors import CapacityError, ConsistencyError, DomainError
+from .errors import (
+    CapacityError,
+    ConsistencyError,
+    DivergenceError,
+    DomainError,
+    RefinementError,
+)
 from .fbm import SimSpec, dump_csv, simulate
 from .gaussian import HurstModel
 from .lift import lift2, lift3
@@ -393,6 +402,9 @@ def main(argv=None):
         return args.func(args)
     except (DomainError, CapacityError, ConsistencyError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except (RefinementError, DivergenceError) as exc:
+        print(f"numerical error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -74,6 +74,8 @@ def _chunked_replicas(spec, n_replicas, worker, chunk=250, threads=1):
     Chunks are identified by absolute replica offsets, so the concatenated
     output does not depend on the chunk size or the thread count.
     """
+    if n_replicas < 1:
+        raise DomainError(f"n_replicas must be >= 1, got {n_replicas}")
     starts = list(range(0, n_replicas, chunk))
 
     def run(start):

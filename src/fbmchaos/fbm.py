@@ -2,27 +2,48 @@
 
 The fine grid is the dyadic grid D_m refined by ``refine`` sub-steps per
 cell.  Per component, the increment vector is N(0, Sigma) with the Toeplitz
-covariance Sigma_{ij} = mesh^{2H} rho(|i-j|); sampling goes through a dense
-Cholesky factor of the unit-mesh Toeplitz matrix, cached per (H, size) since
-the mesh scales out as mesh^H.  Components use independent, reproducible
-streams derived from (seed, replica, component) through SeedSequence spawn
-keys feeding the counter-based Philox generator.
+covariance Sigma_{ij} = mesh^{2H} rho(|i-j|).  Sampling is by circulant
+embedding (Davies & Harte 1987; Dietrich & Newsam 1997): rho(0..size) is
+embedded in a symmetric circulant of length 2 * size whose eigenvalues, one
+real FFT of that row, are checked nonnegative at run time.  Each stream's
+2 * size standard normals go through the circulant's real symmetric square
+root, one rfft/irfft pair, and the first ``size`` outputs carry exactly the
+Toeplitz law.  Nothing of size (size, size) is formed: the cached spectrum
+is size + 1 floats per (H, size), and the working set of a call is gated in
+bytes (MAX_WORKING_BYTES).
+
+Components use independent, reproducible counter-based Philox streams
+keyed directly by (seed, replica, component), so any replica of a batch can
+be drawn again on its own.
 """
 
+import functools
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import toeplitz
 
-from .errors import CapacityError, DomainError
+from .errors import CapacityError, ConsistencyError, DomainError
 from .gaussian import HurstModel, rho
 
 MAX_GRID = 2 ** 14
+# Cap on the sampler's working set per call (normals, spectra and output).
+MAX_WORKING_BYTES = 2 ** 30
+
+# Philox key layout: word 0 is the seed, word 1 packs replica and component.
+_COMPONENT_BITS = 16
+_REPLICA_BITS = 64 - _COMPONENT_BITS
+_REPLICA_LIMIT = 2 ** _REPLICA_BITS
 
 
 @dataclass(frozen=True)
 class SimSpec:
-    """Simulation request: model, dyadic level m, sub-steps per cell, seeding."""
+    """Simulation request: model, dyadic level m, sub-steps per cell, seeding.
+
+    seed must be an integer in [0, 2^64), replica in [0, 2^48) and the
+    dimension d below 2^16, the ranges the Philox key layout can hold.
+    """
 
     model: HurstModel
     m: int
@@ -36,8 +57,17 @@ class SimSpec:
             raise DomainError("dyadic level m must be >= 1")
         if self.refine < 1:
             raise DomainError("refine must be >= 1")
-        if self.replica < 0:
-            raise DomainError("replica must be nonnegative")
+        if not isinstance(self.seed, numbers.Integral) or \
+                not 0 <= self.seed < 2 ** 64:
+            raise DomainError(
+                f"seed must be an integer in [0, 2^64), got {self.seed!r}")
+        if not isinstance(self.replica, numbers.Integral) or \
+                not 0 <= self.replica < _REPLICA_LIMIT:
+            raise DomainError(f"replica must be an integer in "
+                              f"[0, 2^{_REPLICA_BITS}), got {self.replica!r}")
+        if self.model.d >= 2 ** _COMPONENT_BITS:
+            raise DomainError(
+                f"d must be below 2^{_COMPONENT_BITS}, got {self.model.d}")
         if self.size > self.max_points:
             raise CapacityError(
                 f"grid size {self.size} exceeds cap {self.max_points}"
@@ -72,18 +102,40 @@ class FbmPath:
         return self.spec.times
 
 
-_chol_cache = {}
+@functools.lru_cache(maxsize=32)
+def _root_spectrum(H, size):
+    """Square roots of the eigenvalues of the unit-mesh circulant embedding.
+
+    rho(0..size) is embedded as the first row of a symmetric circulant of
+    length 2 * size; its eigenvalues are the real FFT of that row.  A
+    negative eigenvalue means the embedding is not a covariance, and is
+    refused rather than clipped.  Read-only: the array is shared by callers.
+    """
+    r = rho(np.arange(size + 1), H)
+    lam = np.fft.rfft(np.concatenate([r, r[-2:0:-1]])).real
+    low = float(lam.min())
+    if low < 0.0:
+        raise ConsistencyError(
+            f"circulant embedding of rho(H={H}) at size {size} has negative "
+            f"eigenvalue {low:.3e}"
+        )
+    root = np.sqrt(lam)
+    root.flags.writeable = False
+    return root
 
 
-def _unit_chol(H, size):
-    """Cholesky factor of the unit-mesh increment correlation, cached."""
-    key = (H, size)
-    L = _chol_cache.get(key)
-    if L is None:
-        corr = toeplitz(rho(np.arange(size), H))
-        L = np.linalg.cholesky(corr)
-        _chol_cache[key] = L
-    return L
+def _transform(z, H, scale=1.0):
+    """Map standard normals (..., 2*size) to increments (..., size).
+
+    Applies the real symmetric square root of the circulant embedding, so the
+    first ``size`` outputs have covariance scale^2 * Toeplitz(rho(0..size-1)).
+    Rows are transformed independently: the result for one row does not
+    depend on the others in the batch.
+    """
+    size = z.shape[-1] // 2
+    spectrum = np.fft.rfft(z)
+    spectrum *= scale * _root_spectrum(H, size)
+    return np.fft.irfft(spectrum, n=2 * size)[..., :size]
 
 
 def increment_cov_matrix(spec):
@@ -95,12 +147,37 @@ def increment_cov_matrix(spec):
 def _stream(seed, replica, component):
     """Philox generator for one (seed, replica, component) triple.
 
-    The derivation is a SeedSequence with entropy ``seed`` and spawn key
-    (replica, component): splittable, collision-free across replicas and
-    components, and independent of execution order.
+    The 128-bit Philox key is (seed, replica * 2^16 + component): distinct
+    triples in the ranges SimSpec enforces get distinct keys, so streams are
+    collision-free and independent of execution order.
     """
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(replica, component))
-    return np.random.Generator(np.random.Philox(ss))
+    key = [int(seed), (int(replica) << _COMPONENT_BITS) | component]
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+def _sample(spec, n_replicas):
+    """Increments of replicas spec.replica, ..., +n_replicas-1: (N, d, size).
+
+    The one sampler path behind both ``simulate`` and ``simulate_batch``.
+    """
+    if n_replicas < 1:
+        raise DomainError(f"n_replicas must be >= 1, got {n_replicas}")
+    if spec.replica + n_replicas > _REPLICA_LIMIT:
+        raise DomainError(f"replicas must stay below 2^{_REPLICA_BITS}")
+    d, size = spec.model.d, spec.size
+    # per stream: 2*size normals, size+1 complex spectrum, 2*size outputs
+    need = n_replicas * d * (8 * 2 * size + 16 * (size + 1) + 8 * 2 * size)
+    if need > MAX_WORKING_BYTES:
+        raise CapacityError(
+            f"sampler working set {need} bytes exceeds cap "
+            f"{MAX_WORKING_BYTES} bytes"
+        )
+    z = np.empty((n_replicas, d, 2 * size))
+    for r in range(n_replicas):
+        for comp in range(d):
+            _stream(spec.seed, spec.replica + r, comp).standard_normal(
+                out=z[r, comp])
+    return _transform(z, spec.model.H, scale=spec.mesh ** spec.model.H)
 
 
 def simulate(spec):
@@ -108,16 +185,8 @@ def simulate(spec):
 
     Bitwise deterministic in (spec); components are independent streams.
     """
-    H = spec.model.H
-    d = spec.model.d
-    size = spec.size
-    L = _unit_chol(H, size)
-    scale = spec.mesh ** H
-    inc = np.empty((d, size))
-    for comp in range(d):
-        z = _stream(spec.seed, spec.replica, comp).standard_normal(size)
-        inc[comp] = scale * (L @ z)
-    values = np.zeros((d, size + 1))
+    inc = _sample(spec, 1)[0]
+    values = np.zeros((inc.shape[0], spec.size + 1))
     np.cumsum(inc, axis=1, out=values[:, 1:])
     return FbmPath(spec=spec, increments=inc, values=values)
 
@@ -125,21 +194,12 @@ def simulate(spec):
 def simulate_batch(spec, n_replicas):
     """Increments for replicas replica, replica+1, ..., shape (N, d, size).
 
-    Uses the same per-replica streams as ``simulate`` (replica index offsets
-    spec.replica) so any single replica can be reproduced standalone; the
-    heavy lifting is one batched matrix product against the cached factor.
+    Uses the same per-replica streams and the same row-wise transform as
+    ``simulate`` (replica index offsets spec.replica), so any single replica
+    is reproduced standalone.  Raises DomainError for n_replicas < 1 and
+    CapacityError when the working set exceeds MAX_WORKING_BYTES.
     """
-    H = spec.model.H
-    d = spec.model.d
-    size = spec.size
-    L = _unit_chol(H, size)
-    z = np.empty((n_replicas, d, size))
-    for r in range(n_replicas):
-        for comp in range(d):
-            z[r, comp] = _stream(spec.seed, spec.replica + r, comp).standard_normal(size)
-    out = np.einsum("st,rdt->rds", L, z, optimize=True)
-    out *= spec.mesh ** H
-    return out
+    return _sample(spec, n_replicas)
 
 
 def coarsen(path, to_level):

@@ -132,3 +132,29 @@ class TestOtherCommands:
         monkeypatch.setattr(experiments, "constants_experiment", broken)
         assert run(tmp_path, "constants") == 1
         assert "FAILED invariant constants/anchor" in capsys.readouterr().err
+
+
+class TestRefusals:
+    def test_refinement_error_exits_2(self, tmp_path, capsys):
+        assert run(tmp_path, "constants", "--tol", "1e-13") == 2
+        err = capsys.readouterr().err
+        assert "did not reach tol" in err and "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_divergence_error_exits_2(self, tmp_path, monkeypatch, capsys):
+        from fbmchaos import experiments
+        from fbmchaos.errors import DivergenceError
+
+        def diverging(**kwargs):
+            raise DivergenceError("state became non-finite", step=3)
+
+        monkeypatch.setattr(experiments, "rde_demo_experiment", diverging)
+        assert run(tmp_path, "rde-demo") == 2
+        err = capsys.readouterr().err
+        assert err.strip() == "numerical error: state became non-finite"
+
+    def test_negative_seed_exits_2(self, tmp_path):
+        assert run(tmp_path, "simulate", "--seed", "-1") == 2
+
+    def test_zero_replicas_exits_2(self, tmp_path):
+        assert run(tmp_path, "verify-fclt", "--replicas", "0") == 2

@@ -2,8 +2,11 @@ import io
 
 import numpy as np
 import pytest
+from scipy.linalg import toeplitz
 
-from fbmchaos.errors import CapacityError, DomainError
+from fbmchaos import fbm
+from fbmchaos.errors import CapacityError, ConsistencyError, DomainError
+from fbmchaos.experiments import _chunked_replicas
 from fbmchaos.fbm import (
     FbmPath,
     SimSpec,
@@ -153,3 +156,76 @@ class TestDump:
         last = [float(x) for x in lines[-1].split(",")]
         assert last[0] == 1.0
         assert last[1] == p.values[0, -1]
+
+
+def _assert_exact(H, size):
+    # The sampler is linear in its 2*size normals: pushing the identity
+    # through the transform gives the map A, and A A^T must be the Toeplitz
+    # correlation exactly (up to FFT rounding).
+    A = fbm._transform(np.eye(2 * size), H).T
+    np.testing.assert_allclose(A @ A.T, toeplitz(rho(np.arange(size), H)),
+                               rtol=0, atol=1e-12)
+
+
+class TestCirculantSampler:
+    @pytest.mark.parametrize("H", [0.34, 0.4, 0.45, 0.5])
+    @pytest.mark.parametrize("size", [1, 2, 6, 16, 64])
+    def test_implied_map_is_exact(self, H, size):
+        _assert_exact(H, size)
+
+    def test_implied_map_is_exact_random(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+
+        @hyp.settings(max_examples=40, deadline=None)
+        @hyp.given(H=st.floats(min_value=1 / 3, max_value=0.5,
+                               exclude_min=True),
+                   size=st.integers(min_value=1, max_value=96))
+        def check(H, size):
+            _assert_exact(H, size)
+
+        check()
+
+    def test_negative_eigenvalue_refused(self, monkeypatch):
+        def not_positive_definite(k, H):
+            k = np.asarray(k)
+            return np.where(k == 0, 1.0, np.where(k == 1, -0.9, 0.0))
+
+        fbm._root_spectrum.cache_clear()
+        monkeypatch.setattr(fbm, "rho", not_positive_definite)
+        with pytest.raises(ConsistencyError):
+            simulate(spec(m=2))
+
+    def test_batch_rows_bitwise_equal_single(self):
+        batch = simulate_batch(spec(m=3, replica=5), 4)
+        for r in range(4):
+            single = simulate(spec(m=3, replica=5 + r)).increments
+            assert np.array_equal(batch[r], single)
+
+    def test_chunking_is_byte_identical(self):
+        sp = spec(m=4, refine=2, seed=9)
+        parts = [_chunked_replicas(sp, 30, lambda inc: inc, chunk=c)
+                 for c in (7, 250)]
+        assert parts[0].tobytes() == parts[1].tobytes()
+
+    def test_zero_replicas_refused(self):
+        with pytest.raises(DomainError):
+            simulate_batch(spec(), 0)
+        with pytest.raises(DomainError):
+            _chunked_replicas(spec(), 0, lambda inc: inc)
+
+    def test_working_set_gate(self):
+        with pytest.raises(CapacityError):
+            simulate_batch(spec(m=13), 10 ** 6)
+
+    def test_key_ranges(self):
+        SimSpec(model=HurstModel(0.4, 2), m=2, seed=2 ** 64 - 1,
+                replica=2 ** 48 - 1)
+        for kwargs in ({"seed": -1}, {"seed": 2 ** 64}, {"seed": 1.5},
+                       {"replica": 2 ** 48}):
+            with pytest.raises(DomainError):
+                SimSpec(model=HurstModel(0.4, 2), m=2, **kwargs)
+        with pytest.raises(DomainError):
+            SimSpec(model=HurstModel(0.4, 2 ** 16), m=2)
+        with pytest.raises(DomainError):
+            simulate_batch(spec(replica=2 ** 48 - 1), 2)
