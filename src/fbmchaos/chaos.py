@@ -18,10 +18,13 @@ comparisons are unbiased).  Every hand-derived covariance formula is
 cross-checked in the tests against the brute-force pairing (Isserlis)
 oracle on the same discretization.
 
-Cell-pair covariances of the order-3 family are computed on the unit
-lattice (cells of width 1 at integer offsets) and carry the dyadic scaling
-(2^{-m})^{6H}; increment stationarity makes them functions of the lag only,
-which turns the 2^m x 2^m double sums into single sums over lags.
+Every finite-resolution cell-pair covariance, of order 2 and 3, reads one
+lag-table engine on the unit lattice (cells of width 1 at integer offsets):
+for a vector of lags it builds, in chunks of bounded size, each cell pair's
+prefix and sub-cell covariance tables, and each oracle reduces them over
+the lag axis; offset -lag reads the transposed tables.  Increment
+stationarity makes the covariances functions of the lag only, turning the
+2^m x 2^m double sums into single sums over lags.
 """
 
 import itertools
@@ -30,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapacityError, DomainError
-from .gaussian import cov, cov_rect, rho, series_constants
+from .gaussian import cov, rho, series_constants, tilde_rho
 
 __all__ = [
     "SumProcess",
@@ -59,15 +62,6 @@ __all__ = [
 
 HOLDER_MAX_M = 12
 ISSERLIS_MAX_DEGREE = 12
-
-_sc_cache = {}
-
-
-def _constants(H, tol=1e-6):
-    key = (H, tol)
-    if key not in _sc_cache:
-        _sc_cache[key] = series_constants(H, tol=tol)
-    return _sc_cache[key]
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +166,53 @@ def holder_norm(series, lam):
 
 
 # ---------------------------------------------------------------------------
+# unit-lattice lag tables
+
+# entries in one (chunk, n+1, n+1) table: 512 KiB of float64
+_TABLE_ELEMS = 2 ** 16
+
+
+def _lag_tables(H, lags, n):
+    """Yield cell-pair tables of cells [0,1] and [lag,lag+1], lags >= 0.
+
+    Each cell has n sub-cells, u_k = k/n and v_l = lag + l/n.  One dict per
+    chunk of at most max(1, 2^16 // (n+1)^2) lags, lag on axis 0:
+      P   (L, n+1, n+1) prefix x prefix  R([0,u_k] x [lag,v_l]), closed grid
+      F   (L, n, n)     P at the left points k, l < n
+      g   (L, n, n)     sub x sub        R(sub_k x sub_l)
+      pj  (L, n)        prefix_i x cell_j  R([0,u_k] x [lag,lag+1]) = P[:, k, n]
+      pi  (L, n)        cell_i x prefix_j  R([0,1] x [lag,v_l]) = P[:, n, l]
+      si  (L, n)        prefix variances u_k^{2H}, the same in both cells
+      qi  (L, n)        prefix_i x cell_i  R([0,u_k] x [0,1]); qj alike in j
+      r   (L,)          cell_i x cell_j    rho(lag)
+    No (L, n+1, n+1) array exceeds 2^16 entries (512 KiB), or one lag's
+    (n+1)^2 when that is larger, and fewer than ten are alive at once: under
+    5 MiB per chunk however many lags there are.  An empty lag vector yields
+    one empty chunk.
+    """
+    lags = np.atleast_1d(np.asarray(lags, dtype=float))
+    u = np.arange(n + 1) / n
+    step = max(1, _TABLE_ELEMS // (n + 1) ** 2)
+    for a in range(0, len(lags) or 1, step):
+        lg = lags[a:a + step]
+        Rm = cov(u[None, :, None], lg[:, None, None] + u[None, None, :], H)
+        P = Rm - cov(u[None, :], lg[:, None], H)[:, :, None]
+        si, q = (np.broadcast_to(x, (len(lg), n))
+                 for x in (u[:-1] ** (2 * H), cov(u[:-1], 1.0, H)))
+        yield {"P": P, "F": P[:, :-1, :-1],
+               "g": np.diff(np.diff(Rm, axis=1), axis=2),
+               "si": si, "pj": P[:, :-1, -1], "pi": P[:, -1, :-1],
+               "qi": q, "qj": q, "r": rho(lg, H)}
+
+
+def _transposed(t):
+    """Tables of the mirrored pair at offset -lag: cells i and j swap roles."""
+    return dict(t, P=t["P"].transpose(0, 2, 1), F=t["F"].transpose(0, 2, 1),
+                g=t["g"].transpose(0, 2, 1), pi=t["pj"], pj=t["pi"],
+                qi=t["qj"], qj=t["qi"])
+
+
+# ---------------------------------------------------------------------------
 # order-2 antisymmetric family
 
 
@@ -231,17 +272,13 @@ def tilde_rho_finite(lags, H, n):
     covariance against the cell measure: exact for the lift convention at
     any n, converging to tilde_rho(lag) as n grows.  Vectorized over lags.
     """
-    lags = np.atleast_1d(np.asarray(lags, dtype=float))
-    u = np.arange(n + 1) / n
-    out = np.empty(lags.shape)
-    for a, lg in enumerate(lags):
-        v = lg + u
-        # prefix covariance R([0,u_k] x [lag, lag+v_l]) on the closed grid
-        P = cov(u[:, None], v[None, :], H) - cov(u, lg, H)[:, None]
-        corner = 0.25 * (P[:-1, :-1] + P[1:, :-1] + P[:-1, 1:] + P[1:, 1:])
-        g = np.diff(np.diff(cov(u[:, None], v[None, :], H), axis=0), axis=1)
-        out[a] = np.sum(corner * g)
-    return out
+    def per_chunk(t):
+        P = t["P"]
+        corner = 0.25 * (P[:, :-1, :-1] + P[:, 1:, :-1]
+                         + P[:, :-1, 1:] + P[:, 1:, 1:])
+        return np.sum(corner * t["g"], axis=(1, 2))
+
+    return np.concatenate([per_chunk(t) for t in _lag_tables(H, lags, n)])
 
 
 def cross_hat_tilde_finite(lags, H, n):
@@ -251,15 +288,11 @@ def cross_hat_tilde_finite(lags, H, n):
     on unit cells; equals rho(lag)^2/4 in the limit (exactly, for every n,
     when H = 1/2).
     """
-    lags = np.atleast_1d(np.asarray(lags, dtype=float))
-    u = np.arange(n + 1) / n
-    out = np.empty(lags.shape)
-    for a, lg in enumerate(lags):
-        v = lg + u
-        pref = cov_rect(((0.0, 1.0), (np.full(n, lg), v[:-1])), H)
-        sub = cov_rect(((0.0, 1.0), (v[:-1], v[1:])), H)
-        out[a] = 0.5 * np.sum((pref + 0.5 * sub) * sub)
-    return out
+    def per_chunk(t):
+        hi = t["g"].sum(axis=1)  # R(cell_i x sub_l) by additivity
+        return 0.5 * np.sum((t["pi"] + 0.5 * hi) * hi, axis=1)
+
+    return np.concatenate([per_chunk(t) for t in _lag_tables(H, lags, n)])
 
 
 def _lag_weighted_sum(count, per_lag):
@@ -291,7 +324,7 @@ def exact_second_moment_Q(H, m, which, s=0.0, t=1.0, n_sub=None, tol=1e-6):
     rho_sq = rho(lags, H) ** 2
     if which in ("qtilde", "q"):
         if n_sub is None:
-            sc = _constants(H, tol)
+            sc = series_constants(H, tol=tol)
             if count - 1 > sc.K:
                 raise DomainError("lag table too short for this range")
             tr = sc.rho_tilde[:count]
@@ -325,18 +358,15 @@ def cov_Q_pair(H, which, lag, n_sub=None, tol=1e-6):
     scale (2^{-m})^{4H} is the caller's business.
     """
     lag = abs(int(lag))
-    if which == "qhat":
+    if which == "qhat" or (which == "cross" and n_sub is None):
         return 0.25 * rho(lag, H) ** 2
     if which == "qcheck":
         return 0.5 * rho(lag, H) ** 2
     if which == "qtilde":
         if n_sub is None:
-            from .gaussian import tilde_rho
             return float(tilde_rho(lag, H, tol=tol))
         return float(tilde_rho_finite([lag], H, n_sub)[0])
     if which == "cross":
-        if n_sub is None:
-            return 0.25 * rho(lag, H) ** 2
         return float(cross_hat_tilde_finite([lag], H, n_sub)[0])
     if which in ("qhat_qcheck", "qtilde_qcheck"):
         return 0.0
@@ -387,25 +417,9 @@ def brute_cov_Q(H, which, lag, n):
     }
     if which not in kinds:
         raise DomainError(f"unknown pair {which!r}")
-    size = n * (abs(lag) + 1)
-    fine = (1.0 / n) ** (2 * H) * rho(
-        np.abs(np.arange(size)[:, None] - np.arange(size)[None, :]), H
-    )
-    zero = np.zeros_like(fine)
-    C = np.block([[fine, zero], [zero, fine]])
-
-    def flat(var):
-        comp, pos = var
-        return comp * size + pos
-
     ki, kj = kinds[which]
-    ti = _monomials_Q(ki, 0, n)
-    tj = _monomials_Q(kj, abs(lag) * n, n)
-    total = 0.0
-    for ci, vi in ti:
-        for cj, vj in tj:
-            total += ci * cj * isserlis_moment(C, [flat(v) for v in vi + vj])
-    return total
+    return _pairing_cov(H, n, lag, 2, _monomials_Q(ki, 0, n),
+                        _monomials_Q(kj, abs(lag) * n, n))
 
 
 # ---------------------------------------------------------------------------
@@ -457,116 +471,57 @@ K_PATTERNS = (
 )
 
 
-def _unit_frames(offset, n):
-    """Grids for the cell pair [oi, oi+1] x [oj, oj+1] with oj - oi = offset."""
-    oi = max(0.0, -float(offset))
-    oj = oi + float(offset)
-    u = oi + np.arange(n + 1) / n
-    v = oj + np.arange(n + 1) / n
-    return oi, oj, u, v
-
-
-def _pair_tables(H, offset, n):
-    """Common building blocks for the lag covariances (unit lattice).
-
-    Returns dict with, all shaped (n, n) or (n,):
-      F   prefix x prefix covariance  R([oi,u_{k-1}] x [oj,v_{l-1}])
-      g   sub-cell covariance         R(sub_k x sub_l)
-      si  prefix variances            (u_{k-1} - oi)^{2H}  (same for j frame)
-      pj  prefix_i x cell_j           R([oi,u_{k-1}] x [oj,oj+1])
-      pi  cell_i x prefix_j           R([oi,oi+1] x [oj,v_{l-1}])
-      qi  prefix_i x cell_i           R([oi,u_{k-1}] x [oi,oi+1])
-      qj  prefix_j x cell_j           R([oj,v_{l-1}] x [oj,oj+1])
-      r   cell_i x cell_j             rho(|offset|)
-    """
-    oi, oj, u, v = _unit_frames(offset, n)
-    Rm = cov(u[:, None], v[None, :], H)
-    F = (Rm - cov(u, oj, H)[:, None] - cov(oi, v, H)[None, :] + cov(oi, oj, H))[:-1, :-1]
-    g = np.diff(np.diff(Rm, axis=0), axis=1)
-    si = (u[:-1] - oi) ** (2 * H)
-    pj = cov_rect(((np.full(n, oi), u[:-1]), (oj, oj + 1.0)), H)
-    pi = cov_rect(((oi, oi + 1.0), (np.full(n, oj), v[:-1])), H)
-    qi = cov_rect(((np.full(n, oi), u[:-1]), (oi, oi + 1.0)), H)
-    qj = cov_rect(((np.full(n, oj), v[:-1]), (oj, oj + 1.0)), H)
-    r = rho(abs(int(round(offset))), H)
-    return {"F": F, "g": g, "si": si, "pj": pj, "pi": pi, "qi": qi, "qj": qj,
-            "r": r}
-
-
-def _cov_area_own(tb):
+def _cov_area_own(t):
     # E[(B^{ab}B^a)_i (B^{ab}B^a)_j] = 6S + 6T + U  (left-point sums)
-    F, g = tb["F"], tb["g"]
-    six_s = tb["r"] * np.sum(F * g)
-    six_t = np.sum(tb["pj"][:, None] * tb["pi"][None, :] * g)
-    u_term = np.sum(tb["qi"][:, None] * tb["qj"][None, :] * g)
-    return six_s + six_t + u_term
+    g = t["g"]
+    return (t["r"] * np.einsum("lkj,lkj->l", t["F"], g)
+            + np.einsum("lk,lj,lkj->l", t["pj"], t["pi"], g)
+            + np.einsum("lk,lj,lkj->l", t["qi"], t["qj"], g))
 
 
-def _cov_l3_aab(tb):
+def _cov_l3_aab(t):
     # E[B^{aab}_i B^{aab}_j] = (1/2) sum F^2 g + (1/4) sum si sj g
-    F, g = tb["F"], tb["g"]
-    return 0.5 * np.sum(F ** 2 * g) + 0.25 * np.sum(
-        tb["si"][:, None] * tb["si"][None, :] * g
-    )
+    F, g = t["F"], t["g"]
+    return (0.5 * np.einsum("lkj,lkj,lkj->l", F, F, g)
+            + 0.25 * np.einsum("lk,lj,lkj->l", t["si"], t["si"], g))
 
 
-def _cov_l3_abc(tb):
-    # double discrete Young sum over k < l, k' < l' of F g g
-    F, g = tb["F"], tb["g"]
-    inner = F * g
-    P = np.zeros_like(inner)
-    P[1:, 1:] = np.cumsum(np.cumsum(inner, axis=0), axis=1)[:-1, :-1]
-    return float(np.sum(P * g))
-
-
-def _cross_X_Z(tb):
+def _cross_X_Z(t):
     # X = (B^{ab}B^a) on cell i, Z = B^{aab} on cell j:
     # E[X_i Z_j] = sum_{kl} (1/2)(qi_k sj_l + 2 F_kl pi_l) g_kl
-    F, g = tb["F"], tb["g"]
-    return 0.5 * np.sum(
-        (tb["qi"][:, None] * tb["si"][None, :] + 2.0 * F * tb["pi"][None, :]) * g
-    )
+    F, g = t["F"], t["g"]
+    return (0.5 * np.einsum("lk,lj,lkj->l", t["qi"], t["si"], g)
+            + np.einsum("lkj,lj,lkj->l", F, t["pi"], g))
 
 
-def _cross_Y_X(tb):
+def _cross_Y_X(t):
     # Y = (B^a)^2 B^b on cell i, X = (B^{ab}B^a) on cell j:
     # E[Y_i X_j] = sum_l (qj_l + 2 pi_l r) hi_l,  hi_l = R(cell_i x sub_l)
-    g = tb["g"]
-    hi = g.sum(axis=0)  # R(cell_i x sub_l) by additivity
-    return float(np.sum((tb["qj"] + 2.0 * tb["pi"] * tb["r"]) * hi))
+    hi = t["g"].sum(axis=1)  # R(cell_i x sub_l) by additivity
+    return np.einsum("lj,lj->l", t["qj"] + 2.0 * t["pi"] * t["r"][:, None], hi)
 
 
-def _cross_Y_Z(tb):
+def _cross_Y_Z(t):
     # Y = (B^a)^2 B^b on cell i, Z = B^{aab} on cell j:
     # E[Y_i Z_j] = (1/2) sum_l (sj_l + 2 pi_l^2) hi_l
-    hi = tb["g"].sum(axis=0)
-    return 0.5 * float(np.sum((tb["si"] + 2.0 * tb["pi"] ** 2) * hi))
+    hi = t["g"].sum(axis=1)
+    return 0.5 * np.einsum("lj,lj->l", t["si"] + 2.0 * t["pi"] ** 2, hi)
 
 
-def _transpose_tables(H, offset, n):
-    return _pair_tables(H, -offset, n)
-
-
-def _cov_K_unit(H, pattern, offset, n):
-    """Unit-lattice covariance of one K pattern at signed cell offset."""
-    lag = abs(int(round(offset)))
-    r = rho(lag, H)
-    if pattern == "prod_abc":
-        return r ** 3
-    if pattern == "prod_aab":
-        return 2.0 * r ** 3 + r
-    if pattern == "prod_aaa":
-        return 6.0 * r ** 3 + 9.0 * r
-    tb = _pair_tables(H, offset, n)
+def _cov_K_tables(pattern, tb, tt):
+    """One table pattern per lag: tb holds cell i against cell j at offset
+    +lag, tt the mirrored pair (offset -lag)."""
+    r, F, g = tb["r"], tb["F"], tb["g"]
     if pattern == "area_cross":
-        return r * np.sum(tb["F"] * tb["g"])
+        return r * np.einsum("lkj,lkj->l", F, g)
     if pattern == "area_own":
         return _cov_area_own(tb)
     if pattern == "l3_abc":
-        return _cov_l3_abc(tb)
+        # double discrete Young sum over k < l, k' < l' of F g g
+        acc = np.cumsum(np.cumsum(F * g, axis=1), axis=2)
+        return np.einsum("lkj,lkj->l", acc[:, :-1, :-1], g[:, 1:, 1:])
     if pattern == "l3_aab":
         return _cov_l3_aab(tb)
-    tt = _transpose_tables(H, offset, n)
     if pattern == "l3_aba":
         # B^{aba} = X - 2 Z with X = B^{ab}B^a, Z = B^{aab}
         return (
@@ -575,21 +530,24 @@ def _cov_K_unit(H, pattern, offset, n):
             - 2.0 * _cross_X_Z(tt)
             + 4.0 * _cov_l3_aab(tb)
         )
-    if pattern == "l3_baa":
-        # B^{baa} = Y/2 - X + Z with Y = (B^a)^2 B^b
-        yy = 2.0 * r ** 3 + r
-        return (
-            0.25 * yy
-            - 0.5 * _cross_Y_X(tb)
-            - 0.5 * _cross_Y_X(tt)
-            + 0.5 * _cross_Y_Z(tb)
-            + 0.5 * _cross_Y_Z(tt)
-            + _cov_area_own(tb)
-            - _cross_X_Z(tb)
-            - _cross_X_Z(tt)
-            + _cov_l3_aab(tb)
-        )
-    raise DomainError(f"unknown pattern {pattern!r}")
+    # l3_baa: B^{baa} = Y/2 - X + Z with Y = (B^a)^2 B^b
+    yy = 2.0 * r ** 3 + r
+    return (
+        0.25 * yy
+        - 0.5 * _cross_Y_X(tb)
+        - 0.5 * _cross_Y_X(tt)
+        + 0.5 * _cross_Y_Z(tb)
+        + 0.5 * _cross_Y_Z(tt)
+        + _cov_area_own(tb)
+        - _cross_X_Z(tb)
+        - _cross_X_Z(tt)
+        + _cov_l3_aab(tb)
+    )
+
+
+def _cov_K_unit(H, pattern, offset, n):
+    """Unit-lattice covariance of one K pattern at signed cell offset."""
+    return float(cov_K_lags(H, pattern, [offset], n, symmetrized=False)[0])
 
 
 def exact_cov_K(H, m, pattern, i, j, n_quad=32):
@@ -604,22 +562,37 @@ def exact_cov_K(H, m, pattern, i, j, n_quad=32):
     if not (1 <= i <= 2 ** m and 1 <= j <= 2 ** m):
         raise DomainError("cell indices out of range")
     scale = (2.0 ** -m) ** (6 * H)
-    return scale * float(_cov_K_unit(H, pattern, j - i, n_quad))
+    return scale * _cov_K_unit(H, pattern, j - i, n_quad)
 
 
 def cov_K_lags(H, pattern, lags, n_quad=32, symmetrized=True):
-    """Unit-lattice pattern covariances per lag (vectorized helper).
+    """Unit-lattice pattern covariances per signed lag, vectorized.
 
     With ``symmetrized`` the value at lag l is (c(l) + c(-l)) / 2, which is
-    what enters stationary double sums.
+    what enters stationary double sums.  The product patterns are closed
+    forms in rho; the others read the lag tables, with c(-l) taken from the
+    transposed tables of |l|.
     """
-    out = np.empty(len(lags))
-    for idx, lag in enumerate(lags):
-        c = _cov_K_unit(H, pattern, int(lag), n_quad)
-        if symmetrized and lag != 0:
-            c = 0.5 * (c + _cov_K_unit(H, pattern, -int(lag), n_quad))
-        out[idx] = c
-    return out
+    if pattern not in K_PATTERNS:
+        raise DomainError(f"unknown pattern {pattern!r}")
+    lags = np.atleast_1d(np.asarray(lags)).astype(int)
+    if pattern.startswith("prod_"):
+        # triple increment products: E[K_i K_j] = a rho^3 + b rho
+        a, b = {"prod_abc": (1.0, 0.0), "prod_aab": (2.0, 1.0),
+                "prod_aaa": (6.0, 9.0)}[pattern]
+        r = rho(np.abs(lags), H)
+        return a * r ** 3 + b * r
+
+    def per_chunk(t):
+        tt = _transposed(t)
+        return np.stack([_cov_K_tables(pattern, t, tt),
+                         _cov_K_tables(pattern, tt, t)])
+
+    plus, minus = np.concatenate(
+        [per_chunk(t) for t in _lag_tables(H, np.abs(lags), n_quad)], axis=1)
+    if symmetrized:
+        return np.where(lags == 0, plus, 0.5 * (plus + minus))
+    return np.where(lags < 0, minus, plus)
 
 
 def second_moment_K(H, m, pattern, s=0.0, t=1.0, n_quad=32):
@@ -730,25 +703,27 @@ def brute_cov_K(H, pattern, lag, n, geometric=False):
     K_i and K_j into Gaussian monomials, and sums Isserlis moments of all
     cross products.  O((n^3)^2) Isserlis calls of degree 6 — keep n small.
     """
-    size = n * (lag + 1)
+    return _pairing_cov(H, n, lag, 3, _monomials_K(pattern, 0, n, geometric),
+                        _monomials_K(pattern, lag * n, n, geometric))
+
+
+def _pairing_cov(H, n, lag, comps, terms_i, terms_j):
+    """E[X_i X_j] of two cells' monomial expansions by Isserlis pairing.
+
+    Variables are (component, fine index) pairs on the mesh-1/n grid of
+    cells 0..|lag|; the ``comps`` components are independent fBm copies.
+    Sums the Isserlis moment of every cross product of the two lists.
+    """
+    size = n * (abs(lag) + 1)
     fine = (1.0 / n) ** (2 * H) * rho(
         np.abs(np.arange(size)[:, None] - np.arange(size)[None, :]), H
     )
-    zero = np.zeros_like(fine)
-    C = np.block(
-        [[fine, zero, zero], [zero, fine, zero], [zero, zero, fine]]
-    )
-
-    def flat(var):
-        comp, pos = var
-        return comp * size + pos
-
-    ti = _monomials_K(pattern, 0, n, geometric)
-    tj = _monomials_K(pattern, lag * n, n, geometric)
+    C = np.kron(np.eye(comps), fine)
     total = 0.0
-    for ci, vi in ti:
-        for cj, vj in tj:
-            total += ci * cj * isserlis_moment(C, [flat(v) for v in vi + vj])
+    for ci, vi in terms_i:
+        for cj, vj in terms_j:
+            flat = [comp * size + pos for comp, pos in vi + vj]
+            total += ci * cj * isserlis_moment(C, flat)
     return total
 
 

@@ -27,10 +27,10 @@ import scipy
 
 from . import experiments, young
 from .errors import (
-    CapacityError,
     ConsistencyError,
     DivergenceError,
     DomainError,
+    FbmchaosError,
     RefinementError,
 )
 from .fbm import SimSpec, dump_csv, simulate
@@ -212,14 +212,14 @@ def _cmd_verify_moment(args):
     if which == "levy-area":
         report = experiments.levy_area_mc_experiment(
             H=merged["hurst"],
-            N=merged["replicas"] or 10000,
+            N=10000 if merged["replicas"] is None else merged["replicas"],
             seed=merged["seed"] if merged["seed"] is not None else 101,
             threads=merged["threads"],
         )
     elif which == "growth":
         report = experiments.moment_experiment(
             H=merged["hurst"],
-            N=merged["replicas"] or 1000,
+            N=1000 if merged["replicas"] is None else merged["replicas"],
             seed=merged["seed"] if merged["seed"] is not None else 202,
             threads=merged["threads"],
         )
@@ -395,16 +395,20 @@ def build_parser():
     return parser
 
 
+# the stderr label of an error that exits 2; any other is "config error"
+_ERROR_LABELS = {RefinementError: "numerical error",
+                 DivergenceError: "numerical error",
+                 ConsistencyError: "consistency error"}
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DomainError, CapacityError, ConsistencyError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except (RefinementError, DivergenceError) as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
+    except (FbmchaosError, OSError) as exc:
+        label = _ERROR_LABELS.get(type(exc), "config error")
+        print(f"{label}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -1,15 +1,19 @@
 """Shared exception types."""
 
 
-class DomainError(ValueError):
+class FbmchaosError(Exception):
+    """Base of the package's own errors: a run refused or left unfinished."""
+
+
+class DomainError(FbmchaosError, ValueError):
     """Arguments outside an operation's admissible domain."""
 
 
-class CapacityError(RuntimeError):
+class CapacityError(FbmchaosError, RuntimeError):
     """Requested computation exceeds a hard size gate (refuse, don't approximate)."""
 
 
-class RefinementError(RuntimeError):
+class RefinementError(FbmchaosError, RuntimeError):
     """A refinement sequence failed to converge; carries the last two iterates."""
 
     def __init__(self, message, last_two=None):
@@ -17,7 +21,7 @@ class RefinementError(RuntimeError):
         self.last_two = tuple(last_two) if last_two is not None else None
 
 
-class DivergenceError(RuntimeError):
+class DivergenceError(FbmchaosError, RuntimeError):
     """Numerical blow-up in a time stepper; carries the failing step index."""
 
     def __init__(self, message, step=None):
@@ -25,5 +29,5 @@ class DivergenceError(RuntimeError):
         self.step = step
 
 
-class ConsistencyError(RuntimeError):
+class ConsistencyError(FbmchaosError, RuntimeError):
     """Internal cross-check failed beyond tolerance."""

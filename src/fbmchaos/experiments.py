@@ -322,17 +322,21 @@ def third_order_experiment(H=0.4, m_range=range(4, 10), n_quad=24,
     target = -(6 * H - 1)
     rows = []
     ok = True
-    lags = np.arange(max_lag + 1)
-    decay = sum(np.abs(rho(lags, H)) ** k for k in (1, 2, 3))
+    decay = sum(np.abs(rho(np.arange(max_lag + 1), H)) ** k for k in (1, 2, 3))
+    lags = np.arange(max(2 ** max(m_range), max_lag + 1))
     for pattern in chaos.K_PATTERNS:
+        # one lag table serves every level, as second_moment_K would sum
+        # its first 2^m lags, and the decay check its first max_lag + 1
+        table = chaos.cov_K_lags(H, pattern, lags, n_quad=n_quad)
         vals = [
-            chaos.second_moment_K(H, m, pattern, n_quad=n_quad)
+            (2.0 ** -m) ** (6 * H)
+            * chaos._lag_weighted_sum(2 ** m, table[:2 ** m])
             for m in m_range
         ]
         slope = float(np.polyfit(
             np.array(m_range) * np.log(2.0), np.log(vals), 1
         )[0])
-        per_lag = chaos.cov_K_lags(H, pattern, lags, n_quad=n_quad)
+        per_lag = table[:max_lag + 1]
         ratios = np.abs(per_lag) / decay
         C_fit = float(ratios.max())
         bound_ok = bool(np.all(np.abs(per_lag) <= C_fit * decay * (1 + 1e-12)))

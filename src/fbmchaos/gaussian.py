@@ -22,6 +22,7 @@ tilde_rho(0) = 1/2, tilde_rho(i) = 0 for i >= 1) and is used as the exact
 sanity case throughout the test-suite.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -268,7 +269,15 @@ def series_constants(H, tol=1e-6):
     fclt_C is assembled as sqrt(sigma2_tilde - (E[B_{0,1}^2])^2/4
     - (1/2) sum_{k>=1} rho(k)^2); the identity fclt_C^2 = sigma2_tilde
     - sigma2/4 is an algebraic consequence and is enforced to tolerance.
+
+    Results are cached per (H, tol), at most 16 entries; the returned object
+    is shared by callers, so its rho and rho_tilde arrays are read-only.
     """
+    return _series_constants(H, tol)
+
+
+@functools.lru_cache(maxsize=16)
+def _series_constants(H, tol):
     _check_H(H)
     if tol <= 0:
         raise DomainError("tol must be positive")
@@ -330,6 +339,8 @@ def series_constants(H, tol=1e-6):
         ratio = float(max(1.0, r.max() if r.size else 1.0))
     tail_bound = sq_tail * (1.0 + 2.0 * ratio)
 
+    rho_tab.flags.writeable = False
+    tilde_tab.flags.writeable = False
     return SeriesConstants(
         H=H,
         K=K,

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import zeta as riemann_zeta
 
-from .errors import CapacityError, DomainError
+from .errors import CapacityError, ConsistencyError, DomainError
 from .gaussian import cov_rect
 
 __all__ = [
@@ -405,7 +405,8 @@ def towghi_fuzz_report(seed, cases=100, points=4, p=1.9, q=1.9):
         f = GridFunction(partition=part, values=rng.normal(size=(points, points)))
         g = GridFunction(partition=part, values=rng.normal(size=(points, points)))
         rep = towghi_check(f, g, p, q)
-        assert rep["finite"]
+        if not rep["finite"]:
+            raise ConsistencyError("nonzero Towghi integral, zero norm bound")
         worst = max(worst, rep["ratio"])
     return {"seed": seed, "cases": cases, "points": points, "p": p, "q": q,
             "max_ratio": worst}

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fbmchaos import chaos
 from fbmchaos.errors import CapacityError, DomainError
 from fbmchaos.fbm import SimSpec, simulate, simulate_batch
 from fbmchaos.gaussian import HurstModel, rho, series_constants, tilde_rho
@@ -424,3 +425,34 @@ class TestCovQPairs:
         for which in Q_PAIRS:
             assert cov_Q_pair(0.4, which, -2, n_sub=4) == pytest.approx(
                 cov_Q_pair(0.4, which, 2, n_sub=4), abs=1e-15)
+
+
+class TestLagTableEngine:
+    # n = 31 puts 64 lags in a chunk, so these vectors cross a boundary
+    n = 31
+
+    def lags(self):
+        chunk = chaos._TABLE_ELEMS // (self.n + 1) ** 2
+        assert 8 <= chunk < 70
+        return np.arange(-2, chunk + 6)
+
+    @pytest.mark.parametrize("pattern", K_PATTERNS)
+    def test_vector_matches_per_lag_calls(self, pattern):
+        H, lags = 0.4, self.lags()
+        signed = cov_K_lags(H, pattern, lags, self.n, symmetrized=False)
+        sym = cov_K_lags(H, pattern, lags, self.n)
+        for lag, c, cs in zip(lags, signed, sym):
+            one = _cov_K_unit(H, pattern, int(lag), self.n)
+            mirror = _cov_K_unit(H, pattern, -int(lag), self.n)
+            assert c == pytest.approx(one, rel=1e-13, abs=0)
+            want = one if lag == 0 else 0.5 * (one + mirror)
+            assert cs == pytest.approx(want, rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("fn", [tilde_rho_finite, cross_hat_tilde_finite])
+    def test_order2_chunking_is_bitwise_invisible(self, fn):
+        lags = np.abs(self.lags())
+        half = len(lags) // 2
+        whole = fn(lags, 0.4, self.n)
+        split = np.concatenate([fn(lags[:half], 0.4, self.n),
+                                fn(lags[half:], 0.4, self.n)])
+        np.testing.assert_array_equal(whole, split)

@@ -158,3 +158,27 @@ class TestRefusals:
 
     def test_zero_replicas_exits_2(self, tmp_path):
         assert run(tmp_path, "verify-fclt", "--replicas", "0") == 2
+
+    @pytest.mark.parametrize("which", ["levy-area", "growth"])
+    def test_verify_moment_zero_replicas_exits_2(self, tmp_path, which):
+        assert run(tmp_path, "verify-moment", "--which", which,
+                   "--replicas", "0") == 2
+        assert not (tmp_path / "verify-moment.json").exists()
+
+    def test_consistency_error_exits_2_with_its_own_label(
+            self, tmp_path, monkeypatch, capsys):
+        from fbmchaos import experiments
+        from fbmchaos.errors import (ConsistencyError, DomainError,
+                                     FbmchaosError)
+
+        for cls, parent in ((ConsistencyError, RuntimeError),
+                            (DomainError, ValueError)):
+            assert issubclass(cls, FbmchaosError) and issubclass(cls, parent)
+
+        def inconsistent(tol=1e-6):
+            raise ConsistencyError("bookkeeping mismatch")
+
+        monkeypatch.setattr(experiments, "constants_experiment", inconsistent)
+        assert run(tmp_path, "constants") == 2
+        err = capsys.readouterr().err
+        assert err.strip() == "consistency error: bookkeeping mismatch"

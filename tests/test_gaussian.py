@@ -228,6 +228,14 @@ class TestSeriesConstants:
         sc = series_constants(0.4, tol=1e-6)
         assert 0 < sc.tail_bound < 1e-6
 
+    def test_cached_and_read_only(self):
+        sc = series_constants(0.45)
+        assert series_constants(0.45, tol=1e-6) is sc
+        with pytest.raises(ValueError):
+            sc.rho[0] = 0.0
+        with pytest.raises(ValueError):
+            sc.rho_tilde[0] = 0.0
+
 
 class TestIteratedCov:
     def test_level1_base(self):

@@ -4,7 +4,8 @@ import pathlib
 import numpy as np
 import pytest
 
-from fbmchaos.errors import CapacityError, DomainError
+from fbmchaos import young
+from fbmchaos.errors import CapacityError, ConsistencyError, DomainError
 from fbmchaos.gaussian import cov, cov_rect, iterated_cov_Rl
 from fbmchaos.young import (
     ControlFunction,
@@ -280,6 +281,14 @@ class TestTowghi:
             q=golden["q"],
         )
         assert rep["max_ratio"] == pytest.approx(golden["max_ratio"], rel=1e-12)
+
+    def test_fuzz_refuses_non_finite_ratio(self, monkeypatch):
+        # a zero norm bound under a nonzero integral is a typed error, not an
+        # assert that -O would strip
+        monkeypatch.setattr(young, "towghi_check", lambda f, g, p, q: {
+            "integral": 1.0, "ratio": 0.0, "finite": False})
+        with pytest.raises(ConsistencyError):
+            towghi_fuzz_report(seed=1, cases=1)
 
 
 class TestComposeAndIteratedA:
