@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapacityError, DomainError
-from .gaussian import cov, rho, series_constants, tilde_rho
+from .gaussian import cov, rho, rho_tail_bound, series_constants, tilde_rho
 
 __all__ = [
     "SumProcess",
@@ -146,6 +146,8 @@ def holder_norm(series, lam):
         raise DomainError("lambda must lie in (0, 1)")
     vals = np.asarray(series.values if hasattr(series, "values") else series)
     npts = vals.shape[0]
+    if npts < 2:
+        raise DomainError("series needs at least 2 points")
     m = int(np.log2(npts - 1))
     if 2 ** m + 1 != npts:
         raise DomainError("series must live on a dyadic grid (2^m + 1 points)")
@@ -755,9 +757,10 @@ def rho_sum_bound_verify(p, q, assignment, m_range, s=0.0, t=1.0, H=0.4):
     N = sum(a.values())
     exponent = p - int(np.ceil(N / q)) if N else p
 
-    # sum over all integer lags of the absolute correlations: the normalized
-    # sequence then has unit mass, so the lemma's C is 1
-    total = 1.0 + 2.0 * np.abs(rho(np.arange(1, 10000), H)).sum()
+    # sum over all integer lags of the absolute correlations, in closed form
+    # (2 for H < 1/2, 1 at H = 1/2): the normalized sequence then has unit
+    # mass, so the lemma's C is 1
+    total = 1.0 + 2.0 * rho_tail_bound(0, H)
     rows = []
     ok = True
     for m in m_range:

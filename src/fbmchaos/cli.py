@@ -1,5 +1,9 @@
 """Command-line front end.
 
+Each command's options, defaults and runner are declared once, in
+``COMMANDS``; ``fbmchaos <command> --help`` lists its flags.  An option
+resolves as explicit flag > ``--config`` file (key=value lines) > default.
+
 Every run writes a results JSON ({experiment, params, rows}) plus a
 manifest (config, library versions, seed) beside it; an optional CSV
 projection flattens the rows.  Results are deterministic for a given
@@ -23,7 +27,6 @@ import sys
 from importlib import metadata
 
 import numpy as np
-import scipy
 
 from . import experiments, young
 from .errors import (
@@ -41,27 +44,13 @@ OUT_ENV = "FBMCHAOS_OUT"
 
 
 def _versions():
-    try:
-        own = metadata.version("fbmchaos")
-    except metadata.PackageNotFoundError:
-        own = "unknown"
-    return {
-        "python": sys.version.split()[0],
-        "numpy": np.__version__,
-        "scipy": scipy.__version__,
-        "fbmchaos": own,
-    }
-
-
-def _coerce(text):
-    for cast in (int, float):
+    out = {"python": sys.version.split()[0], "numpy": np.__version__}
+    for dist in ("scipy", "fbmchaos"):
         try:
-            return cast(text)
-        except ValueError:
-            pass
-    if text.lower() in ("true", "false"):
-        return text.lower() == "true"
-    return text
+            out[dist] = metadata.version(dist)
+        except metadata.PackageNotFoundError:
+            out[dist] = "unknown"
+    return out
 
 
 def _read_config(path):
@@ -77,23 +66,38 @@ def _read_config(path):
                     f"config line {ln}: expected key=value, got {line!r}"
                 )
             key, val = line.split("=", 1)
-            out[key.strip().replace("-", "_")] = _coerce(val.strip())
+            out[key.strip().replace("-", "_")] = val.strip()
     return out
 
 
-def _merge(args, defaults):
+def _config_value(key, kind, text):
+    """A config-file value, converted and checked as its flag would be."""
+    if isinstance(kind, list) and text in kind:
+        return text
+    if kind is bool and text.lower() in ("true", "false"):
+        return text.lower() == "true"
+    if kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    wanted = "|".join(kind) if isinstance(kind, list) else kind.__name__
+    raise DomainError(f"{key}={text}: expected {wanted}")
+
+
+def _merge(args, options):
     """Resolve each option: explicit flag > config file > built-in default."""
     config = _read_config(args.config) if args.config else {}
-    unknown = set(config) - set(defaults)
+    unknown = set(config) - set(options)
     if unknown:
         raise DomainError(f"unknown config keys: {sorted(unknown)}")
     merged = {}
-    for key, default in defaults.items():
-        cli_val = getattr(args, key, None)
+    for key, (kind, default, *_) in options.items():
+        cli_val = getattr(args, key)
         if cli_val is not None:
             merged[key] = cli_val
         elif key in config:
-            merged[key] = config[key]
+            merged[key] = _config_value(key, kind, config[key])
         else:
             merged[key] = default
     return merged
@@ -115,9 +119,7 @@ def _rows_csv(rows):
 
 
 def _emit(report, args, merged):
-    outdir = args.out or os.environ.get(OUT_ENV) or "."
-    os.makedirs(outdir, exist_ok=True)
-    stem = os.path.join(outdir, args.command)
+    stem = os.path.join(args.out, args.command)
     with open(stem + ".json", "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -146,171 +148,141 @@ def _emit(report, args, merged):
 
 
 # ---------------------------------------------------------------------------
-# subcommand bodies
+# runners: (resolved options, parsed args) -> report
 
 
-def _cmd_constants(args):
-    defaults = {"tol": 1e-6, "identity": False, "seed": None}
-    merged = _merge(args, defaults)
-    if merged["identity"]:
-        report = experiments.constant_identity_experiment(tol=merged["tol"])
-    else:
-        report = experiments.constants_experiment(tol=merged["tol"])
-    return _emit(report, args, merged)
+def _experiment(name, **kwargs):
+    # looked up at call time, so a patched or traced experiment is the one run
+    return getattr(experiments, name)(**kwargs)
 
 
-def _cmd_simulate(args):
-    defaults = {"hurst": 0.4, "d": 2, "m": 8, "refine": 1, "seed": 0,
-                "replica": 0}
-    merged = _merge(args, defaults)
-    spec = SimSpec(model=HurstModel(merged["hurst"], merged["d"]),
-                   m=merged["m"], refine=merged["refine"],
-                   seed=merged["seed"], replica=merged["replica"])
-    path = simulate(spec)
-    outdir = args.out or os.environ.get(OUT_ENV) or "."
-    os.makedirs(outdir, exist_ok=True)
-    with open(os.path.join(outdir, "path.csv"), "w") as fh:
+# option -> keyword of the experiment functions, where the two differ
+_KEYWORDS = {"hurst": "H", "replicas": "N"}
+
+
+def _forward(name):
+    """The runner that passes every option on to ``experiments.<name>``."""
+    return lambda o, args: _experiment(
+        name, **{_KEYWORDS.get(key, key): val for key, val in o.items()})
+
+
+def _sampled(o):
+    return simulate(SimSpec(model=HurstModel(o["hurst"], o["d"]), m=o["m"],
+                            refine=o["refine"], seed=o["seed"],
+                            replica=o["replica"]))
+
+
+def _simulate(o, args):
+    path = _sampled(o)
+    with open(os.path.join(args.out, "path.csv"), "w") as fh:
         dump_csv(path, fh)
-    rows = [
+    return {"experiment": "simulate", "params": o, "pass": True, "rows": [
         {"component": c,
          "terminal": float(path.values[c, -1]),
          "increment_std": float(np.std(path.increments[c], ddof=1)),
          "pass": True}
-        for c in range(merged["d"])
-    ]
-    report = {"experiment": "simulate", "params": merged, "rows": rows,
-              "pass": True}
-    return _emit(report, args, merged)
+        for c in range(o["d"])
+    ]}
 
 
-def _cmd_lift(args):
-    defaults = {"hurst": 0.4, "d": 2, "m": 6, "refine": 4, "seed": 0,
-                "replica": 0, "level3": False}
-    merged = _merge(args, defaults)
-    spec = SimSpec(model=HurstModel(merged["hurst"], merged["d"]),
-                   m=merged["m"], refine=merged["refine"],
-                   seed=merged["seed"], replica=merged["replica"])
-    path = simulate(spec)
+def _lift(o, args):
+    path = _sampled(o)
     lifted = lift2(path)
-    if merged["level3"]:
+    if o["level3"]:
         lifted = lift3(path, lifted)
     sig = lifted.signature()
-    rows = [{"level": 1, "values": sig.level1.tolist(), "pass": True},
-            {"level": 2, "values": sig.level2.tolist(), "pass": True}]
-    if merged["level3"]:
-        rows.append({"level": 3, "values": sig.level3.tolist(), "pass": True})
-    report = {"experiment": "lift", "params": merged, "rows": rows,
-              "pass": True}
-    return _emit(report, args, merged)
+    levels = (sig.level1, sig.level2) + ((sig.level3,) if o["level3"] else ())
+    return {"experiment": "lift", "params": o, "pass": True, "rows": [
+        {"level": k, "values": v.tolist(), "pass": True}
+        for k, v in enumerate(levels, 1)
+    ]}
 
 
-def _cmd_verify_moment(args):
-    defaults = {"which": "levy-area", "hurst": 0.4, "replicas": None,
-                "seed": None, "threads": 1}
-    merged = _merge(args, defaults)
-    which = merged["which"]
-    if which == "levy-area":
-        report = experiments.levy_area_mc_experiment(
-            H=merged["hurst"],
-            N=10000 if merged["replicas"] is None else merged["replicas"],
-            seed=merged["seed"] if merged["seed"] is not None else 101,
-            threads=merged["threads"],
-        )
-    elif which == "growth":
-        report = experiments.moment_experiment(
-            H=merged["hurst"],
-            N=1000 if merged["replicas"] is None else merged["replicas"],
-            seed=merged["seed"] if merged["seed"] is not None else 202,
-            threads=merged["threads"],
-        )
-    elif which == "covariance":
-        report = experiments.covariance_table_experiment(
-            H=merged["hurst"],
-            seed=merged["seed"] if merged["seed"] is not None else 404,
-        )
-    else:
-        raise DomainError(
-            f"--which must be levy-area, growth, or covariance, got {which!r}"
-        )
-    return _emit(report, args, merged)
+# --which -> (experiment, default replicas or None if unsampled, default seed)
+_MOMENT = {"levy-area": ("levy_area_mc_experiment", 10000, 101),
+           "growth": ("moment_experiment", 1000, 202),
+           "covariance": ("covariance_table_experiment", None, 404)}
 
 
-def _cmd_verify_fclt(args):
-    defaults = {"hurst": 0.4, "m": 10, "replicas": 2000, "n_sub": 8,
-                "seed": 303, "threads": 1}
-    merged = _merge(args, defaults)
-    report = experiments.fclt_experiment(
-        H=merged["hurst"], m=merged["m"], N=merged["replicas"],
-        n_sub=merged["n_sub"], seed=merged["seed"],
-        threads=merged["threads"],
-    )
-    return _emit(report, args, merged)
+def _verify_moment(o, args):
+    name, replicas, seed = _MOMENT[o["which"]]
+    kwargs = {"H": o["hurst"],
+              "seed": seed if o["seed"] is None else o["seed"]}
+    if replicas is not None:
+        kwargs.update(N=replicas if o["replicas"] is None else o["replicas"],
+                      threads=o["threads"])
+    return _experiment(name, **kwargs)
 
 
-def _cmd_verify_third_order(args):
-    defaults = {"which": "scaling", "hurst": 0.4, "seed": None}
-    merged = _merge(args, defaults)
-    if merged["which"] == "scaling":
-        report = experiments.third_order_experiment(H=merged["hurst"])
-    elif merged["which"] == "rho-sum":
-        report = experiments.rho_sum_experiment(H=merged["hurst"])
-    else:
-        raise DomainError(
-            f"--which must be scaling or rho-sum, got {merged['which']!r}"
-        )
-    return _emit(report, args, merged)
-
-
-def _cmd_pvar(args):
-    defaults = {"p": 2.0, "points": 4, "seed": 0}
-    merged = _merge(args, defaults)
-    rng = np.random.default_rng(merged["seed"])
-    pts = merged["points"]
+def _pvar(o, args):
+    rng = np.random.default_rng(o["seed"])
+    pts, p = o["points"], o["p"]
     axes = tuple(np.linspace(0.0, 1.0, pts) for _ in range(2))
     f = young.GridFunction(partition=young.GridPartition(axes=axes),
                            values=rng.normal(size=(pts, pts)))
-    p = merged["p"]
     tilde = float(young.tilde_Vp(f, p))
     vp = float(young.Vp(f, p))
     ctrl = float(young.controlled_pvar(f, p))
     bar = float(young.bar_Vp(f, p))
     ok = tilde <= vp + 1e-12 and vp <= ctrl + 1e-12
-    rows = [{"norm": "tilde_Vp", "value": tilde, "pass": True},
-            {"norm": "Vp", "value": vp, "pass": vp >= tilde - 1e-12},
-            {"norm": "pvar", "value": ctrl, "pass": ctrl >= vp - 1e-12},
-            {"norm": "bar_Vp", "value": bar, "pass": True}]
-    report = {"experiment": "pvar", "params": merged, "rows": rows,
-              "pass": ok}
-    return _emit(report, args, merged)
-
-
-def _cmd_young_check(args):
-    defaults = {"seed": 2024, "cases": 100, "hurst": 0.4}
-    merged = _merge(args, defaults)
-    report = experiments.young_suite_experiment(
-        seed=merged["seed"], cases=merged["cases"], H=merged["hurst"])
-    return _emit(report, args, merged)
-
-
-def _cmd_rde_demo(args):
-    defaults = {"hurst": 0.5, "replicas": 400, "seed": 12}
-    merged = _merge(args, defaults)
-    report = experiments.rde_demo_experiment(
-        H=merged["hurst"], N=merged["replicas"], seed=merged["seed"])
-    return _emit(report, args, merged)
+    return {"experiment": "pvar", "params": o, "pass": ok, "rows": [
+        {"norm": "tilde_Vp", "value": tilde, "pass": True},
+        {"norm": "Vp", "value": vp, "pass": vp >= tilde - 1e-12},
+        {"norm": "pvar", "value": ctrl, "pass": ctrl >= vp - 1e-12},
+        {"norm": "bar_Vp", "value": bar, "pass": True},
+    ]}
 
 
 # ---------------------------------------------------------------------------
-# argument parsing
+# the command table
 
+_SIMULATE = {"hurst": (float, 0.4), "d": (int, 2), "m": (int, 8),
+             "refine": (int, 1), "seed": (int, 0), "replica": (int, 0)}
 
-def _add_common(sp):
-    sp.add_argument("--out", help=f"output directory (default ${OUT_ENV} "
-                    "or the working directory)")
-    sp.add_argument("--csv", action="store_true",
-                    help="also write a CSV projection of the rows")
-    sp.add_argument("--config", help="key=value config file; explicit flags "
-                    "take precedence")
+# command -> (help, {option: (type or choices, default[, help])}, runner)
+COMMANDS = {
+    "constants": (
+        "limit-constant table",
+        {"tol": (float, 1e-6),
+         "identity": (bool, False,
+                      "check the variance-identity assembly instead")},
+        lambda o, args: _experiment(
+            "constant_identity_experiment" if o["identity"]
+            else "constants_experiment", tol=o["tol"])),
+    "simulate": ("sample paths to CSV", _SIMULATE, _simulate),
+    "lift": (
+        "signature of one sampled path",
+        dict(_SIMULATE, m=(int, 6), refine=(int, 4), level3=(bool, False)),
+        _lift),
+    "verify-moment": (
+        "second-moment and moment-growth checks",
+        {"which": (list(_MOMENT), "levy-area"), "hurst": (float, 0.4),
+         "replicas": (int, None), "seed": (int, None), "threads": (int, 1)},
+        _verify_moment),
+    "verify-fclt": (
+        "Gaussian-limit marginal verification",
+        {"hurst": (float, 0.4), "m": (int, 10), "replicas": (int, 2000),
+         "n_sub": (int, 8), "seed": (int, 303), "threads": (int, 1)},
+        _forward("fclt_experiment")),
+    "verify-third-order": (
+        "order-3 scaling and correlation-sum bounds",
+        {"which": (["scaling", "rho-sum"], "scaling"), "hurst": (float, 0.4)},
+        lambda o, args: _experiment(
+            {"scaling": "third_order_experiment",
+             "rho-sum": "rho_sum_experiment"}[o["which"]], H=o["hurst"])),
+    "pvar": (
+        "variation norms of a random grid function, with the sandwich check",
+        {"p": (float, 2.0), "points": (int, 4), "seed": (int, 0)},
+        _pvar),
+    "young-check": (
+        "Young-integration check suite",
+        {"seed": (int, 2024), "cases": (int, 100), "hurst": (float, 0.4)},
+        _forward("young_suite_experiment")),
+    "rde-demo": (
+        "differential-equation self-convergence demo",
+        {"hurst": (float, 0.5), "replicas": (int, 400), "seed": (int, 12)},
+        _forward("rde_demo_experiment")),
+}
 
 
 def build_parser():
@@ -319,79 +291,23 @@ def build_parser():
         description="Rough-path simulation and verification experiments "
         "for fractional Brownian motion.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("constants", help="limit-constant table")
-    sp.add_argument("--tol", type=float)
-    sp.add_argument("--identity", action="store_true", default=None,
-                    help="check the variance-identity assembly instead")
-    sp.set_defaults(func=_cmd_constants)
-    _add_common(sp)
-
-    sp = sub.add_parser("simulate", help="sample paths to CSV")
-    for flag, typ in (("--hurst", float), ("--d", int), ("--m", int),
-                      ("--refine", int), ("--seed", int), ("--replica", int)):
-        sp.add_argument(flag, type=typ)
-    sp.set_defaults(func=_cmd_simulate)
-    _add_common(sp)
-
-    sp = sub.add_parser("lift", help="signature of one sampled path")
-    for flag, typ in (("--hurst", float), ("--d", int), ("--m", int),
-                      ("--refine", int), ("--seed", int), ("--replica", int)):
-        sp.add_argument(flag, type=typ)
-    sp.add_argument("--level3", action="store_true", default=None)
-    sp.set_defaults(func=_cmd_lift)
-    _add_common(sp)
-
-    sp = sub.add_parser("verify-moment",
-                        help="second-moment and moment-growth checks")
-    sp.add_argument("--which", choices=["levy-area", "growth", "covariance"])
-    sp.add_argument("--hurst", type=float)
-    sp.add_argument("--replicas", type=int)
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--threads", type=int)
-    sp.set_defaults(func=_cmd_verify_moment)
-    _add_common(sp)
-
-    sp = sub.add_parser("verify-fclt",
-                        help="Gaussian-limit marginal verification")
-    sp.add_argument("--hurst", type=float)
-    sp.add_argument("--m", type=int)
-    sp.add_argument("--replicas", type=int)
-    sp.add_argument("--n-sub", dest="n_sub", type=int)
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--threads", type=int)
-    sp.set_defaults(func=_cmd_verify_fclt)
-    _add_common(sp)
-
-    sp = sub.add_parser("verify-third-order",
-                        help="order-3 scaling and correlation-sum bounds")
-    sp.add_argument("--which", choices=["scaling", "rho-sum"])
-    sp.add_argument("--hurst", type=float)
-    sp.set_defaults(func=_cmd_verify_third_order)
-    _add_common(sp)
-
-    sp = sub.add_parser("pvar", help="variation norms of a random grid "
-                        "function, with the sandwich check")
-    sp.add_argument("--p", type=float)
-    sp.add_argument("--points", type=int)
-    sp.add_argument("--seed", type=int)
-    sp.set_defaults(func=_cmd_pvar)
-    _add_common(sp)
-
-    sp = sub.add_parser("young-check", help="Young-integration check suite")
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--cases", type=int)
-    sp.add_argument("--hurst", type=float)
-    sp.set_defaults(func=_cmd_young_check)
-    _add_common(sp)
-
-    sp = sub.add_parser("rde-demo",
-                        help="differential-equation self-convergence demo")
-    sp.add_argument("--hurst", type=float)
-    sp.add_argument("--replicas", type=int)
-    sp.add_argument("--seed", type=int)
-    sp.set_defaults(func=_cmd_rde_demo)
-    _add_common(sp)
+    for command, (help_text, options, _) in COMMANDS.items():
+        sp = sub.add_parser(command, help=help_text)
+        for key, (kind, _, *doc) in options.items():
+            flag = "--" + key.replace("_", "-")
+            if kind is bool:
+                kw = {"action": "store_true", "default": None}
+            elif isinstance(kind, list):
+                kw = {"choices": kind}
+            else:
+                kw = {"type": kind}
+            sp.add_argument(flag, help=doc[0] if doc else None, **kw)
+        sp.add_argument("--out", help=f"output directory (default "
+                        f"${OUT_ENV} or the working directory)")
+        sp.add_argument("--csv", action="store_true",
+                        help="also write a CSV projection of the rows")
+        sp.add_argument("--config", help="key=value config file; explicit "
+                        "flags take precedence")
     return parser
 
 
@@ -402,10 +318,13 @@ _ERROR_LABELS = {RefinementError: "numerical error",
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    args.out = args.out or os.environ.get(OUT_ENV) or "."
+    _, options, runner = COMMANDS[args.command]
     try:
-        return args.func(args)
+        merged = _merge(args, options)
+        os.makedirs(args.out, exist_ok=True)
+        return _emit(runner(merged, args), args, merged)
     except (FbmchaosError, OSError) as exc:
         label = _ERROR_LABELS.get(type(exc), "config error")
         print(f"{label}: {exc}", file=sys.stderr)

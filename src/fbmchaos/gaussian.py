@@ -107,6 +107,7 @@ def rho_tail_bound(K, H):
     nonincreasing with limit 0 for H < 1/2, so the tail telescopes:
     sum_{k>K} |rho(k)| = g(K).  For H = 1/2 the tail is exactly zero.
     """
+    _check_H(H)
     if K < 0:
         raise DomainError("K must be nonnegative")
     if H == 0.5:

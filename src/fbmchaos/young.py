@@ -270,13 +270,6 @@ def bar_Vp(f, p, mode="exact"):
     return VariationValue(total + abs(corner), exact=exact)
 
 
-def _dissections_1d(n_cells):
-    # all ways to cut [0, n_cells] at a subset of interior breakpoints
-    for cuts in _subsets(range(1, n_cells)):
-        bounds = [0, *cuts, n_cells]
-        yield [(a, b) for a, b in zip(bounds, bounds[1:])]
-
-
 def _tilings_2d(n1, n2):
     """All partitions of an n1 x n2 cell grid into axis-aligned rectangles."""
     full = [(i, j) for i in range(n1) for j in range(n2)]
@@ -304,9 +297,11 @@ def _tilings_2d(n1, n2):
 def controlled_pvar(f, p, mode="exact_small"):
     """Supremum over rectangle dissections of (sum |f(I_k)|^p)^{1/p}.
 
-    ``exact_small`` enumerates every grid-aligned rectangle dissection
-    (1-D any small size, 2-D up to 4 breakpoints per axis); ``lower_bound``
-    uses grid-product dissections only, i.e. falls back to Vp.
+    ``exact_small`` is exact: in 1-D by the O(n^2) recurrence
+    best[j] = max_{i<j} best[i] + |f_j - f_i|^p over the last breakpoint
+    before point j, in 2-D by enumerating every grid-aligned rectangle
+    dissection (up to 4 breakpoints per axis); ``lower_bound`` uses
+    grid-product dissections only, i.e. falls back to Vp.
     """
     if p < 1:
         raise DomainError("p must be >= 1")
@@ -321,14 +316,11 @@ def controlled_pvar(f, p, mode="exact_small"):
     if mode != "exact_small":
         raise DomainError(f"unknown mode {mode!r}")
     if N == 1:
-        n = shape[0] - 1
-        best = 0.0
-        for blocks in _dissections_1d(n):
-            s = sum(
-                abs(f.values[b] - f.values[a]) ** p for a, b in blocks
-            )
-            best = max(best, s)
-        return VariationValue(best ** (1.0 / p), exact=True)
+        x = [float(v) for v in f.values]
+        best = [0.0]
+        for j in range(1, len(x)):
+            best.append(max(best[i] + abs(x[j] - x[i]) ** p for i in range(j)))
+        return VariationValue(best[-1] ** (1.0 / p), exact=True)
     if N != 2 or max(shape) > 4:
         raise CapacityError("exact dissection enumeration needs N<=2, <=4 points/axis")
     best = 0.0

@@ -337,6 +337,9 @@ class TestHolderNorm:
             holder_norm(np.zeros(10), 0.4)
         with pytest.raises(CapacityError):
             holder_norm(np.zeros(2 ** 13 + 1), 0.4)
+        for short in (np.zeros(0), np.zeros(1)):
+            with pytest.raises(DomainError):
+                holder_norm(short, 0.4)
 
 
 class TestRhoSumBound:
@@ -373,7 +376,7 @@ class TestRhoSumBound:
         H, m = 0.4, 2
         a = {frozenset({0, 1}): 1, frozenset({1, 2}): 2}
         rep = rho_sum_bound_verify(3, 3, a, [m], H=H)
-        total = 1.0 + 2.0 * np.abs(rho(np.arange(1, 10000), H)).sum()
+        total = 1.0 + 2.0 * chaos.rho_tail_bound(0, H)
         cells = 4
         lhs = 0.0
         for k in itertools.product(range(cells), repeat=3):

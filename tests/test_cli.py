@@ -92,6 +92,44 @@ class TestConfigHandling:
         assert run(tmp_path, "constants", "--config",
                    str(tmp_path / "nope.txt")) == 2
 
+    @pytest.mark.parametrize("command", ["verify-moment",
+                                         "verify-third-order"])
+    def test_bad_config_choice_exits_2(self, tmp_path, capsys, command):
+        # argparse checks only the flag; the config value is checked too
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("which = bogus\n")
+        assert run(tmp_path, command, "--config", str(cfg)) == 2
+        err = capsys.readouterr().err
+        assert "which" in err and "bogus" in err
+        assert not (tmp_path / f"{command}.json").exists()
+
+    @pytest.mark.parametrize("command, line", [
+        ("simulate", "hurst = abc"), ("simulate", "m = 4.5"),
+        ("constants", "identity = yes")])
+    def test_mistyped_config_value_exits_2(self, tmp_path, capsys, command,
+                                           line):
+        # config values are converted by the option's type, as flags are
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(line + "\n")
+        assert run(tmp_path, command, "--config", str(cfg)) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+    def test_config_float_option_from_integer_text(self, tmp_path):
+        # "p = 2" resolves to 2.0, as "--p 2" does
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("p = 2\n")
+        assert run(tmp_path, "pvar", "--config", str(cfg)) == 0
+        rep = json.loads((tmp_path / "pvar.json").read_text())
+        assert rep["params"]["p"] == 2.0 and isinstance(rep["params"]["p"],
+                                                        float)
+
+    def test_config_key_without_flag_exits_2(self, tmp_path):
+        # constants has no --seed, so a config file cannot set one either
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("seed = 3\n")
+        assert run(tmp_path, "constants", "--config", str(cfg)) == 2
+
     def test_bad_choice_exits_2(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run(tmp_path, "verify-moment", "--which", "bogus")
@@ -108,6 +146,18 @@ class TestOtherCommands:
         assert run(tmp_path, "simulate", "--m", "4", "--seed", "3") == 0
         lines = (tmp_path / "path.csv").read_text().splitlines()
         assert len(lines) == 2 + 2 ** 4  # header + 17 grid rows
+
+    @pytest.mark.parametrize("command, defaults", [
+        ("simulate", {"hurst": 0.4, "d": 2, "m": 8, "refine": 1, "seed": 0,
+                      "replica": 0}),
+        ("lift", {"hurst": 0.4, "d": 2, "m": 6, "refine": 4, "seed": 0,
+                  "replica": 0, "level3": False}),
+    ])
+    def test_default_params(self, tmp_path, command, defaults):
+        # the resolved options are written into the results bytes
+        assert run(tmp_path, command) == 0
+        rep = json.loads((tmp_path / f"{command}.json").read_text())
+        assert rep["params"] == defaults
 
     def test_lift_levels(self, tmp_path):
         assert run(tmp_path, "lift", "--m", "3", "--level3") == 0
@@ -164,6 +214,13 @@ class TestRefusals:
         assert run(tmp_path, "verify-moment", "--which", which,
                    "--replicas", "0") == 2
         assert not (tmp_path / "verify-moment.json").exists()
+
+    def test_package_exports_the_error_base(self):
+        import fbmchaos
+        from fbmchaos.errors import FbmchaosError
+
+        assert fbmchaos.FbmchaosError is FbmchaosError
+        assert "FbmchaosError" in fbmchaos.__all__
 
     def test_consistency_error_exits_2_with_its_own_label(
             self, tmp_path, monkeypatch, capsys):

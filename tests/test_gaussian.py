@@ -146,6 +146,12 @@ class TestRhoTailBound:
     def test_brownian(self):
         assert rho_tail_bound(5, 0.5) == 0.0
 
+    def test_refuses_H_outside_model_range(self):
+        # for H > 1/2 the telescoped tail diverges, so no closed form holds
+        for H in (0.3, 0.6):
+            with pytest.raises(DomainError):
+                rho_tail_bound(0, H)
+
     def test_nonincreasing(self):
         H = 0.4
         vals = [rho_tail_bound(K, H) for K in range(2, 200)]

@@ -167,6 +167,31 @@ class TestControlledPvar:
         f = GridFunction(partition=P, values=rng.normal(size=5))
         assert float(controlled_pvar(f, 1.7)) == pytest.approx(float(Vp(f, 1.7)))
 
+    def test_1d_recurrence_matches_subpartition_enumeration(self):
+        # in 1-D every dissection is a sub-partition, so exact Vp (which
+        # enumerates all of them) is an independent oracle for the recurrence
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            points = int(rng.integers(2, 13))
+            p = float(rng.uniform(1, 4))
+            f = GridFunction(partition=GridPartition.uniform(points, 1),
+                             values=rng.normal(size=points))
+            got = controlled_pvar(f, p)
+            assert got.exact
+            assert float(got) == pytest.approx(float(Vp(f, p)), rel=1e-13)
+
+    def test_1d_monotone_64_points(self):
+        # a monotone function has p-variation |f(1) - f(0)| for p >= 1; the
+        # 2^62 dissections are out of reach of any enumeration
+        import time
+
+        values = np.cumsum(np.random.default_rng(12).uniform(0, 1, 64))
+        f = GridFunction(partition=GridPartition.uniform(64, 1), values=values)
+        start = time.perf_counter()
+        got = float(controlled_pvar(f, 2.3))
+        assert time.perf_counter() - start < 0.5
+        assert got == pytest.approx(values[-1] - values[0], rel=1e-12)
+
     def test_friz_victoir_sandwich_fuzz(self):
         rng = np.random.default_rng(9)
         for _ in range(25):
