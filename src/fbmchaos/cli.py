@@ -129,7 +129,8 @@ def _emit(report, args, merged):
     manifest = {
         "config": dict(merged, command=args.command),
         "versions": _versions(),
-        "seed": merged.get("seed"),
+        # a runner may resolve the seed itself (verify-moment's per-which one)
+        "seed": report["params"].get("seed", merged.get("seed")),
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
     with open(stem + ".manifest.json", "w") as fh:
@@ -206,6 +207,9 @@ _MOMENT = {"levy-area": ("levy_area_mc_experiment", 10000, 101),
 
 def _verify_moment(o, args):
     name, replicas, seed = _MOMENT[o["which"]]
+    if replicas is None and (o["replicas"] is not None or o["threads"] != 1):
+        raise DomainError(f"--which {o['which']} draws no samples: "
+                          "--replicas and --threads do not apply")
     kwargs = {"H": o["hurst"],
               "seed": seed if o["seed"] is None else o["seed"]}
     if replicas is not None:

@@ -22,7 +22,6 @@ import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import toeplitz
 
 from .errors import CapacityError, ConsistencyError, DomainError
 from .gaussian import HurstModel, rho
@@ -141,7 +140,8 @@ def _transform(z, H, scale=1.0):
 def increment_cov_matrix(spec):
     """Toeplitz covariance mesh^{2H} rho(|i-j|) of the fine-grid increments."""
     H = spec.model.H
-    return spec.mesh ** (2 * H) * toeplitz(rho(np.arange(spec.size), H))
+    i = np.arange(spec.size)
+    return spec.mesh ** (2 * H) * rho(i, H)[np.abs(i[:, None] - i[None, :])]
 
 
 def _stream(seed, replica, component):

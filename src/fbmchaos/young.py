@@ -14,18 +14,21 @@ them:
   * zeta-summation estimate      left sums of a controlled phi are bounded
                                  by C zeta(theta)^N prod w(s_r,t_r)^theta
 
-Exact V_p enumerates every sub-partition and is therefore exponential; it
-is capacity-gated and never silently approximated — the cheap alternative
-is an explicitly flagged lower bound.  Constants in the inequalities above
-are not explicit, so the corresponding checkers report ratios for
-regression against golden values instead of asserting invented constants.
+Every variation value is exact.  V_p solves axis 0 by a recurrence over
+its kept breakpoints and enumerates the sub-partitions of the other axes
+only; the controlled p-variation is V_p in 1-D and, in 2-D, the best score
+over every rectangle tiling, read from one table of rectangle increments.
+Both refuse inputs beyond their operation gates with CapacityError rather
+than approximate.  Constants in the inequalities above are not explicit, so
+the corresponding checkers report ratios for regression against golden
+values instead of asserting invented constants.
 """
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import zeta as riemann_zeta
 
 from .errors import CapacityError, ConsistencyError, DomainError
 from .gaussian import cov_rect
@@ -34,7 +37,6 @@ __all__ = [
     "GridPartition",
     "GridFunction",
     "ControlFunction",
-    "VariationValue",
     "rect_increment",
     "tilde_Vp",
     "Vp",
@@ -50,7 +52,7 @@ __all__ = [
     "zeta_sum_check",
 ]
 
-VP_MAX_SUBPARTITIONS = 2 ** 20
+VP_MAX_OPERATIONS = 2 ** 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,15 +133,6 @@ class ControlFunction:
         return float(self.w(s, t))
 
 
-class VariationValue(float):
-    """A variation functional value carrying its exactness flag."""
-
-    def __new__(cls, value, exact):
-        obj = super().__new__(cls, value)
-        obj.exact = bool(exact)
-        return obj
-
-
 def _cell_increments(values):
     out = values
     for ax in range(values.ndim):
@@ -183,62 +176,55 @@ def tilde_Vp(f, p):
     )
 
 
-def _subsets(interior):
-    for r in range(len(interior) + 1):
-        yield from itertools.combinations(interior, r)
+def _kept_breakpoints(n):
+    """Every sub-partition of breakpoints 0..n-1 that keeps both endpoints.
+
+    One row per sub-partition.  A dropped breakpoint repeats the index
+    before it, so it adds only zero-width cells (zero increments) and every
+    row has length n.
+    """
+    keep = np.array([(1, *inner, 1) for inner in
+                     itertools.product((0, 1), repeat=n - 2)], dtype=bool)
+    return np.maximum.accumulate(np.where(keep, np.arange(n), 0), axis=1)
 
 
-def _restrict(values, keep):
-    return values[np.ix_(*keep)]
-
-
-def Vp(f, p, mode="exact"):
+def Vp(f, p):
     """Maximum of tilde_Vp over sub-partitions (endpoints always kept).
 
-    ``exact`` enumerates all sub-partitions (capacity-gated); ``lower_bound``
-    takes the maximum along a greedy single-point-removal descent and returns
-    a value flagged inexact.
+    With the kept breakpoints of axes 1..N-1 fixed, the sum of |increment|^p
+    is additive over consecutive kept breakpoints of axis 0, so axis 0 is
+    solved exactly by best[j] = max_{i<j} best[i] + c[i, j], where c[i, j]
+    sums over the cells between rows i and j; only the other axes are
+    enumerated.  That costs n_0^2 prod_{k>=1} 2^(n_k-2) (n_k-1) operations,
+    refused with CapacityError above VP_MAX_OPERATIONS.
     """
+    return _vp(f.values, p)
+
+
+def _vp(values, p):
     if p < 1:
         raise DomainError("p must be >= 1")
-    shape = f.partition.shape
-    if mode == "exact":
-        total = 1
-        for npts in shape:
-            total *= 2 ** (npts - 2)
-        if total > VP_MAX_SUBPARTITIONS:
-            raise CapacityError(
-                f"{total} sub-partitions exceed the enumeration gate"
-            )
-        best = 0.0
-        interior = [range(1, npts - 1) for npts in shape]
-        for combo in itertools.product(*[list(_subsets(i)) for i in interior]):
-            keep = [
-                np.concatenate(([0], np.asarray(c, dtype=int), [npts - 1]))
-                for c, npts in zip(combo, shape)
-            ]
-            sub = _restrict(f.values, keep)
-            best = max(best, float(np.sum(np.abs(_cell_increments(sub)) ** p)))
-        return VariationValue(best ** (1.0 / p), exact=True)
-    if mode != "lower_bound":
-        raise DomainError(f"unknown mode {mode!r}")
-    keep = [list(range(npts)) for npts in shape]
-    best = np.sum(np.abs(_cell_increments(f.values)) ** p)
-    improved = True
-    while improved and any(len(k) > 2 for k in keep):
-        improved = False
-        cand_best, cand = best, None
-        for ax in range(len(shape)):
-            for pos in range(1, len(keep[ax]) - 1):
-                trial = [list(k) for k in keep]
-                del trial[ax][pos]
-                sub = _restrict(f.values, [np.asarray(k) for k in trial])
-                v = np.sum(np.abs(_cell_increments(sub)) ** p)
-                if v > cand_best:
-                    cand_best, cand = v, trial
-        if cand is not None:
-            keep, best, improved = cand, cand_best, True
-    return VariationValue(best ** (1.0 / p), exact=False)
+    n0, *rest = values.shape
+    ops = n0 ** 2
+    for n in rest:
+        ops *= 2 ** (n - 2) * (n - 1)
+    if ops > VP_MAX_OPERATIONS:
+        raise CapacityError(
+            f"{ops} operations exceed the V_p gate of {VP_MAX_OPERATIONS}"
+        )
+    # axis k >= 1 becomes (sub-partition, breakpoint): (n0, S_1, n_1, ...)
+    g = values
+    for ax in range(len(rest), 0, -1):
+        g = np.take(g, _kept_breakpoints(rest[ax - 1]), axis=ax)
+    inc = g[None] - g[:, None]  # inc[i, j] = g[j] - g[i]
+    cell_axes = tuple(range(3, inc.ndim, 2))
+    for ax in cell_axes:
+        inc = np.diff(inc, axis=ax)
+    c = np.sum(np.abs(inc) ** p, axis=cell_axes).reshape(n0, n0, -1)
+    best = np.zeros((n0, c.shape[2]))
+    for j in range(1, n0):
+        best[j] = np.max(best[:j] + c[:j, j], axis=0)
+    return float(best[-1].max()) ** (1.0 / p)
 
 
 def _face_values(values, alive):
@@ -249,25 +235,15 @@ def _face_values(values, alive):
     return values[idx]
 
 
-def bar_Vp(f, p, mode="exact"):
+def bar_Vp(f, p):
     """Sum of Vp over all coordinate faces through the base corner, plus
     the base corner value itself."""
     N = f.partition.N
     total = 0.0
-    exact = True
     for r in range(1, N + 1):
         for alive in itertools.combinations(range(N), r):
-            face = GridFunction(
-                partition=GridPartition(
-                    axes=tuple(f.partition.axes[a] for a in alive)
-                ),
-                values=_face_values(f.values, alive),
-            )
-            v = Vp(face, p, mode=mode)
-            exact = exact and v.exact
-            total += float(v)
-    corner = f.values[(0,) * N]
-    return VariationValue(total + abs(corner), exact=exact)
+            total += _vp(_face_values(f.values, alive), p)
+    return float(total + abs(f.values[(0,) * N]))
 
 
 def _tilings_2d(n1, n2):
@@ -294,44 +270,41 @@ def _tilings_2d(n1, n2):
     yield from rec(set(), [])
 
 
-def controlled_pvar(f, p, mode="exact_small"):
+@functools.lru_cache(maxsize=9)
+def _tiling_table(n1, n2):
+    """The rectangles of every tiling of an n1 x n2 breakpoint grid.
+
+    Column t lists tiling t's rectangles, in _tilings_2d order, as flat
+    indices into the (n1, n1, n2, n2) table of rectangle increments, padded
+    with the index one past that table's end.
+    """
+    tilings = [[((i0 * n1 + i1) * n2 + j0) * n2 + j1
+                for (i0, i1), (j0, j1) in tiling]
+               for tiling in _tilings_2d(n1 - 1, n2 - 1)]
+    table = np.array(list(itertools.zip_longest(
+        *tilings, fillvalue=n1 * n1 * n2 * n2)))
+    table.setflags(write=False)
+    return table
+
+
+def controlled_pvar(f, p):
     """Supremum over rectangle dissections of (sum |f(I_k)|^p)^{1/p}.
 
-    ``exact_small`` is exact: in 1-D by the O(n^2) recurrence
-    best[j] = max_{i<j} best[i] + |f_j - f_i|^p over the last breakpoint
-    before point j, in 2-D by enumerating every grid-aligned rectangle
-    dissection (up to 4 breakpoints per axis); ``lower_bound`` uses
-    grid-product dissections only, i.e. falls back to Vp.
+    Exact.  In 1-D every dissection is a sub-partition, so this is Vp.  In
+    2-D (up to 4 breakpoints per axis) every grid-aligned tiling is scored
+    from one corner-difference table of all rectangle increments.
     """
     if p < 1:
         raise DomainError("p must be >= 1")
-    shape = f.partition.shape
-    N = f.partition.N
-    if mode == "lower_bound":
-        try:
-            v = Vp(f, p, mode="exact")
-        except CapacityError:
-            v = Vp(f, p, mode="lower_bound")
-        return VariationValue(float(v), exact=False)
-    if mode != "exact_small":
-        raise DomainError(f"unknown mode {mode!r}")
-    if N == 1:
-        x = [float(v) for v in f.values]
-        best = [0.0]
-        for j in range(1, len(x)):
-            best.append(max(best[i] + abs(x[j] - x[i]) ** p for i in range(j)))
-        return VariationValue(best[-1] ** (1.0 / p), exact=True)
-    if N != 2 or max(shape) > 4:
+    if f.partition.N == 1:
+        return Vp(f, p)
+    if f.partition.N != 2 or max(f.partition.shape) > 4:
         raise CapacityError("exact dissection enumeration needs N<=2, <=4 points/axis")
-    best = 0.0
-    for tiling in _tilings_2d(shape[0] - 1, shape[1] - 1):
-        s = 0.0
-        for (i0, i1), (j0, j1) in tiling:
-            s += abs(
-                rect_increment(f, {0: (i0, i1), 1: (j0, j1)})
-            ) ** p
-        best = max(best, s)
-    return VariationValue(best ** (1.0 / p), exact=True)
+    rows = f.values[None] - f.values[:, None]  # rows[i0, i1] = f[i1] - f[i0]
+    rects = rows[:, :, None, :] - rows[:, :, :, None]  # [i0, i1, j0, j1]
+    powers = np.append(np.abs(rects).ravel() ** p, 0.0)
+    scores = powers[_tiling_table(*f.partition.shape)].sum(axis=0)
+    return float(scores.max()) ** (1.0 / p)
 
 
 def discrete_young_integral(f, g):
@@ -350,7 +323,7 @@ def _vanishes_on_base_faces(values, tol=0.0):
     )
 
 
-def towghi_check(f, g, p, q, vp_mode="exact"):
+def towghi_check(f, g, p, q):
     """Ratio report for |int f dg| against the variation-norm bound.
 
     Uses the face-augmented norm of f in general, or the plain sub-partition
@@ -361,9 +334,9 @@ def towghi_check(f, g, p, q, vp_mode="exact"):
         raise DomainError("need 1/p + 1/q > 1")
     integral = discrete_young_integral(f, g)
     sharp = _vanishes_on_base_faces(f.values)
-    fnorm = Vp(f, p, mode=vp_mode) if sharp else bar_Vp(f, p, mode=vp_mode)
-    gnorm = Vp(g, q, mode=vp_mode)
-    denom = float(fnorm) * float(gnorm)
+    fnorm = Vp(f, p) if sharp else bar_Vp(f, p)
+    gnorm = Vp(g, q)
+    denom = fnorm * gnorm
     if denom == 0.0:
         return {
             "integral": integral,
@@ -374,8 +347,8 @@ def towghi_check(f, g, p, q, vp_mode="exact"):
         }
     return {
         "integral": integral,
-        "f_norm": float(fnorm),
-        "g_norm": float(gnorm),
+        "f_norm": fnorm,
+        "g_norm": gnorm,
         "ratio": abs(integral) / denom,
         "bound_kind": "V_p" if sharp else "barV_p",
         "finite": True,
@@ -452,7 +425,7 @@ def iterated_A_bound(a_list, boxes, H):
     return out
 
 
-def product_pvar_check(f, g, p, q=None, vp_mode="exact"):
+def product_pvar_check(f, g, p, q=None):
     """Check the product rules for the sub-partition variation norm.
 
     With disjoint variables (f and g on separate partitions) verifies
@@ -465,26 +438,26 @@ def product_pvar_check(f, g, p, q=None, vp_mode="exact"):
             partition=GridPartition(axes=f.partition.axes + g.partition.axes),
             values=np.multiply.outer(f.values, g.values),
         )
-        lhs = Vp(prod, p, mode=vp_mode)
-        rhs = float(Vp(f, p, mode=vp_mode)) * float(Vp(g, p, mode=vp_mode))
+        lhs = Vp(prod, p)
+        rhs = Vp(f, p) * Vp(g, p)
         return {
             "kind": "disjoint",
-            "lhs": float(lhs),
+            "lhs": lhs,
             "rhs": rhs,
-            "ratio": float(lhs) / rhs if rhs else 0.0,
-            "pass": float(lhs) <= rhs * (1 + 1e-10),
+            "ratio": lhs / rhs if rhs else 0.0,
+            "pass": lhs <= rhs * (1 + 1e-10),
         }
     if q is None or not q > p:
         raise DomainError("shared-variable form needs q > p")
     prod = GridFunction(partition=f.partition, values=f.values * g.values)
-    lhs = Vp(prod, q, mode=vp_mode)
-    denom = float(bar_Vp(f, p, mode=vp_mode)) * float(bar_Vp(g, p, mode=vp_mode))
+    lhs = Vp(prod, q)
+    denom = bar_Vp(f, p) * bar_Vp(g, p)
     return {
         "kind": "shared",
-        "lhs": float(lhs),
+        "lhs": lhs,
         "denominator": denom,
-        "ratio": float(lhs) / denom if denom else 0.0,
-        "pass": np.isfinite(float(lhs) / denom) if denom else float(lhs) == 0.0,
+        "ratio": lhs / denom if denom else 0.0,
+        "pass": np.isfinite(lhs / denom) if denom else lhs == 0.0,
     }
 
 
@@ -498,6 +471,8 @@ def zeta_sum_check(phi, w, p, q, C, hypothesis_samples=50, seed=0):
     sum over the diagonal cells is then bounded by
     C zeta(theta)^N prod w(s_r, t_r)^theta.
     """
+    from scipy.special import zeta as riemann_zeta
+
     theta = 1.0 / p + 1.0 / q
     if theta <= 1.0:
         raise DomainError("need 1/p + 1/q > 1")

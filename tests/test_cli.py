@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -68,6 +70,13 @@ class TestConfigHandling:
             (tmp_path / "verify-moment.manifest.json").read_text())
         assert man["config"]["seed"] == 7
         assert man["seed"] == 7
+
+    def test_manifest_records_the_per_which_default_seed(self, tmp_path):
+        assert run(tmp_path, "verify-moment", "--which", "covariance") == 0
+        man = json.loads(
+            (tmp_path / "verify-moment.manifest.json").read_text())
+        assert man["config"]["seed"] is None
+        assert man["seed"] == 404
 
     def test_flag_overrides_config(self, tmp_path):
         cfg = tmp_path / "cfg.txt"
@@ -215,6 +224,17 @@ class TestRefusals:
                    "--replicas", "0") == 2
         assert not (tmp_path / "verify-moment.json").exists()
 
+    @pytest.mark.parametrize("flags", [["--replicas", "5"], ["--threads", "9"]])
+    def test_unsampled_verify_moment_refuses_sampling_options(
+            self, tmp_path, capsys, flags):
+        assert run(tmp_path, "verify-moment", "--which", "covariance",
+                   *flags) == 2
+        err = capsys.readouterr().err
+        assert "draws no samples" in err and len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "verify-moment.json").exists()
+        assert run(tmp_path, "verify-moment", "--which", "covariance",
+                   "--threads", "1") == 0
+
     def test_package_exports_the_error_base(self):
         import fbmchaos
         from fbmchaos.errors import FbmchaosError
@@ -239,3 +259,17 @@ class TestRefusals:
         assert run(tmp_path, "constants") == 2
         err = capsys.readouterr().err
         assert err.strip() == "consistency error: bookkeeping mismatch"
+
+
+class TestImport:
+    def test_package_import_loads_no_scipy(self):
+        # scipy is imported only by the functions that call it
+        import fbmchaos
+
+        src = os.path.dirname(os.path.dirname(fbmchaos.__file__))
+        out = subprocess.run(
+            [sys.executable, "-c", "import sys, fbmchaos; print(sorted("
+             "m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+            text=True, check=True, timeout=60)
+        assert out.stdout.strip() == "[]"

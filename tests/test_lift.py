@@ -35,6 +35,24 @@ class TestLift2:
         rhs = np.einsum("ca,cb->cab", L.level1, L.level1)
         np.testing.assert_allclose(lhs, rhs, atol=1e-14)
 
+    def test_shuffle_identity_random(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+
+        @hyp.settings(max_examples=40, deadline=None)
+        @hyp.given(H=st.floats(min_value=0.34, max_value=0.5),
+                   d=st.integers(1, 4), m=st.integers(1, 4),
+                   refine=st.integers(1, 16), seed=st.integers(0, 2 ** 32 - 1))
+        def check(H, d, m, refine, seed):
+            L = lift2(make_path(H=H, d=d, m=m, refine=refine, seed=seed))
+            sig = L.signature()
+            for l1, l2 in ((L.level1, L.level2), (sig.level1, sig.level2)):
+                np.testing.assert_allclose(
+                    l2 + np.swapaxes(l2, -1, -2),
+                    np.einsum("...a,...b->...ab", l1, l1), atol=1e-13)
+
+        check()
+
     def test_diagonal_rule(self):
         L = lift2(make_path())
         for a in range(2):
@@ -99,6 +117,31 @@ class TestChen:
         left = chen_combine(chen_combine(a, b), c)
         right = chen_combine(a, chen_combine(b, c))
         np.testing.assert_allclose(left.level2, right.level2, atol=1e-14)
+
+    def test_associativity_random_splits(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+
+        @hyp.settings(max_examples=30, deadline=None)
+        @hyp.given(H=st.floats(min_value=0.34, max_value=0.5),
+                   d=st.integers(1, 3), m=st.integers(2, 4),
+                   seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+        def check(H, d, m, seed, data):
+            p = make_path(H=H, d=d, m=m, refine=2, seed=seed)
+            L = lift3(p, lift2(p))
+            cuts = sorted(data.draw(st.lists(
+                st.integers(0, 2 ** m), min_size=4, max_size=4, unique=True)))
+            a, b, c = (L.signature(i, j) for i, j in zip(cuts, cuts[1:]))
+            left = chen_combine(chen_combine(a, b), c)
+            right = chen_combine(a, chen_combine(b, c))
+            whole = L.signature(cuts[0], cuts[-1])
+            for level in ("level1", "level2", "level3"):
+                np.testing.assert_allclose(getattr(left, level),
+                                           getattr(right, level), atol=1e-13)
+                np.testing.assert_allclose(getattr(left, level),
+                                           getattr(whole, level), atol=1e-13)
+
+        check()
 
     def test_non_abutting_rejected(self):
         L = lift2(make_path(m=2, refine=4))

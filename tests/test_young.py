@@ -1,3 +1,4 @@
+import itertools
 import json
 import pathlib
 
@@ -37,6 +38,41 @@ def random_grid_function(rng, points=4, N=2):
     )
     part = GridPartition(axes=axes)
     return GridFunction(partition=part, values=rng.normal(size=(points,) * N))
+
+
+def vp_oracle(f, p):
+    """Exact V_p by enumerating every sub-partition (endpoints kept)."""
+    best = 0.0
+    for keep in itertools.product(*[
+        [(0, *c, n - 1) for r in range(n - 1)
+         for c in itertools.combinations(range(1, n - 1), r)]
+        for n in f.partition.shape
+    ]):
+        sub = f.values[np.ix_(*keep)]
+        for ax in range(sub.ndim):
+            sub = np.diff(sub, axis=ax)
+        best = max(best, float(np.sum(np.abs(sub) ** p)))
+    return best ** (1.0 / p)
+
+
+def pvar_oracle_2d(f, p):
+    """Exact 2-D controlled p-variation: every tiling, scored rectangle by
+    rectangle through rect_increment."""
+    n1, n2 = f.partition.shape
+    return max(
+        sum(abs(rect_increment(f, {0: rows, 1: cols})) ** p
+            for rows, cols in tiling)
+        for tiling in young._tilings_2d(n1 - 1, n2 - 1)
+    ) ** (1.0 / p)
+
+
+def grid_function(rng, shape):
+    axes = tuple(
+        np.sort(np.concatenate(([0.0, 1.0], rng.uniform(0, 1, n - 2))))
+        for n in shape
+    )
+    return GridFunction(partition=GridPartition(axes=axes),
+                        values=rng.normal(size=shape))
 
 
 class TestTypes:
@@ -115,7 +151,7 @@ class TestVariationFunctionals:
             P = GridPartition.uniform(n, 2)
             f = GridFunction.sample(P, lambda s, t: np.minimum(s, t))
             v = Vp(f, 1.0)
-            assert v.exact and float(v) == pytest.approx(1.0, abs=1e-12)
+            assert float(v) == pytest.approx(1.0, abs=1e-12)
 
     def test_vp_at_least_tilde(self):
         rng = np.random.default_rng(4)
@@ -129,13 +165,6 @@ class TestVariationFunctionals:
         for _ in range(10):
             f = random_grid_function(rng)
             assert float(Vp(f, 2.5)) <= float(Vp(f, 1.5)) + 1e-12
-
-    def test_lower_bound_flagged_and_below_exact(self):
-        rng = np.random.default_rng(6)
-        f = random_grid_function(rng)
-        lo, hi = Vp(f, 2.0, mode="lower_bound"), Vp(f, 2.0)
-        assert not lo.exact and hi.exact
-        assert float(lo) <= float(hi) + 1e-12
 
     def test_capacity_gate(self):
         P = GridPartition.uniform(13, 2)
@@ -177,7 +206,6 @@ class TestControlledPvar:
             f = GridFunction(partition=GridPartition.uniform(points, 1),
                              values=rng.normal(size=points))
             got = controlled_pvar(f, p)
-            assert got.exact
             assert float(got) == pytest.approx(float(Vp(f, p)), rel=1e-13)
 
     def test_1d_monotone_64_points(self):
@@ -187,10 +215,11 @@ class TestControlledPvar:
 
         values = np.cumsum(np.random.default_rng(12).uniform(0, 1, 64))
         f = GridFunction(partition=GridPartition.uniform(64, 1), values=values)
-        start = time.perf_counter()
-        got = float(controlled_pvar(f, 2.3))
-        assert time.perf_counter() - start < 0.5
-        assert got == pytest.approx(values[-1] - values[0], rel=1e-12)
+        for norm in (controlled_pvar, Vp):
+            start = time.perf_counter()
+            got = float(norm(f, 2.3))
+            assert time.perf_counter() - start < 0.5
+            assert got == pytest.approx(values[-1] - values[0], rel=1e-12)
 
     def test_friz_victoir_sandwich_fuzz(self):
         rng = np.random.default_rng(9)
@@ -224,6 +253,57 @@ class TestControlledPvar:
         f = GridFunction(partition=P, values=np.zeros((5, 5)))
         with pytest.raises(CapacityError):
             controlled_pvar(f, 2.0)
+
+
+class TestExactEngineAgainstEnumeration:
+    def test_vp_matches_subpartition_enumeration(self):
+        rng = np.random.default_rng(30)
+        shapes = [(int(rng.integers(2, 13)),) for _ in range(40)]
+        shapes += [tuple(rng.integers(2, 6, size=2)) for _ in range(40)]
+        for shape in shapes:
+            f = grid_function(rng, shape)
+            p = float(rng.uniform(1, 4))
+            assert Vp(f, p) == pytest.approx(vp_oracle(f, p), rel=1e-13)
+
+    def test_controlled_pvar_matches_tiling_enumeration(self):
+        rng = np.random.default_rng(31)
+        for _ in range(40):
+            f = grid_function(rng, tuple(rng.integers(2, 5, size=2)))
+            p = float(rng.uniform(1, 4))
+            assert controlled_pvar(f, p) == pytest.approx(
+                pvar_oracle_2d(f, p), rel=1e-13)
+
+    def test_tiling_counts(self):
+        # rectangle tilings of an a x b cell grid (OEIS A116694), so the
+        # tiling enumerator behind both the engine and the oracle misses none
+        counts = {(1, 1): 1, (1, 2): 2, (1, 3): 4, (2, 2): 8, (2, 3): 34,
+                  (3, 2): 34, (3, 3): 322}
+        for (a, b), count in counts.items():
+            assert len(list(young._tilings_2d(a, b))) == count
+
+    def test_random_grids(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+        # tenths in [-10, 10]: ties and zero increments, but no subnormals
+        values = st.integers(-100, 100).map(lambda k: k / 10)
+
+        @hyp.settings(max_examples=60, deadline=None)
+        @hyp.given(shape=st.lists(st.integers(2, 4), min_size=1, max_size=2),
+                   p=st.floats(min_value=1, max_value=4), data=st.data())
+        def check(shape, p, data):
+            f = GridFunction(
+                partition=GridPartition(
+                    axes=tuple(np.linspace(0, 1, n) for n in shape)),
+                values=np.array(data.draw(st.lists(
+                    values, min_size=int(np.prod(shape)),
+                    max_size=int(np.prod(shape))))).reshape(shape),
+            )
+            assert Vp(f, p) == pytest.approx(vp_oracle(f, p), rel=1e-13)
+            if len(shape) == 2:
+                assert controlled_pvar(f, p) == pytest.approx(
+                    pvar_oracle_2d(f, p), rel=1e-13)
+
+        check()
 
 
 class TestYoungIntegral:
