@@ -12,19 +12,22 @@ dyadic grid D_m:
 
 together with closed-form second-moment oracles for all of them.  The
 oracles come in two flavours: converged (the continuum iterated-integral
-covariances, built on rho and tilde_rho series) and finite-sub-step
-(matching the geometric lift at resolution n exactly, so Monte Carlo
-comparisons are unbiased).  Every hand-derived covariance formula is
-cross-checked in the tests against the brute-force pairing (Isserlis)
-oracle on the same discretization.
+covariances, built on the rho and tilde_rho tables of series_constants) and
+finite-sub-step (matching the geometric lift at resolution n exactly, so
+Monte Carlo comparisons are unbiased).  Every hand-derived covariance
+formula is cross-checked in the tests against one brute-force pairing
+(Isserlis) oracle, which expands both orders' cells into Gaussian monomials
+with one builder, on the same discretization.
 
-Every finite-resolution cell-pair covariance, of order 2 and 3, reads one
-lag-table engine on the unit lattice (cells of width 1 at integer offsets):
-for a vector of lags it builds, in chunks of bounded size, each cell pair's
-prefix and sub-cell covariance tables, and each oracle reduces them over
-the lag axis; offset -lag reads the transposed tables.  Increment
-stationarity makes the covariances functions of the lag only, turning the
-2^m x 2^m double sums into single sums over lags.
+Each order has one per-lag table, vectorized over lags (cov_Q_pair,
+cov_K_lags), a dyadic-scaled cell pair (exact_cov_Q, exact_cov_K) and a
+stationary sum over lags (exact_second_moment_Q, second_moment_K):
+increment stationarity makes the covariances functions of the lag only,
+turning the 2^m x 2^m double sums into single sums over lags.  Every
+finite-resolution table reads the lag-table engine of gaussian.py on the
+unit lattice (cells of width 1 at integer offsets), reducing its prefix and
+sub-cell covariance tables over the lag axis; offset -lag reads the
+transposed tables.
 """
 
 import itertools
@@ -33,7 +36,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapacityError, DomainError
-from .gaussian import cov, rho, rho_tail_bound, series_constants, tilde_rho
+# _TABLE_ELEMS is re-exported: it bounds the chunks of the lag tables read here
+from .gaussian import (_TABLE_ELEMS, _lag_tables, _transposed, rho,  # noqa: F401
+                       rho_tail_bound, series_constants)
 
 __all__ = [
     "SumProcess",
@@ -168,53 +173,6 @@ def holder_norm(series, lam):
 
 
 # ---------------------------------------------------------------------------
-# unit-lattice lag tables
-
-# entries in one (chunk, n+1, n+1) table: 512 KiB of float64
-_TABLE_ELEMS = 2 ** 16
-
-
-def _lag_tables(H, lags, n):
-    """Yield cell-pair tables of cells [0,1] and [lag,lag+1], lags >= 0.
-
-    Each cell has n sub-cells, u_k = k/n and v_l = lag + l/n.  One dict per
-    chunk of at most max(1, 2^16 // (n+1)^2) lags, lag on axis 0:
-      P   (L, n+1, n+1) prefix x prefix  R([0,u_k] x [lag,v_l]), closed grid
-      F   (L, n, n)     P at the left points k, l < n
-      g   (L, n, n)     sub x sub        R(sub_k x sub_l)
-      pj  (L, n)        prefix_i x cell_j  R([0,u_k] x [lag,lag+1]) = P[:, k, n]
-      pi  (L, n)        cell_i x prefix_j  R([0,1] x [lag,v_l]) = P[:, n, l]
-      si  (L, n)        prefix variances u_k^{2H}, the same in both cells
-      qi  (L, n)        prefix_i x cell_i  R([0,u_k] x [0,1]); qj alike in j
-      r   (L,)          cell_i x cell_j    rho(lag)
-    No (L, n+1, n+1) array exceeds 2^16 entries (512 KiB), or one lag's
-    (n+1)^2 when that is larger, and fewer than ten are alive at once: under
-    5 MiB per chunk however many lags there are.  An empty lag vector yields
-    one empty chunk.
-    """
-    lags = np.atleast_1d(np.asarray(lags, dtype=float))
-    u = np.arange(n + 1) / n
-    step = max(1, _TABLE_ELEMS // (n + 1) ** 2)
-    for a in range(0, len(lags) or 1, step):
-        lg = lags[a:a + step]
-        Rm = cov(u[None, :, None], lg[:, None, None] + u[None, None, :], H)
-        P = Rm - cov(u[None, :], lg[:, None], H)[:, :, None]
-        si, q = (np.broadcast_to(x, (len(lg), n))
-                 for x in (u[:-1] ** (2 * H), cov(u[:-1], 1.0, H)))
-        yield {"P": P, "F": P[:, :-1, :-1],
-               "g": np.diff(np.diff(Rm, axis=1), axis=2),
-               "si": si, "pj": P[:, :-1, -1], "pi": P[:, -1, :-1],
-               "qi": q, "qj": q, "r": rho(lg, H)}
-
-
-def _transposed(t):
-    """Tables of the mirrored pair at offset -lag: cells i and j swap roles."""
-    return dict(t, P=t["P"].transpose(0, 2, 1), F=t["F"].transpose(0, 2, 1),
-                g=t["g"].transpose(0, 2, 1), pi=t["pj"], pj=t["pi"],
-                qi=t["qj"], qj=t["qi"])
-
-
-# ---------------------------------------------------------------------------
 # order-2 antisymmetric family
 
 
@@ -297,82 +255,44 @@ def cross_hat_tilde_finite(lags, H, n):
     return np.concatenate([per_chunk(t) for t in _lag_tables(H, lags, n)])
 
 
-def _lag_weighted_sum(count, per_lag):
-    lags = np.arange(count)
-    mult = np.where(lags == 0, count, 2.0 * (count - lags))
-    return float(np.dot(mult, per_lag))
-
-
-def exact_second_moment_Q(H, m, which, s=0.0, t=1.0, n_sub=None, tol=1e-6):
-    """Closed-form E[(X^m_{s,t})^2] for the order-2 family (unnormalized).
-
-    which in {"qhat", "qcheck", "qtilde", "q", "cross"}; "cross" is
-    E[Qhat Qtilde].  Per cell pair at lag l the covariances are
-
-        qhat:   (1/4) Delta^{4H} rho(l)^2        qcheck: (1/2) Delta^{4H} rho(l)^2
-        qtilde: Delta^{4H} tilde_rho(l)          cross:  (1/4) Delta^{4H} rho(l)^2
-
-    and Var(Q) = Var(Qtilde) - Var(Qhat) after the cross cancellation.
-    With ``n_sub`` the area covariances switch to the finite-resolution
-    geometric values so Monte Carlo on a lift with n_sub sub-steps is
-    matched without discretization bias.
-    """
-    i0, i1 = _cell_range(m, s, t)
-    count = i1 - i0
-    if count == 0:
-        return 0.0
-    delta4h = (2.0 ** -m) ** (4 * H)
-    lags = np.arange(count)
-    rho_sq = rho(lags, H) ** 2
-    if which in ("qtilde", "q"):
-        if n_sub is None:
-            sc = series_constants(H, tol=tol)
-            if count - 1 > sc.K:
-                raise DomainError("lag table too short for this range")
-            tr = sc.rho_tilde[:count]
-        else:
-            tr = tilde_rho_finite(lags, H, n_sub)
-    if which == "qhat":
-        per = 0.25 * rho_sq
-    elif which == "qcheck":
-        per = 0.5 * rho_sq
-    elif which == "cross":
-        per = 0.25 * rho_sq if n_sub is None else cross_hat_tilde_finite(lags, H, n_sub)
-    elif which == "qtilde":
-        per = tr
-    elif which == "q":
-        cr = 0.25 * rho_sq if n_sub is None else cross_hat_tilde_finite(lags, H, n_sub)
-        per = tr + 0.25 * rho_sq - 2.0 * cr
-    else:
-        raise DomainError(f"unknown family {which!r}")
-    return delta4h * _lag_weighted_sum(count, per)
-
-
 Q_PAIRS = ("qhat", "qcheck", "qtilde", "cross", "qhat_qcheck", "qtilde_qcheck")
 
 
-def cov_Q_pair(H, which, lag, n_sub=None, tol=1e-6):
-    """Unit-lattice cell-pair covariance for the order-2 family.
+def cov_Q_pair(H, which, lag, n_sub=None):
+    """Unit-lattice cell-pair covariances of the order-2 family, per lag.
 
     ``which`` names the pair: the homogeneous ones ("qhat", "qcheck",
     "qtilde"), the hat/tilde cross ("cross") and the vanishing mixed pairs
-    ("qhat_qcheck", "qtilde_qcheck" — odd in one component).  The dyadic
-    scale (2^{-m})^{4H} is the caller's business.
+    ("qhat_qcheck", "qtilde_qcheck" — odd in one component).  At lag l
+
+        qhat:   (1/4) rho(l)^2        qcheck: (1/2) rho(l)^2
+        qtilde: tilde_rho(l)          cross:  (1/4) rho(l)^2
+
+    with tilde_rho read from the series_constants table, which refuses a
+    lag beyond its K.  With ``n_sub`` the area entries (qtilde, cross) are
+    the finite-resolution geometric values of tilde_rho_finite and
+    cross_hat_tilde_finite, so Monte Carlo on a lift with n_sub sub-steps is
+    matched without discretization bias.  ``lag`` is an integer or an
+    integer array, sign ignored; an integer gives a float, evaluated on a
+    0-d array as rho evaluates it.  The dyadic scale (2^{-m})^{4H} is the
+    caller's business.
     """
-    lag = abs(int(lag))
-    if which == "qhat" or (which == "cross" and n_sub is None):
-        return 0.25 * rho(lag, H) ** 2
-    if which == "qcheck":
-        return 0.5 * rho(lag, H) ** 2
-    if which == "qtilde":
-        if n_sub is None:
-            return float(tilde_rho(lag, H, tol=tol))
-        return float(tilde_rho_finite([lag], H, n_sub)[0])
-    if which == "cross":
-        return float(cross_hat_tilde_finite([lag], H, n_sub)[0])
-    if which in ("qhat_qcheck", "qtilde_qcheck"):
-        return 0.0
-    raise DomainError(f"unknown pair {which!r}")
+    lags = np.abs(np.asarray(lag, dtype=int))
+    if which in ("qhat", "qcheck") or (which == "cross" and n_sub is None):
+        out = (0.5 if which == "qcheck" else 0.25) * rho(lags, H) ** 2
+    elif which == "qtilde" and n_sub is None:
+        sc = series_constants(H)
+        if lags.max(initial=0) > sc.K:
+            raise DomainError(f"lag beyond the tilde_rho table (K = {sc.K})")
+        out = sc.rho_tilde[lags]
+    elif which in ("qtilde", "cross"):
+        finite = tilde_rho_finite if which == "qtilde" else cross_hat_tilde_finite
+        out = finite(lags, H, n_sub).reshape(lags.shape)
+    elif which in ("qhat_qcheck", "qtilde_qcheck"):
+        out = np.zeros(lags.shape)
+    else:
+        raise DomainError(f"unknown pair {which!r}")
+    return out if lags.ndim else float(out)
 
 
 def exact_cov_Q(H, m, which, i, j, n_sub=None):
@@ -382,46 +302,30 @@ def exact_cov_Q(H, m, which, i, j, n_sub=None):
     return (2.0 ** -m) ** (4 * H) * cov_Q_pair(H, which, j - i, n_sub=n_sub)
 
 
-def _monomials_Q(kind, base, n):
-    """One order-2 cell as Gaussian monomials in fine increments.
+def _lag_weighted_sum(count, per_lag):
+    lags = np.arange(count)
+    mult = np.where(lags == 0, count, 2.0 * (count - lags))
+    return float(np.dot(mult, per_lag))
 
-    Geometric convention throughout: areas carry the half-product
-    compensator.  Component 0 plays alpha, component 1 beta; qcheck uses
-    component 0 and carries a constant term (empty monomial).
+
+def exact_second_moment_Q(H, m, which, s=0.0, t=1.0, n_sub=None):
+    """Closed-form E[X^m_{s,t} Y^m_{s,t}] for the order-2 family (unnormalized).
+
+    ``which`` is a pair of Q_PAIRS, or "q" for Q = Qhat - Qtilde, whose
+    per-lag covariance is qtilde + qhat - 2 cross.  Increment stationarity
+    turns the double sum over the cells of (s, t] into a sum of cov_Q_pair
+    over lags, scaled by Delta^{4H}; ``n_sub`` is passed on to cov_Q_pair.
     """
-    A = [(0, base + k) for k in range(n)]
-    B = [(1, base + k) for k in range(n)]
-    if kind == "qhat":
-        return [(0.5, [a, b]) for a in A for b in B]
-    if kind == "qcheck":
-        return [(0.5, [a, a2]) for a in A for a2 in A] + [(-0.5, [])]
-    if kind == "qtilde":
-        terms = [(1.0, [A[p], B[k]]) for k in range(n) for p in range(k)]
-        terms += [(0.5, [A[k], B[k]]) for k in range(n)]
-        return terms
-    raise DomainError(f"unknown kind {kind!r}")
-
-
-def brute_cov_Q(H, which, lag, n):
-    """Pairing-enumeration oracle for the order-2 pair covariances.
-
-    Unit cells, n fine sub-increments, geometric areas; matches
-    cov_Q_pair(..., n_sub=n) exactly for the area entries and the
-    n-independent closed forms for the rest.
-    """
-    kinds = {
-        "qhat": ("qhat", "qhat"),
-        "qcheck": ("qcheck", "qcheck"),
-        "qtilde": ("qtilde", "qtilde"),
-        "cross": ("qhat", "qtilde"),
-        "qhat_qcheck": ("qhat", "qcheck"),
-        "qtilde_qcheck": ("qtilde", "qcheck"),
-    }
-    if which not in kinds:
-        raise DomainError(f"unknown pair {which!r}")
-    ki, kj = kinds[which]
-    return _pairing_cov(H, n, lag, 2, _monomials_Q(ki, 0, n),
-                        _monomials_Q(kj, abs(lag) * n, n))
+    i0, i1 = _cell_range(m, s, t)
+    count = i1 - i0
+    lags = np.arange(count)
+    if which == "q":
+        per = (cov_Q_pair(H, "qtilde", lags, n_sub)
+               + cov_Q_pair(H, "qhat", lags, n_sub)
+               - 2.0 * cov_Q_pair(H, "cross", lags, n_sub))
+    else:
+        per = cov_Q_pair(H, which, lags, n_sub)
+    return (2.0 ** -m) ** (4 * H) * _lag_weighted_sum(count, per)
 
 
 # ---------------------------------------------------------------------------
@@ -601,8 +505,6 @@ def second_moment_K(H, m, pattern, s=0.0, t=1.0, n_quad=32):
     """E[(K^m_{s,t})^2] by lag-stationary summation of pair covariances."""
     i0, i1 = _cell_range(m, s, t)
     count = i1 - i0
-    if count == 0:
-        return 0.0
     per = cov_K_lags(H, pattern, np.arange(count), n_quad=n_quad)
     return (2.0 ** -m) ** (6 * H) * _lag_weighted_sum(count, per)
 
@@ -638,95 +540,94 @@ def isserlis_moment(cov_matrix, monomial):
     return rec(idx)
 
 
-def _monomials_K(pattern, base, n, geometric=False):
-    """K over one unit cell as Gaussian monomials in fine increments.
+def _monomials(kind, base, n):
+    """One unit cell's element as Gaussian monomials in fine increments.
 
-    Variables are indexed (component, global fine index); ``base`` is the
-    cell's first fine index.  Components: 0 plays alpha, 1 plays beta.
-    Returns a list of (coeff, [var, var, var]) triples.
+    Variables are (component, global fine index); ``base`` is the cell's
+    first fine index.  Component 0 plays alpha, 1 beta and 2 a third
+    component that never repeats.  ``kind`` is an order-2 entry ("qhat",
+    "qcheck", "qtilde") or a K pattern.  The order-2 area is geometric (the
+    left-point area plus the half-product diagonal); the order-3 patterns
+    use the left-point area, as their lag tables do.  Returns a list of
+    (coeff, [var, ...]); qcheck carries a constant term (empty monomial).
     """
-    A = [(0, base + k) for k in range(n)]
-    B = [(1, base + k) for k in range(n)]
-    terms = []
-    if pattern == "prod_abc":
-        # third component never repeats: model as component 2
-        for a in A:
-            for b in B:
-                for c in [(2, base + k) for k in range(n)]:
-                    terms.append((1.0, [a, b, c]))
-    elif pattern == "prod_aab":
-        for a1 in A:
-            for a2 in A:
-                for b in B:
-                    terms.append((1.0, [a1, a2, b]))
-    elif pattern == "prod_aaa":
-        for a1 in A:
-            for a2 in A:
-                for a3 in A:
-                    terms.append((1.0, [a1, a2, a3]))
-    elif pattern in ("area_cross", "area_own"):
-        for k in range(n):
-            for p in range(k):  # prefix A_{k} = sum_{p<k}
-                for q in range(n):
-                    comp = 2 if pattern == "area_cross" else 0
-                    terms.append((1.0, [A[p], B[k], (comp, base + q)]))
-            if geometric:
-                for q in range(n):
-                    comp = 2 if pattern == "area_cross" else 0
-                    terms.append((0.5, [A[k], B[k], (comp, base + q)]))
-    elif pattern == "l3_aab":
-        for k in range(n):
-            for p in range(k):
-                for q in range(k):
-                    terms.append((0.5, [A[p], A[q], B[k]]))
-    elif pattern == "l3_abc":
-        for l in range(n):
-            for k in range(l):
-                for p in range(k):
-                    terms.append((1.0, [A[p], B[k], (2, base + l)]))
-    elif pattern == "l3_aba":
-        x = _monomials_K("area_own", base, n, geometric)
-        z = _monomials_K("l3_aab", base, n, geometric)
-        terms = x + [(-2.0 * c, v) for c, v in z]
-    elif pattern == "l3_baa":
-        y = _monomials_K("prod_aab", base, n, geometric)
-        x = _monomials_K("area_own", base, n, geometric)
-        z = _monomials_K("l3_aab", base, n, geometric)
-        terms = [(0.5 * c, v) for c, v in y] + [(-c, v) for c, v in x] + z
-    else:
-        raise DomainError(f"unknown pattern {pattern!r}")
-    return terms
+    A, B, C = ([(comp, base + k) for k in range(n)] for comp in range(3))
+    area = [(1.0, [A[p], B[k]]) for k in range(n) for p in range(k)]
+    if kind == "qhat":
+        return [(0.5, [a, b]) for a in A for b in B]
+    if kind == "qcheck":
+        return [(0.5, [a, a2]) for a in A for a2 in A] + [(-0.5, [])]
+    if kind == "qtilde":
+        return area + [(0.5, [A[k], B[k]]) for k in range(n)]
+    products = {"prod_abc": (A, B, C), "prod_aab": (A, A, B),
+                "prod_aaa": (A, A, A)}
+    if kind in products:
+        return [(1.0, list(v)) for v in itertools.product(*products[kind])]
+    if kind in ("area_cross", "area_own"):
+        last = C if kind == "area_cross" else A
+        return [(c, v + [x]) for c, v in area for x in last]
+    if kind == "l3_aab":
+        return [(0.5, [A[p], A[q], B[k]])
+                for k in range(n) for p in range(k) for q in range(k)]
+    if kind == "l3_abc":
+        return [(1.0, [A[p], B[k], C[l]])
+                for l in range(n) for k in range(l) for p in range(k)]
+    # B^{aba} = X - 2Z and B^{baa} = Y/2 - X + Z, with X = B^{ab}B^a,
+    # Y = (B^a)^2 B^b and Z = B^{aab}
+    parts = {"l3_aba": ((1.0, "area_own"), (-2.0, "l3_aab")),
+             "l3_baa": ((0.5, "prod_aab"), (-1.0, "area_own"),
+                        (1.0, "l3_aab"))}
+    if kind not in parts:
+        raise DomainError(f"unknown kind {kind!r}")
+    return [(w * c, v) for w, part in parts[kind]
+            for c, v in _monomials(part, base, n)]
 
 
-def brute_cov_K(H, pattern, lag, n, geometric=False):
-    """Pairing-enumeration oracle for the unit-lattice pattern covariance.
+def _pairing_cov(H, n, lag, kind_i, kind_j):
+    """E[X_i Y_j] of two unit cells at signed offset lag = j - i, by pairing.
 
-    Discretizes each unit cell into n fine increments (mesh 1/n), expands
-    K_i and K_j into Gaussian monomials, and sums Isserlis moments of all
-    cross products.  O((n^3)^2) Isserlis calls of degree 6 — keep n small.
-    """
-    return _pairing_cov(H, n, lag, 3, _monomials_K(pattern, 0, n, geometric),
-                        _monomials_K(pattern, lag * n, n, geometric))
-
-
-def _pairing_cov(H, n, lag, comps, terms_i, terms_j):
-    """E[X_i X_j] of two cells' monomial expansions by Isserlis pairing.
-
-    Variables are (component, fine index) pairs on the mesh-1/n grid of
-    cells 0..|lag|; the ``comps`` components are independent fBm copies.
-    Sums the Isserlis moment of every cross product of the two lists.
+    Each cell is expanded by ``_monomials`` into its n fine increments on the
+    mesh-1/n grid spanning both cells; the three components are independent
+    fBm copies.  Sums the Isserlis moment of every cross product of the two
+    expansions.
     """
     size = n * (abs(lag) + 1)
     fine = (1.0 / n) ** (2 * H) * rho(
         np.abs(np.arange(size)[:, None] - np.arange(size)[None, :]), H
     )
-    C = np.kron(np.eye(comps), fine)
+    C = np.kron(np.eye(3), fine)
     total = 0.0
-    for ci, vi in terms_i:
-        for cj, vj in terms_j:
+    for ci, vi in _monomials(kind_i, max(0, -lag) * n, n):
+        for cj, vj in _monomials(kind_j, max(0, lag) * n, n):
             flat = [comp * size + pos for comp, pos in vi + vj]
             total += ci * cj * isserlis_moment(C, flat)
     return total
+
+
+_Q_KINDS = {"cross": ("qhat", "qtilde"), "qhat_qcheck": ("qhat", "qcheck"),
+            "qtilde_qcheck": ("qtilde", "qcheck")}
+
+
+def brute_cov_Q(H, which, lag, n):
+    """Pairing-enumeration oracle for the order-2 pair covariances.
+
+    Unit cells, n fine sub-increments, geometric areas; matches
+    cov_Q_pair(..., n_sub=n) exactly for the area entries and the
+    n-independent closed forms for the rest.  Like cov_Q_pair it ignores the
+    sign of the lag.
+    """
+    return _pairing_cov(H, n, abs(lag), *_Q_KINDS.get(which, (which, which)))
+
+
+def brute_cov_K(H, pattern, lag, n):
+    """Pairing-enumeration oracle for the unit-lattice pattern covariance.
+
+    Discretizes each unit cell into n fine increments (mesh 1/n), expands
+    K_i and K_j into Gaussian monomials, and sums Isserlis moments of all
+    cross products; a negative lag puts cell j before cell i.  O((n^3)^2)
+    Isserlis calls of degree 6 — keep n small.
+    """
+    return _pairing_cov(H, n, lag, pattern, pattern)
 
 
 # ---------------------------------------------------------------------------

@@ -76,6 +76,8 @@ def _chunked_replicas(spec, n_replicas, worker, chunk=250, threads=1):
     """
     if n_replicas < 1:
         raise DomainError(f"n_replicas must be >= 1, got {n_replicas}")
+    if threads < 1:
+        raise DomainError(f"threads must be >= 1, got {threads}")
     starts = list(range(0, n_replicas, chunk))
 
     def run(start):
@@ -92,6 +94,12 @@ def _chunked_replicas(spec, n_replicas, worker, chunk=250, threads=1):
     else:
         parts = [run(s) for s in starts]
     return np.concatenate(parts, axis=0)
+
+
+def _check_stderr_replicas(N):
+    # a runner reporting a standard error (ddof = 1) needs two replicas
+    if N < 2:
+        raise DomainError(f"a standard error needs N >= 2 replicas, got {N}")
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +157,7 @@ def constant_identity_experiment(H_list=(0.35, 0.4, 0.45), tol=1e-6):
 def levy_area_mc_experiment(H=0.4, N=10000, n_sub=64, seed=101, threads=1):
     """E[(area over [0,1])^2] by simulation against the iterated-covariance
     recursion (trapezoid variant, matching the piecewise-linear areas)."""
+    _check_stderr_replicas(N)
     spec = SimSpec(model=HurstModel(H, 2), m=1, refine=n_sub // 2, seed=seed)
 
     def worker(inc):
@@ -178,6 +187,7 @@ def moment_experiment(H=0.4, ps=(2, 4), m_range=range(4, 10), N=1000,
     bounded (cap 3x).  The constant-weight p=2 column is compared to the
     exact second-moment oracle at matching sub-resolution.
     """
+    _check_stderr_replicas(N)
     m_range = list(m_range)
     samples = {}
     for m in m_range:
@@ -240,6 +250,7 @@ def fclt_experiment(H=0.4, m=10, N=2000, n_sub=8, seed=303, threads=1,
     variance is separately checked against the limit constant.  Normality
     via Kolmogorov-Smirnov on the standardized sample.
     """
+    _check_stderr_replicas(N)
     spec = SimSpec(model=HurstModel(H, 2), m=m, refine=n_sub, seed=seed)
 
     def worker(inc):
@@ -318,6 +329,7 @@ def third_order_experiment(H=0.4, m_range=range(4, 10), n_quad=24,
                            max_lag=32, slope_tol=0.1):
     """Per-pattern dyadic scaling of E[(K^m_{0,1})^2] and the lag-decay
     covariance bound with a per-pattern fitted constant."""
+    HurstModel(H)  # refuses H outside (1/3, 1/2]
     m_range = list(m_range)
     target = -(6 * H - 1)
     rows = []
@@ -336,10 +348,13 @@ def third_order_experiment(H=0.4, m_range=range(4, 10), n_quad=24,
         slope = float(np.polyfit(
             np.array(m_range) * np.log(2.0), np.log(vals), 1
         )[0])
-        per_lag = table[:max_lag + 1]
-        ratios = np.abs(per_lag) / decay
-        C_fit = float(ratios.max())
-        bound_ok = bool(np.all(np.abs(per_lag) <= C_fit * decay * (1 + 1e-12)))
+        # C_fit is fitted where decay > 0; where decay vanishes (every lag
+        # >= 1 at H = 1/2) the covariance must vanish to round-off
+        per_lag = np.abs(table[:max_lag + 1])
+        live = decay > 0
+        C_fit = float((per_lag[live] / decay[live]).max())
+        bound_ok = bool(np.all(per_lag <= np.where(
+            live, C_fit * decay * (1 + 1e-12), 1e-12 * per_lag[0])))
         slope_ok = abs(slope - target) <= slope_tol * abs(target)
         ok = ok and bound_ok and slope_ok
         rows.append({
@@ -389,6 +404,9 @@ def rho_sum_experiment(max_p=4, max_q=3, m_range=range(1, 7), H=0.4):
 def young_suite_experiment(seed=2024, cases=100, H=0.4):
     """The four integration checks: variation-norm sandwich, Towghi ratio
     corpus, disjoint-product rule, and the nested-integral bound."""
+    HurstModel(H)  # refuses H outside (1/3, 1/2]
+    if cases < 1:
+        raise DomainError(f"cases must be >= 1, got {cases}")
     rng = np.random.default_rng(seed)
     rows = []
 

@@ -16,6 +16,13 @@ covariance recursion R^l_s, and the three series constants
 which normalize the central limit behaviour of the antisymmetric sum
 processes built in chaos.py.
 
+One lag-table engine, ``_lag_tables``, serves every second moment computed
+on sub-cell grids: for a vector of lags it builds, in chunks of bounded
+size, the prefix and sub-cell covariance tables of the unit cells [0,1] and
+[lag,lag+1].  The tilde_rho ladder sums its left-point table at each level,
+and every finite-resolution cell-pair covariance in chaos.py reduces the
+same tables over the lag axis.
+
 Valid Hurst range is 1/3 < H <= 1/2.  H = 1/2 is the Brownian anchor where
 everything has an elementary closed form (rho(k) = 0 for k >= 1,
 tilde_rho(0) = 1/2, tilde_rho(i) = 0 for i >= 1) and is used as the exact
@@ -33,6 +40,11 @@ H_MIN = 1.0 / 3.0
 H_MAX = 0.5
 
 
+def _check_H(H):
+    if not (H_MIN < H <= H_MAX):
+        raise DomainError(f"H must lie in (1/3, 1/2], got {H}")
+
+
 @dataclass(frozen=True)
 class HurstModel:
     """Hurst parameter H in (1/3, 1/2] and driving dimension d >= 1."""
@@ -41,15 +53,9 @@ class HurstModel:
     d: int = 2
 
     def __post_init__(self):
-        if not (H_MIN < self.H <= H_MAX):
-            raise DomainError(f"H must lie in (1/3, 1/2], got {self.H}")
+        _check_H(self.H)
         if int(self.d) != self.d or self.d < 1:
             raise DomainError(f"d must be a positive integer, got {self.d}")
-
-
-def _check_H(H):
-    if not (H_MIN < H <= H_MAX):
-        raise DomainError(f"H must lie in (1/3, 1/2], got {H}")
 
 
 def cov(s, t, H):
@@ -120,6 +126,53 @@ def _rho_sq_tail_bound(K, H):
     return abs(rho(K + 1, H)) * rho_tail_bound(K, H)
 
 
+# ---------------------------------------------------------------------------
+# unit-lattice lag tables
+
+# entries in one (chunk, n+1, n+1) table: 512 KiB of float64
+_TABLE_ELEMS = 2 ** 16
+
+
+def _lag_tables(H, lags, n):
+    """Yield cell-pair tables of cells [0,1] and [lag,lag+1], lags >= 0.
+
+    Each cell has n sub-cells, u_k = k/n and v_l = lag + l/n.  One dict per
+    chunk of at most max(1, 2^16 // (n+1)^2) lags, lag on axis 0:
+      P   (L, n+1, n+1) prefix x prefix  R([0,u_k] x [lag,v_l]), closed grid
+      F   (L, n, n)     P at the left points k, l < n
+      g   (L, n, n)     sub x sub        R(sub_k x sub_l)
+      pj  (L, n)        prefix_i x cell_j  R([0,u_k] x [lag,lag+1]) = P[:, k, n]
+      pi  (L, n)        cell_i x prefix_j  R([0,1] x [lag,v_l]) = P[:, n, l]
+      si  (L, n)        prefix variances u_k^{2H}, the same in both cells
+      qi  (L, n)        prefix_i x cell_i  R([0,u_k] x [0,1]); qj alike in j
+      r   (L,)          cell_i x cell_j    rho(lag)
+    No (L, n+1, n+1) array exceeds 2^16 entries (512 KiB), or one lag's
+    (n+1)^2 when that is larger, and fewer than ten are alive at once: under
+    5 MiB per chunk however many lags there are.  An empty lag vector yields
+    one empty chunk.
+    """
+    lags = np.atleast_1d(np.asarray(lags, dtype=float))
+    u = np.arange(n + 1) / n
+    step = max(1, _TABLE_ELEMS // (n + 1) ** 2)
+    for a in range(0, len(lags) or 1, step):
+        lg = lags[a:a + step]
+        P = cov(u[None, :, None], lg[:, None, None] + u[None, None, :], H)
+        g = np.diff(np.diff(P, axis=1), axis=2)
+        P -= cov(u[None, :], lg[:, None], H)[:, :, None]  # in place: R -> P
+        si, q = (np.broadcast_to(x, (len(lg), n))
+                 for x in (u[:-1] ** (2 * H), cov(u[:-1], 1.0, H)))
+        yield {"P": P, "F": P[:, :-1, :-1], "g": g,
+               "si": si, "pj": P[:, :-1, -1], "pi": P[:, -1, :-1],
+               "qi": q, "qj": q, "r": rho(lg, H)}
+
+
+def _transposed(t):
+    """Tables of the mirrored pair at offset -lag: cells i and j swap roles."""
+    return dict(t, P=t["P"].transpose(0, 2, 1), F=t["F"].transpose(0, 2, 1),
+                g=t["g"].transpose(0, 2, 1), pi=t["pj"], pj=t["pi"],
+                qi=t["qj"], qj=t["qi"])
+
+
 class QuadValue(float):
     """A float carrying the achieved quadrature tolerance and final grid size."""
 
@@ -128,20 +181,6 @@ class QuadValue(float):
         obj.achieved_tol = float(achieved_tol)
         obj.n = int(n)
         return obj
-
-
-def _tilde_rho_leftsum(i, H, n):
-    """Left-point double Young sum for tilde_rho(i) on an n x n grid.
-
-    sum_{k,l} R([0,u_{k-1}] x [i,v_{l-1}]) * R([u_{k-1},u_k] x [v_{l-1},v_l])
-    with u the uniform grid on [0,1] and v the uniform grid on [i,i+1].
-    """
-    u = np.arange(n + 1) / n
-    v = i + u
-    Rm = cov(u[:, None], v[None, :], H)
-    f_left = Rm[:-1, :-1] - cov(u[:-1], float(i), H)[:, None]
-    g_cells = np.diff(np.diff(Rm, axis=0), axis=1)
-    return float(np.sum(f_left * g_cells))
 
 
 def _extrap_powers(H):
@@ -160,7 +199,8 @@ def tilde_rho(i, H, tol=1e-6, max_level=12):
     """Levy-area lag correlation tilde_rho(i) by refined left-point quadrature.
 
     Evaluates the two-parameter Young integral of R([0,u] x [i,v]) against
-    dR(u,v) over [0,1] x [i,i+1] with left-point sums on dyadic n = 2^j grids.
+    dR(u,v) over [0,1] x [i,i+1] with left-point sums on dyadic n = 2^j grids,
+    each the sum of F * g over the lag-i table of ``_lag_tables``.
     The raw ladder converges like a mixture of powers n^{-(4H-1)}, n^{-1},
     ... which is far too slow to certify small tolerances directly, so each
     new level re-fits the known-exponent error model
@@ -184,7 +224,10 @@ def tilde_rho(i, H, tol=1e-6, max_level=12):
     for j in range(3, max_level + 1):
         n = 2 ** j
         ns.append(float(n))
-        vals.append(_tilde_rho_leftsum(i, H, n))
+        # one chunk: the generator is used up here, so a level's tables are
+        # freed before the next level builds its own
+        vals.append(sum(float(np.sum(t["F"] * t["g"]))
+                        for t in _lag_tables(H, [i], n)))
         prev_best = best
         best = vals[-1]
         if len(vals) >= 2 and vals[-1] == vals[-2]:
@@ -299,12 +342,9 @@ def _series_constants(H, tol):
                 lo = mid
         K = hi
 
-    quad_tol = tol
     rho_tab = rho(np.arange(K + 1), H)
-    if np.ndim(rho_tab) == 0:
-        rho_tab = np.array([rho_tab])
-    t0 = tilde_rho(0, H, tol=quad_tol)
-    t1 = tilde_rho(1, H, tol=quad_tol)
+    t0 = tilde_rho(0, H, tol=tol)
+    t1 = tilde_rho(1, H, tol=tol)
     achieved = max(t0.achieved_tol, t1.achieved_tol)
     tilde_tab = np.empty(K + 1)
     tilde_tab[0] = float(t0)
@@ -351,7 +391,7 @@ def _series_constants(H, tol):
         sigma2=float(sigma2),
         sigma2_tilde=float(sigma2_tilde),
         fclt_C=fclt_C,
-        quad_tol=float(max(achieved, quad_tol)),
+        quad_tol=float(max(achieved, tol)),
     )
 
 

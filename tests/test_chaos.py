@@ -244,6 +244,14 @@ class TestCovKOracles:
             brute = brute_cov_K(0.45, pattern, 1, 4)
             assert hand == pytest.approx(brute, rel=1e-10, abs=1e-14)
 
+    def test_matches_pairing_enumeration_at_negative_lags(self):
+        # a negative lag puts cell j before cell i in the pairing oracle
+        for pattern in ("area_own", "l3_baa"):
+            for lag in (-1, -2):
+                hand = _cov_K_unit(0.4, pattern, lag, 3)
+                brute = brute_cov_K(0.4, pattern, lag, 3)
+                assert hand == pytest.approx(brute, rel=1e-10, abs=1e-14)
+
     def test_lag_reflection_symmetry(self):
         # stationarity: covariance depends on |i - j| even for asymmetric
         # patterns once both cross orderings are included
@@ -428,6 +436,55 @@ class TestCovQPairs:
         for which in Q_PAIRS:
             assert cov_Q_pair(0.4, which, -2, n_sub=4) == pytest.approx(
                 cov_Q_pair(0.4, which, 2, n_sub=4), abs=1e-15)
+
+
+class TestOrder2LagTable:
+    @pytest.mark.parametrize("n_sub", [None, 4])
+    def test_second_moment_is_the_sum_over_cell_pairs(self, n_sub):
+        H, m = 0.4, 3
+        cells = range(1, 2 ** m + 1)
+
+        def double_sum(which):
+            return sum(chaos.exact_cov_Q(H, m, which, i, j, n_sub=n_sub)
+                       for i in cells for j in cells)
+
+        for which in chaos.Q_PAIRS:
+            assert exact_second_moment_Q(H, m, which, n_sub=n_sub) == \
+                pytest.approx(double_sum(which), rel=1e-13, abs=0), which
+        want = (double_sum("qtilde") + double_sum("qhat")
+                - 2.0 * double_sum("cross"))
+        assert exact_second_moment_Q(H, m, "q", n_sub=n_sub) == \
+            pytest.approx(want, rel=1e-13, abs=0)
+
+    def test_converged_qtilde_reads_the_series_table(self):
+        H = 0.4
+        sc = series_constants(H)
+        lags = np.array([0, 1, 2, 7, sc.K])
+        np.testing.assert_array_equal(chaos.cov_Q_pair(H, "qtilde", lags),
+                                      sc.rho_tilde[lags])
+        assert chaos.cov_Q_pair(H, "qtilde", -3) == sc.rho_tilde[3]
+        for lag in (sc.K + 1, -(sc.K + 1), [0, sc.K + 1]):
+            with pytest.raises(DomainError):
+                chaos.cov_Q_pair(H, "qtilde", lag)
+        # at H = 1/2 the table stops at K = 2, so four cells are too many
+        with pytest.raises(DomainError):
+            exact_second_moment_Q(0.5, 2, "qtilde")
+
+    @pytest.mark.parametrize("H", [0.4, 0.5])
+    @pytest.mark.parametrize("n_sub", [None, 4])
+    def test_vector_matches_scalar_calls_bitwise(self, H, n_sub):
+        # numpy may evaluate a power on a 0-d array to a different last bit
+        # than its array loop (at H = 0.4 first at lag 16), which the
+        # cancellation in rho magnifies; an integer lag keeps the 0-d
+        # evaluation, so these lags stay below that (and within the K = 2
+        # tilde_rho table at H = 1/2)
+        top = min(12, series_constants(H).K + 1)
+        lags = np.arange(1 - top, top)
+        for which in chaos.Q_PAIRS:
+            vec = chaos.cov_Q_pair(H, which, lags, n_sub)
+            one = [chaos.cov_Q_pair(H, which, int(lag), n_sub) for lag in lags]
+            assert all(type(v) is float for v in one)
+            np.testing.assert_array_equal(vec, one, err_msg=which)
 
 
 class TestLagTableEngine:

@@ -180,6 +180,16 @@ class TestOtherCommands:
         assert vals["tilde_Vp"] <= vals["Vp"] + 1e-12
         assert vals["Vp"] <= vals["pvar"] + 1e-12
 
+    def test_third_order_scaling_at_the_brownian_anchor(self, tmp_path):
+        # at H = 1/2 the lag decay is 0 beyond lag 0, where the bound asks
+        # the covariances to vanish to round-off instead of fitting C
+        assert run(tmp_path, "verify-third-order", "--which", "scaling",
+                   "--hurst", "0.5") == 0
+        rep = json.loads((tmp_path / "verify-third-order.json").read_text())
+        assert len(rep["rows"]) == 9
+        assert all(r["bound_pass"] and 0 < r["C_fit"] < 10
+                   for r in rep["rows"])
+
     def test_failed_invariant_exits_1(self, tmp_path, monkeypatch, capsys):
         from fbmchaos import experiments
 
@@ -223,6 +233,22 @@ class TestRefusals:
         assert run(tmp_path, "verify-moment", "--which", which,
                    "--replicas", "0") == 2
         assert not (tmp_path / "verify-moment.json").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["verify-third-order", "--which", "scaling", "--hurst", "0.2"],
+        ["young-check", "--hurst", "0.9"],
+        ["verify-moment", "--which", "levy-area", "--threads", "0"],
+        ["verify-fclt", "--threads", "-1"],
+        ["verify-fclt", "--replicas", "1"],
+        ["verify-moment", "--which", "levy-area", "--replicas", "1"],
+        ["young-check", "--cases", "0"],
+    ])
+    def test_out_of_domain_options_exit_2(self, tmp_path, capsys, argv):
+        assert run(tmp_path, *argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / f"{argv[0]}.json").exists()
 
     @pytest.mark.parametrize("flags", [["--replicas", "5"], ["--threads", "9"]])
     def test_unsampled_verify_moment_refuses_sampling_options(

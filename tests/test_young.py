@@ -194,11 +194,11 @@ class TestControlledPvar:
         rng = np.random.default_rng(8)
         P = GridPartition.uniform(5, 1)
         f = GridFunction(partition=P, values=rng.normal(size=5))
-        assert float(controlled_pvar(f, 1.7)) == pytest.approx(float(Vp(f, 1.7)))
+        assert float(controlled_pvar(f, 1.7)) == pytest.approx(vp_oracle(f, 1.7))
 
     def test_1d_recurrence_matches_subpartition_enumeration(self):
-        # in 1-D every dissection is a sub-partition, so exact Vp (which
-        # enumerates all of them) is an independent oracle for the recurrence
+        # in 1-D every dissection is a sub-partition, so the sub-partition
+        # enumerator vp_oracle is an independent oracle for the recurrence
         rng = np.random.default_rng(11)
         for _ in range(40):
             points = int(rng.integers(2, 13))
@@ -206,7 +206,7 @@ class TestControlledPvar:
             f = GridFunction(partition=GridPartition.uniform(points, 1),
                              values=rng.normal(size=points))
             got = controlled_pvar(f, p)
-            assert float(got) == pytest.approx(float(Vp(f, p)), rel=1e-13)
+            assert float(got) == pytest.approx(vp_oracle(f, p), rel=1e-13)
 
     def test_1d_monotone_64_points(self):
         # a monotone function has p-variation |f(1) - f(0)| for p >= 1; the
