@@ -2,171 +2,22 @@
 
 The package is organized around a single covariance kernel (gaussian), an
 exact-in-law path sampler (fbm), iterated-integral lifts (lift), a rough
-differential equation stepper for weight processes (rde), the weighted /
-weight-free sum processes with their exact second-moment oracles (chaos), and
-a grid-function variation engine for multidimensional Young integrals (young).
+differential equation stepper (rde), the weighted / weight-free sum
+processes with their exact second-moment oracles (chaos), and a
+grid-function variation engine for multidimensional Young integrals (young).
+Each module's ``__all__`` names its exports; the package exports them all.
 """
 
-from .errors import (
-    CapacityError,
-    ConsistencyError,
-    DivergenceError,
-    DomainError,
-    FbmchaosError,
-    RefinementError,
-)
-from .gaussian import (
-    HurstModel,
-    SeriesConstants,
-    IteratedCov,
-    cov,
-    cov_rect,
-    rho,
-    rho_tail_bound,
-    tilde_rho,
-    series_constants,
-    iterated_cov_Rl,
-)
-from .fbm import (
-    SimSpec,
-    FbmPath,
-    simulate,
-    simulate_batch,
-    increment_cov_matrix,
-    coarsen,
-    dump_csv,
-)
-from .lift import (
-    RoughLift,
-    IntervalSignature,
-    levy_areas,
-    level3_areas,
-    lift2,
-    lift3,
-    chen_combine,
-    refinement_cauchy_gap,
-)
-from .rde import (
-    CoefficientField,
-    RdeSolution,
-    WeightSeries,
-    linear_1d,
-    taylor_steps,
-    solve,
-    weight_process,
-)
-from .chaos import (
-    K_PATTERNS,
-    Q_PAIRS,
-    QProcesses,
-    SumProcess,
-    ThirdOrderSums,
-    admissible_assignments,
-    cov_K_lags,
-    cov_Q_pair,
-    exact_cov_K,
-    exact_cov_Q,
-    exact_second_moment_Q,
-    holder_norm,
-    isserlis_moment,
-    q_processes,
-    rho_sum_bound_verify,
-    second_moment_K,
-    third_order_sums,
-    weighted_levy_sum,
-    weighted_product_sum,
-)
-from .young import (
-    ControlFunction,
-    GridFunction,
-    GridPartition,
-    Vp,
-    bar_Vp,
-    controlled_pvar,
-    discrete_young_integral,
-    iterated_A,
-    iterated_A_bound,
-    product_pvar_check,
-    psi_path,
-    tilde_Vp,
-    towghi_check,
-    young_compose_h,
-    zeta_sum_check,
-)
+from . import chaos, errors, fbm, gaussian, lift, rde, young
+from .chaos import *  # noqa: F401,F403
+from .errors import *  # noqa: F401,F403
+from .fbm import *  # noqa: F401,F403
+from .gaussian import *  # noqa: F401,F403
+from .lift import *  # noqa: F401,F403
+from .rde import *  # noqa: F401,F403
+from .young import *  # noqa: F401,F403
 
-__all__ = [
-    "CapacityError",
-    "ConsistencyError",
-    "DivergenceError",
-    "DomainError",
-    "FbmchaosError",
-    "RefinementError",
-    "HurstModel",
-    "SeriesConstants",
-    "IteratedCov",
-    "cov",
-    "cov_rect",
-    "rho",
-    "rho_tail_bound",
-    "tilde_rho",
-    "series_constants",
-    "iterated_cov_Rl",
-    "SimSpec",
-    "FbmPath",
-    "simulate",
-    "simulate_batch",
-    "increment_cov_matrix",
-    "coarsen",
-    "dump_csv",
-    "RoughLift",
-    "IntervalSignature",
-    "levy_areas",
-    "level3_areas",
-    "lift2",
-    "lift3",
-    "chen_combine",
-    "refinement_cauchy_gap",
-    "CoefficientField",
-    "RdeSolution",
-    "WeightSeries",
-    "linear_1d",
-    "taylor_steps",
-    "solve",
-    "weight_process",
-    "K_PATTERNS",
-    "Q_PAIRS",
-    "QProcesses",
-    "SumProcess",
-    "ThirdOrderSums",
-    "admissible_assignments",
-    "cov_K_lags",
-    "cov_Q_pair",
-    "exact_cov_K",
-    "exact_cov_Q",
-    "exact_second_moment_Q",
-    "holder_norm",
-    "isserlis_moment",
-    "q_processes",
-    "rho_sum_bound_verify",
-    "second_moment_K",
-    "third_order_sums",
-    "weighted_levy_sum",
-    "weighted_product_sum",
-    "ControlFunction",
-    "GridFunction",
-    "GridPartition",
-    "Vp",
-    "bar_Vp",
-    "controlled_pvar",
-    "discrete_young_integral",
-    "iterated_A",
-    "iterated_A_bound",
-    "product_pvar_check",
-    "psi_path",
-    "tilde_Vp",
-    "towghi_check",
-    "young_compose_h",
-    "zeta_sum_check",
-]
+__all__ = [name for module in (errors, gaussian, fbm, lift, rde, chaos, young)
+           for name in module.__all__]
 
 __version__ = "0.1.0"

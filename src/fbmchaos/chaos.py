@@ -4,7 +4,6 @@ Builds the discrete processes assembled from per-cell lift values on the
 dyadic grid D_m:
 
   * weighted Levy-area sums      I^m_t(F)  = sum F_{tau_{i-1}} B^{a,b}_cell_i
-  * weighted product sums        sum F_{tau_{i-1}} B^a_cell B^b_cell
   * the antisymmetric family     Qhat (half products), Qcheck (centered
     squares), Qtilde (areas), Q = Qhat - Qtilde
   * the order-3 family           level-3 values, area x increment,
@@ -45,7 +44,6 @@ __all__ = [
     "QProcesses",
     "ThirdOrderSums",
     "weighted_levy_sum",
-    "weighted_product_sum",
     "q_processes",
     "exact_second_moment_Q",
     "Q_PAIRS",
@@ -57,20 +55,19 @@ __all__ = [
     "cov_K_lags",
     "second_moment_K",
     "K_PATTERNS",
-    "holder_norm",
     "isserlis_moment",
     "brute_cov_K",
     "rho_sum_bound_verify",
     "tilde_rho_finite",
     "cross_hat_tilde_finite",
+    "admissible_assignments",
 ]
 
-HOLDER_MAX_M = 12
 ISSERLIS_MAX_DEGREE = 12
 
 
 # ---------------------------------------------------------------------------
-# sum processes and Holder norms
+# sum processes
 
 
 @dataclass(frozen=True)
@@ -129,49 +126,6 @@ def weighted_levy_sum(F, lift, alpha, beta, s=0.0, t=1.0):
     return float(np.dot(w[i0:i1], areas))
 
 
-def weighted_product_sum(F, path, alpha, beta, s=0.0, t=1.0):
-    """sum_{i} F_{tau_{i-1}} B^alpha_{cell_i} B^beta_{cell_i}."""
-    spec = path.spec
-    m = spec.m
-    w = _weights(F, m)
-    i0, i1 = _cell_range(m, s, t)
-    inc = path.increments.reshape(path.increments.shape[0], 2 ** m, spec.refine)
-    cells = inc.sum(axis=2)
-    prod = cells[alpha] * cells[beta]
-    return float(np.dot(w[i0:i1], prod[i0:i1]))
-
-
-def holder_norm(series, lam):
-    """Exact discrete Holder norm sup_{s<t in D_m} |F_t - F_s| / (t-s)^lam.
-
-    O(4^m) pairs; refuses m > 12.  ``series`` is a SumProcess, WeightSeries
-    or plain value array on a dyadic grid.
-    """
-    if not (0.0 < lam < 1.0):
-        raise DomainError("lambda must lie in (0, 1)")
-    vals = np.asarray(series.values if hasattr(series, "values") else series)
-    npts = vals.shape[0]
-    if npts < 2:
-        raise DomainError("series needs at least 2 points")
-    m = int(np.log2(npts - 1))
-    if 2 ** m + 1 != npts:
-        raise DomainError("series must live on a dyadic grid (2^m + 1 points)")
-    if m > HOLDER_MAX_M:
-        raise CapacityError(f"exact Holder sup needs m <= {HOLDER_MAX_M}")
-    mesh = 2.0 ** -m
-    best = 0.0
-    # row blocks keep the O(4^m) scan within a bounded footprint
-    for a in range(0, npts - 1, 512):
-        b = min(a + 512, npts - 1)
-        i = np.arange(a, b)[:, None]
-        j = np.arange(1, npts)[None, :]
-        mask = j > i
-        gaps = np.where(mask, (j - i) * mesh, 1.0)
-        diffs = np.abs(vals[None, 1:] - vals[a:b, None])
-        best = max(best, float((np.where(mask, diffs, 0.0) / gaps ** lam).max()))
-    return best
-
-
 # ---------------------------------------------------------------------------
 # order-2 antisymmetric family
 
@@ -203,15 +157,14 @@ class QProcesses:
         )
 
 
-def q_processes(lift, path=None):
+def q_processes(lift):
     """Assemble Qhat, Qcheck, Qtilde, Q per cell from a level-2 lift.
 
     d^{m,alpha,beta} per cell is exactly the q entry (half product minus
     area), which by the shuffle identity is the antisymmetric part of the
     cell's level-2 value.
     """
-    src = path if path is not None else lift.path
-    H = src.spec.model.H
+    H = lift.path.spec.model.H
     B = lift.level1  # (cells, d)
     mesh2H = (2.0 ** -lift.m) ** (2 * H)
     qhat = 0.5 * np.einsum("ca,cb->cab", B, B)
@@ -268,23 +221,25 @@ def cov_Q_pair(H, which, lag, n_sub=None):
         qhat:   (1/4) rho(l)^2        qcheck: (1/2) rho(l)^2
         qtilde: tilde_rho(l)          cross:  (1/4) rho(l)^2
 
-    with tilde_rho read from the series_constants table, which refuses a
-    lag beyond its K.  With ``n_sub`` the area entries (qtilde, cross) are
-    the finite-resolution geometric values of tilde_rho_finite and
-    cross_hat_tilde_finite, so Monte Carlo on a lift with n_sub sub-steps is
-    matched without discretization bias.  ``lag`` is an integer or an
-    integer array, sign ignored; an integer gives a float, evaluated on a
-    0-d array as rho evaluates it.  The dyadic scale (2^{-m})^{4H} is the
-    caller's business.
+    with tilde_rho read from the series_constants table.  A lag beyond its
+    K reads 0 when the table's tail bound is 0 (H = 1/2, where tilde_rho(i)
+    = 0 for i >= 1) and is refused otherwise.  With ``n_sub`` the area
+    entries (qtilde, cross) are the finite-resolution geometric values of
+    tilde_rho_finite and cross_hat_tilde_finite, so Monte Carlo on a lift
+    with n_sub sub-steps is matched without discretization bias.  ``lag`` is
+    an integer or an integer array, sign ignored; an integer gives a float,
+    evaluated on a 0-d array as rho evaluates it.  The dyadic scale
+    (2^{-m})^{4H} is the caller's business.
     """
     lags = np.abs(np.asarray(lag, dtype=int))
     if which in ("qhat", "qcheck") or (which == "cross" and n_sub is None):
         out = (0.5 if which == "qcheck" else 0.25) * rho(lags, H) ** 2
     elif which == "qtilde" and n_sub is None:
         sc = series_constants(H)
-        if lags.max(initial=0) > sc.K:
+        beyond = lags > sc.K
+        if beyond.any() and sc.tail_bound != 0.0:
             raise DomainError(f"lag beyond the tilde_rho table (K = {sc.K})")
-        out = sc.rho_tilde[lags]
+        out = np.where(beyond, 0.0, sc.rho_tilde[np.minimum(lags, sc.K)])
     elif which in ("qtilde", "cross"):
         finite = tilde_rho_finite if which == "qtilde" else cross_hat_tilde_finite
         out = finite(lags, H, n_sub).reshape(lags.shape)
@@ -357,12 +312,11 @@ class ThirdOrderSums:
         )
 
 
-def third_order_sums(lift, path=None):
+def third_order_sums(lift):
     """Assemble the order-3 per-cell families from a level-3 lift."""
     if lift.level3 is None:
         raise DomainError("third-order sums need a level-3 lift")
-    src = path if path is not None else lift.path
-    H = src.spec.model.H
+    H = lift.path.spec.model.H
     B = lift.level1
     area_inc = np.einsum("cab,cg->cabg", lift.level2, B)
     triple = np.einsum("ca,cb,cg->cabg", B, B, B)

@@ -30,6 +30,7 @@ import numpy as np
 
 from . import experiments, young
 from .errors import (
+    CapacityError,
     ConsistencyError,
     DivergenceError,
     DomainError,
@@ -318,7 +319,8 @@ def build_parser():
 # the stderr label of an error that exits 2; any other is "config error"
 _ERROR_LABELS = {RefinementError: "numerical error",
                  DivergenceError: "numerical error",
-                 ConsistencyError: "consistency error"}
+                 ConsistencyError: "consistency error",
+                 CapacityError: "capacity error"}
 
 
 def main(argv=None):

@@ -1,5 +1,14 @@
 """Shared exception types."""
 
+__all__ = [
+    "CapacityError",
+    "ConsistencyError",
+    "DivergenceError",
+    "DomainError",
+    "FbmchaosError",
+    "RefinementError",
+]
+
 
 class FbmchaosError(Exception):
     """Base of the package's own errors: a run refused or left unfinished."""

@@ -17,12 +17,7 @@ from scipy import stats
 from . import chaos, young
 from .errors import DomainError
 from .fbm import SimSpec, simulate, simulate_batch
-from .gaussian import (
-    HurstModel,
-    iterated_cov_Rl,
-    rho,
-    series_constants,
-)
+from .gaussian import HurstModel, rho, series_constants
 from .lift import levy_areas, level3_areas, lift2, lift3
 from .rde import linear_1d, solve, taylor_steps
 
@@ -155,8 +150,8 @@ def constant_identity_experiment(H_list=(0.35, 0.4, 0.45), tol=1e-6):
 
 
 def levy_area_mc_experiment(H=0.4, N=10000, n_sub=64, seed=101, threads=1):
-    """E[(area over [0,1])^2] by simulation against the iterated-covariance
-    recursion (trapezoid variant, matching the piecewise-linear areas)."""
+    """E[(area over [0,1])^2] by simulation against the lag-0 qtilde entry
+    of cov_Q_pair at n_sub sub-steps (the geometric area the lift draws)."""
     _check_stderr_replicas(N)
     spec = SimSpec(model=HurstModel(H, 2), m=1, refine=n_sub // 2, seed=seed)
 
@@ -168,7 +163,7 @@ def levy_area_mc_experiment(H=0.4, N=10000, n_sub=64, seed=101, threads=1):
     sq = areas ** 2
     est = float(np.mean(sq))
     se = float(np.std(sq, ddof=1) / np.sqrt(N))
-    oracle = iterated_cov_Rl(2, (0, 1), n_sub, H, corner_average=True).corner
+    oracle = chaos.cov_Q_pair(H, "qtilde", 0, n_sub=n_sub)
     z = (est - oracle) / se
     row = {"H": H, "N": N, "n_sub": n_sub, "estimate": est, "stderr": se,
            "oracle": oracle, "z": z, "pass": abs(z) < 5.0}

@@ -19,12 +19,21 @@ be drawn again on its own.
 
 import functools
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import CapacityError, ConsistencyError, DomainError
 from .gaussian import HurstModel, rho
+
+__all__ = [
+    "SimSpec",
+    "FbmPath",
+    "simulate",
+    "simulate_batch",
+    "increment_cov_matrix",
+    "dump_csv",
+]
 
 MAX_GRID = 2 ** 14
 # Cap on the sampler's working set per call (normals, spectra and output).
@@ -49,7 +58,6 @@ class SimSpec:
     refine: int = 1
     seed: int = 0
     replica: int = 0
-    max_points: int = MAX_GRID
 
     def __post_init__(self):
         if self.m < 1:
@@ -67,10 +75,8 @@ class SimSpec:
         if self.model.d >= 2 ** _COMPONENT_BITS:
             raise DomainError(
                 f"d must be below 2^{_COMPONENT_BITS}, got {self.model.d}")
-        if self.size > self.max_points:
-            raise CapacityError(
-                f"grid size {self.size} exceeds cap {self.max_points}"
-            )
+        if self.size > MAX_GRID:
+            raise CapacityError(f"grid size {self.size} exceeds cap {MAX_GRID}")
 
     @property
     def size(self):
@@ -200,30 +206,6 @@ def simulate_batch(spec, n_replicas):
     CapacityError when the working set exceeds MAX_WORKING_BYTES.
     """
     return _sample(spec, n_replicas)
-
-
-def coarsen(path, to_level):
-    """Aggregate increments down to dyadic level to_level <= m.
-
-    Groups of 2^{m - to_level} consecutive fine increments are summed, so the
-    sub-step count per dyadic cell is preserved and coarsening to the same
-    level is the identity.  The marginal law on the coarse grid is unchanged
-    (sums of exact-law fine increments).
-    """
-    spec = path.spec
-    if to_level > spec.m:
-        raise DomainError("cannot coarsen to a finer level")
-    if to_level < 1:
-        raise DomainError("to_level must be >= 1")
-    if to_level == spec.m:
-        return path
-    factor = 2 ** (spec.m - to_level)
-    d = path.increments.shape[0]
-    inc = path.increments.reshape(d, -1, factor).sum(axis=2)
-    new_spec = replace(spec, m=to_level)
-    values = np.zeros((d, inc.shape[1] + 1))
-    np.cumsum(inc, axis=1, out=values[:, 1:])
-    return FbmPath(spec=new_spec, increments=inc, values=values)
 
 
 def dump_csv(path, fileobj):

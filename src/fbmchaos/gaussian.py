@@ -6,8 +6,8 @@ Everything downstream is a function of the two-point covariance
 
 its rectangular increments, the unit-lag increment correlation sequence
 rho(k), the Levy-area correlation sequence tilde_rho(i) (a two-parameter
-Young integral of R against dR, evaluated by quadrature), the iterated
-covariance recursion R^l_s, and the three series constants
+Young integral of R against dR, evaluated by quadrature), and the three
+series constants
 
     sigma2       = rho(0)^2 + 2 sum_k rho(k)^2
     sigma2_tilde = tilde_rho(0) + 2 sum_i tilde_rho(i)
@@ -30,11 +30,22 @@ sanity case throughout the test-suite.
 """
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConsistencyError, DomainError, RefinementError
+
+__all__ = [
+    "HurstModel",
+    "SeriesConstants",
+    "cov",
+    "cov_rect",
+    "rho",
+    "rho_tail_bound",
+    "tilde_rho",
+    "series_constants",
+]
 
 H_MIN = 1.0 / 3.0
 H_MAX = 0.5
@@ -393,64 +404,3 @@ def _series_constants(H, tol):
         fclt_C=fclt_C,
         quad_tol=float(max(achieved, tol)),
     )
-
-
-@dataclass(frozen=True)
-class IteratedCov:
-    """R^l_s on an n x n grid over [s,t]; values[i,j] = R^l_s(u_i, u_j)."""
-
-    level: int
-    s: float
-    t: float
-    n: int
-    grid: np.ndarray = field(repr=False)
-    values: np.ndarray = field(repr=False)
-
-    @property
-    def corner(self):
-        """R^l_s(t,t), the top-corner value used as a second-moment oracle."""
-        return float(self.values[-1, -1])
-
-
-def iterated_cov_Rl(l, interval, n, H, corner_average=False):
-    """Iterated covariance R^l_s on a uniform n x n grid of [s,t]^2.
-
-    Base case R^1_s(u,v) = R([s,u] x [s,v]); each further level is the
-    left-point discrete double Young integral of the previous level against
-    dR:  R^l(u_i, v_j) = sum_{k<=i, l<=j} R^{l-1}(u_{k-1}, v_{l-1})
-    * R(cell_k x cell_l).  R^2_s(t,t) converges to the Levy-area second
-    moment on [s,t] under refinement in n.
-
-    With ``corner_average`` each cell contributes the average of the four
-    corner values of the previous level instead of the lower-left one.  At
-    level 2 this is exactly the second moment of the geometric (piecewise-
-    linear signature) area at resolution n, matching the simulated lift.
-    """
-    _check_H(H)
-    if l < 1:
-        raise DomainError("level must be >= 1")
-    if n < 2:
-        raise DomainError("grid size must be >= 2")
-    s, t = float(interval[0]), float(interval[1])
-    if not (0.0 <= s < t):
-        raise DomainError("interval must satisfy 0 <= s < t")
-    grid = s + (t - s) * np.arange(n + 1) / n
-    Rm = cov(grid[:, None], grid[None, :], H)
-    base = Rm - cov(grid, s, H)[:, None] - cov(s, grid, H)[None, :] + cov(s, s, H)
-    if l == 1:
-        return IteratedCov(1, s, t, n, grid, base)
-    g_cells = np.diff(np.diff(Rm, axis=0), axis=1)
-    values = base
-    for _ in range(l - 1):
-        if corner_average:
-            corner = 0.25 * (
-                values[:-1, :-1] + values[1:, :-1] + values[:-1, 1:] + values[1:, 1:]
-            )
-        else:
-            corner = values[:-1, :-1]
-        inner = corner * g_cells
-        acc = np.cumsum(np.cumsum(inner, axis=0), axis=1)
-        nxt = np.zeros_like(values)
-        nxt[1:, 1:] = acc
-        values = nxt
-    return IteratedCov(l, s, t, n, grid, values)

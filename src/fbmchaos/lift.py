@@ -31,7 +31,6 @@ __all__ = [
     "lift2",
     "lift3",
     "chen_combine",
-    "refinement_cauchy_gap",
     "levy_areas",
     "level3_areas",
 ]
@@ -82,7 +81,7 @@ def level3_areas(inc):
 
 @dataclass(frozen=True)
 class RoughLift:
-    """Per-dyadic-cell lift of one FbmPath at a given sub-step resolution."""
+    """Per-dyadic-cell lift of one FbmPath over its n = refine sub-steps."""
 
     path: object = field(repr=False, compare=False)
     m: int
@@ -137,49 +136,33 @@ class IntervalSignature:
         )
 
 
-def _thin(inc, n_sub):
-    """Aggregate the sub-step axis down to n_sub steps (must divide evenly)."""
-    n = inc.shape[-1]
-    if n % n_sub:
-        raise DomainError(f"{n_sub} sub-steps do not tile the {n} available")
-    return inc.reshape(inc.shape[:-1] + (n_sub, n // n_sub)).sum(axis=-1)
-
-
-def _cell_increments(path, n_sub=None):
+def _cell_increments(path):
     spec = path.spec
-    d = path.increments.shape[0]
-    inc = path.increments.reshape(d, 2 ** spec.m, spec.refine)
-    if n_sub is not None and n_sub != spec.refine:
-        inc = _thin(inc, n_sub)
-    return inc
+    return path.increments.reshape(path.increments.shape[0], 2 ** spec.m,
+                                    spec.refine)
 
 
-def lift2(path, n_sub=None):
-    """Level-2 lift of a path; n_sub (default: all refine steps) thins first."""
+def lift2(path):
+    """Level-2 lift of a path over all refine sub-steps of each cell."""
     spec = path.spec
-    n = spec.refine if n_sub is None else n_sub
-    inc = _cell_increments(path, n)
-    level1, level2 = levy_areas(inc)
+    level1, level2 = levy_areas(_cell_increments(path))
     edges = np.arange(2 ** spec.m + 1) * 2.0 ** (-spec.m)
-    return RoughLift(path=path, m=spec.m, n=n, edges=edges, level1=level1, level2=level2)
+    return RoughLift(path=path, m=spec.m, n=spec.refine, edges=edges,
+                     level1=level1, level2=level2)
 
 
-def lift3(path, lift2_result, n_sub=None):
+def lift3(path, lift2_result):
     """Extend a level-2 lift with level-3 values from the same path."""
     if lift2_result.path is not path:
         raise DomainError("lift2 was computed from a different path")
-    spec = path.spec
-    n = lift2_result.n if n_sub is None else n_sub
-    inc = _cell_increments(path, n)
-    level3 = level3_areas(inc)
     return RoughLift(
         path=path,
-        m=spec.m,
-        n=n,
+        m=lift2_result.m,
+        n=lift2_result.n,
         edges=lift2_result.edges,
         level1=lift2_result.level1,
         level2=lift2_result.level2,
-        level3=level3,
+        level3=level3_areas(_cell_increments(path)),
     )
 
 
@@ -198,15 +181,3 @@ def chen_combine(a, b, tol=1e-12):
             + np.einsum("ab,c->abc", a.level2, b.level1)
         )
     return IntervalSignature(s=a.s, t=b.t, level1=level1, level2=level2, level3=level3)
-
-
-def refinement_cauchy_gap(lift_a, lift_b):
-    """Cell-wise level-2 gap statistics between two lifts of the same path.
-
-    Returns {"max": ..., "rms": ...} over all cells and component pairs; used
-    to confirm that the sub-step discretization error is Cauchy in n.
-    """
-    if lift_a.path is not lift_b.path:
-        raise DomainError("lifts come from different paths")
-    gap = lift_a.level2 - lift_b.level2
-    return {"max": float(np.abs(gap).max()), "rms": float(np.sqrt(np.mean(gap ** 2)))}

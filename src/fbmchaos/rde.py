@@ -23,17 +23,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DivergenceError, DomainError
-from .fbm import FbmPath
+from .errors import DivergenceError
 
 __all__ = [
     "CoefficientField",
     "RdeSolution",
-    "WeightSeries",
     "linear_1d",
     "taylor_steps",
     "solve",
-    "weight_process",
 ]
 
 
@@ -167,29 +164,3 @@ def solve(lift, coeff, xi):
         coeff, xi, dt, lift.level1, lift.level2, lift.level3, with_jacobian=True
     )
     return RdeSolution(times=lift.edges, Y=Y, J=J, Jinv=K)
-
-
-@dataclass(frozen=True)
-class WeightSeries:
-    """Weight values F_{t_k} on a dyadic grid."""
-
-    times: np.ndarray = field(repr=False)
-    values: np.ndarray = field(repr=False)
-
-
-def weight_process(source, phi):
-    """Evaluate weights on the grid: phi(B_t) for a path, phi(Y, J, Jinv) for
-    a solution.  phi receives whole trajectories (time on the leading axis)
-    and must return one value per grid point."""
-    if isinstance(source, FbmPath):
-        pts = source.values.T  # (size + 1, d)
-        vals = np.asarray(phi(pts), dtype=float)
-        times = source.times
-    elif isinstance(source, RdeSolution):
-        vals = np.asarray(phi(source.Y, source.J, source.Jinv), dtype=float)
-        times = source.times
-    else:
-        raise DomainError(f"cannot build weights from {type(source).__name__}")
-    if vals.shape[0] != times.shape[0]:
-        raise DomainError("phi must return one value per grid point")
-    return WeightSeries(times=times, values=vals)

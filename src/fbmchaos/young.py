@@ -11,8 +11,6 @@ them:
   * product rule                 V_p(fg) <= V_p(f) V_p(g) (disjoint vars)
   * nested-integral bound        |A_{a_1..a_r}| <= 3^r prod ||a||_inf
                                                      prod (t_i - s_i)^{2H}
-  * zeta-summation estimate      left sums of a controlled phi are bounded
-                                 by C zeta(theta)^N prod w(s_r,t_r)^theta
 
 Every variation value is exact.  V_p solves axis 0 by a recurrence over
 its kept breakpoints and enumerates the sub-partitions of the other axes
@@ -36,7 +34,6 @@ from .gaussian import cov_rect
 __all__ = [
     "GridPartition",
     "GridFunction",
-    "ControlFunction",
     "rect_increment",
     "tilde_Vp",
     "Vp",
@@ -44,12 +41,10 @@ __all__ = [
     "bar_Vp",
     "discrete_young_integral",
     "towghi_check",
-    "young_compose_h",
     "psi_path",
     "iterated_A",
     "iterated_A_bound",
     "product_pvar_check",
-    "zeta_sum_check",
 ]
 
 VP_MAX_OPERATIONS = 2 ** 20
@@ -110,27 +105,6 @@ class GridFunction:
     def sample(cls, partition, func):
         grids = np.meshgrid(*partition.axes, indexing="ij")
         return cls(partition=partition, values=np.asarray(func(*grids), dtype=float))
-
-
-@dataclass(frozen=True)
-class ControlFunction:
-    """Superadditive w(s,t) with w(s,s) = 0, checked on random triples."""
-
-    w: object
-    check_points: int = 64
-    seed: int = 0
-
-    def __post_init__(self):
-        rng = np.random.default_rng(self.seed)
-        for _ in range(self.check_points):
-            s, u, t = np.sort(rng.uniform(0, 1, 3))
-            if self(s, u) + self(u, t) > self(s, t) + 1e-12:
-                raise DomainError("control function is not superadditive")
-        if abs(self(0.3, 0.3)) > 1e-12:
-            raise DomainError("control function must vanish on the diagonal")
-
-    def __call__(self, s, t):
-        return float(self.w(s, t))
 
 
 def _cell_increments(values):
@@ -377,16 +351,6 @@ def towghi_fuzz_report(seed, cases=100, points=4, p=1.9, q=1.9):
             "max_ratio": worst}
 
 
-def young_compose_h(f, g):
-    """Cumulative 2-D left-point sums h(u_i, v_j) with h zero on the axes."""
-    if f.partition != g.partition or f.partition.N != 2:
-        raise DomainError("compose needs two grid functions on one 2-D partition")
-    inner = f.values[:-1, :-1] * _cell_increments(g.values)
-    h = np.zeros(f.partition.shape)
-    h[1:, 1:] = np.cumsum(np.cumsum(inner, axis=0), axis=1)
-    return GridFunction(partition=f.partition, values=h)
-
-
 def psi_path(s, t, H, grid):
     """u -> R([s,t] x [0,u]) sampled on a 1-D grid of [0,1]."""
     grid = np.asarray(grid, dtype=float)
@@ -458,61 +422,4 @@ def product_pvar_check(f, g, p, q=None):
         "denominator": denom,
         "ratio": lhs / denom if denom else 0.0,
         "pass": np.isfinite(lhs / denom) if denom else lhs == 0.0,
-    }
-
-
-def zeta_sum_check(phi, w, p, q, C, hypothesis_samples=50, seed=0):
-    """Left-sum estimate for a (1/p, 1/q)-controlled phi on a doubled grid.
-
-    ``phi`` is a GridFunction on P_1 x ... x P_N x P_1 x ... x P_N; the
-    first N axes are the prefix variables, the last N the increment
-    variables.  The hypothesis |phi(box)| <= C prod w^{1/p} w^{1/q} is
-    spot-checked on random boxes (violation is a domain error); the left
-    sum over the diagonal cells is then bounded by
-    C zeta(theta)^N prod w(s_r, t_r)^theta.
-    """
-    from scipy.special import zeta as riemann_zeta
-
-    theta = 1.0 / p + 1.0 / q
-    if theta <= 1.0:
-        raise DomainError("need 1/p + 1/q > 1")
-    if phi.partition.N % 2:
-        raise DomainError("phi needs an even number of axes")
-    N = phi.partition.N // 2
-    for r in range(N):
-        if not np.array_equal(phi.partition.axes[r], phi.partition.axes[N + r]):
-            raise DomainError("prefix and increment axes must agree")
-    axes = phi.partition.axes[:N]
-    rng = np.random.default_rng(seed)
-    for _ in range(hypothesis_samples):
-        box = {}
-        bound = C
-        for ax in range(2 * N):
-            npts = len(phi.partition.axes[ax])
-            i0 = int(rng.integers(0, npts - 1))
-            i1 = int(rng.integers(i0 + 1, npts))
-            box[ax] = (i0, i1)
-            u0, u1 = phi.partition.axes[ax][i0], phi.partition.axes[ax][i1]
-            bound *= w(u0, u1) ** (1.0 / p if ax < N else 1.0 / q)
-        if abs(rect_increment(phi, box)) > bound * (1 + 1e-9):
-            raise DomainError("phi violates the control hypothesis")
-    # the left sum: prefix boxes [s_r, t^r_{i-1}] x cells [t^r_{i-1}, t^r_i];
-    # terms whose prefix is degenerate contribute zero
-    total = 0.0
-    for cells in itertools.product(*[range(1, len(a)) for a in axes]):
-        if any(i - 1 == 0 for i in cells):
-            continue
-        box = {}
-        for r, i in enumerate(cells):
-            box[r] = (0, i - 1)
-            box[N + r] = (i - 1, i)
-        total += rect_increment(phi, box)
-    bound = C * float(riemann_zeta(theta)) ** N
-    for a in axes:
-        bound *= w(a[0], a[-1]) ** theta
-    return {
-        "lhs": abs(total),
-        "bound": bound,
-        "theta": theta,
-        "pass": abs(total) <= bound * (1 + 1e-9),
     }

@@ -41,7 +41,7 @@ def test_criterion_02_constant_identity():
 def test_criterion_03_levy_area_variance():
     rep = experiments.levy_area_mc_experiment(H=0.4, N=10000, n_sub=64)
     row = rep["rows"][0]
-    _line(3, f"MC area second moment vs recursion (|z|={abs(row['z']):.2f} "
+    _line(3, f"MC area second moment vs lag table (|z|={abs(row['z']):.2f} "
           "< 5)", rep["pass"])
 
 

@@ -15,7 +15,6 @@ from fbmchaos.chaos import (
     cross_hat_tilde_finite,
     exact_cov_K,
     exact_second_moment_Q,
-    holder_norm,
     isserlis_moment,
     q_processes,
     rho_sum_bound_verify,
@@ -23,7 +22,6 @@ from fbmchaos.chaos import (
     third_order_sums,
     tilde_rho_finite,
     weighted_levy_sum,
-    weighted_product_sum,
     _cov_K_unit,
 )
 
@@ -74,12 +72,6 @@ class TestWeightedSums:
         v = weighted_levy_sum(w, L, 0, 1, s=0.25, t=0.75)
         expect = np.dot(w[4:12], L.level2[4:12, 0, 1])
         assert v == pytest.approx(expect, abs=1e-14)
-
-    def test_product_sum_matches_cells(self):
-        p, _ = make_lift(seed=5)
-        v = weighted_product_sum(1.0, p, 0, 1)
-        cells = p.increments.reshape(2, 16, 4).sum(axis=2)
-        assert v == pytest.approx(np.dot(cells[0], cells[1]), abs=1e-13)
 
 
 class TestQProcesses:
@@ -326,30 +318,6 @@ class TestIsserlis:
             isserlis_moment(np.eye(1), [0] * 14)
 
 
-class TestHolderNorm:
-    def test_single_jump(self):
-        vals = np.zeros(9)
-        vals[4:] = 1.0  # jump at t = 1/2
-        # sup over pairs straddling the jump: gap (1/8)^lam maximizes
-        assert holder_norm(vals, 0.4) == pytest.approx(8.0 ** 0.4)
-
-    def test_linear_path(self):
-        vals = np.linspace(0, 1, 17)
-        # |t - s| / |t - s|^lam maximized at the full interval
-        assert holder_norm(vals, 0.3) == pytest.approx(1.0)
-
-    def test_domain_checks(self):
-        with pytest.raises(DomainError):
-            holder_norm(np.zeros(17), 1.5)
-        with pytest.raises(DomainError):
-            holder_norm(np.zeros(10), 0.4)
-        with pytest.raises(CapacityError):
-            holder_norm(np.zeros(2 ** 13 + 1), 0.4)
-        for short in (np.zeros(0), np.zeros(1)):
-            with pytest.raises(DomainError):
-                holder_norm(short, 0.4)
-
-
 class TestRhoSumBound:
     def test_inadmissible_rejected(self):
         pair = frozenset({0, 1})
@@ -466,9 +434,10 @@ class TestOrder2LagTable:
         for lag in (sc.K + 1, -(sc.K + 1), [0, sc.K + 1]):
             with pytest.raises(DomainError):
                 chaos.cov_Q_pair(H, "qtilde", lag)
-        # at H = 1/2 the table stops at K = 2, so four cells are too many
-        with pytest.raises(DomainError):
-            exact_second_moment_Q(0.5, 2, "qtilde")
+        # at H = 1/2 the table stops at K = 2 with a zero tail: every lag
+        # beyond it is 0, so only the diagonal tilde_rho(0) = 1/2 survives
+        for m in (2, 10):
+            assert exact_second_moment_Q(0.5, m, "qtilde") == 0.5 * 2 ** -m
 
     @pytest.mark.parametrize("H", [0.4, 0.5])
     @pytest.mark.parametrize("n_sub", [None, 4])

@@ -190,6 +190,17 @@ class TestOtherCommands:
         assert all(r["bound_pass"] and 0 < r["C_fit"] < 10
                    for r in rep["rows"])
 
+    def test_fclt_at_the_brownian_anchor(self, tmp_path):
+        # tilde_rho(i) = 0 for i >= 1 at H = 1/2, so the converged oracle
+        # answers lags beyond its K = 2 table instead of refusing them
+        assert run(tmp_path, "verify-fclt", "--hurst", "0.5", "--replicas",
+                   "20", "--m", "3") == 0
+        rep = json.loads((tmp_path / "verify-fclt.json").read_text())
+        row = next(r for r in rep["rows"]
+                   if r["check"] == "converged-vs-limit")
+        assert row["oracle"] == 0.25
+        assert row["estimate"] == pytest.approx(0.25, rel=1e-15)
+
     def test_failed_invariant_exits_1(self, tmp_path, monkeypatch, capsys):
         from fbmchaos import experiments
 
@@ -250,6 +261,16 @@ class TestRefusals:
         assert len(err.strip().splitlines()) == 1
         assert not (tmp_path / f"{argv[0]}.json").exists()
 
+    @pytest.mark.parametrize("argv", [["pvar", "--points", "6"],
+                                      ["simulate", "--m", "15"]])
+    def test_capacity_error_exits_2_with_its_own_label(self, tmp_path,
+                                                       capsys, argv):
+        assert run(tmp_path, *argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("capacity error: ") and "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / f"{argv[0]}.json").exists()
+
     @pytest.mark.parametrize("flags", [["--replicas", "5"], ["--threads", "9"]])
     def test_unsampled_verify_moment_refuses_sampling_options(
             self, tmp_path, capsys, flags):
@@ -299,3 +320,45 @@ class TestImport:
             env=dict(os.environ, PYTHONPATH=src), capture_output=True,
             text=True, check=True, timeout=60)
         assert out.stdout.strip() == "[]"
+
+
+# the package's exports before the unused library code was deleted, less
+# the deleted names: every one must still be exported
+KEPT_EXPORTS = [
+    "CapacityError", "ConsistencyError", "DivergenceError", "DomainError",
+    "FbmchaosError", "RefinementError",
+    "HurstModel", "SeriesConstants", "cov", "cov_rect", "rho",
+    "rho_tail_bound", "tilde_rho", "series_constants",
+    "SimSpec", "FbmPath", "simulate", "simulate_batch",
+    "increment_cov_matrix", "dump_csv",
+    "RoughLift", "IntervalSignature", "levy_areas", "level3_areas", "lift2",
+    "lift3", "chen_combine",
+    "CoefficientField", "RdeSolution", "linear_1d", "taylor_steps", "solve",
+    "K_PATTERNS", "Q_PAIRS", "QProcesses", "SumProcess", "ThirdOrderSums",
+    "admissible_assignments", "cov_K_lags", "cov_Q_pair", "exact_cov_K",
+    "exact_cov_Q", "exact_second_moment_Q", "isserlis_moment",
+    "q_processes", "rho_sum_bound_verify", "second_moment_K",
+    "third_order_sums", "weighted_levy_sum",
+    "GridFunction", "GridPartition", "Vp", "bar_Vp", "controlled_pvar",
+    "discrete_young_integral", "iterated_A", "iterated_A_bound",
+    "product_pvar_check", "psi_path", "tilde_Vp", "towghi_check",
+]
+
+
+class TestExports:
+    def test_all_is_the_module_lists_concatenated(self):
+        import fbmchaos
+        from fbmchaos import chaos, errors, fbm, gaussian, lift, rde, young
+
+        modules = (errors, gaussian, fbm, lift, rde, chaos, young)
+        assert fbmchaos.__all__ == [name for module in modules
+                                    for name in module.__all__]
+        assert len(set(fbmchaos.__all__)) == len(fbmchaos.__all__)
+        for module in modules:
+            for name in module.__all__:
+                assert getattr(fbmchaos, name) is getattr(module, name)
+
+    def test_kept_exports_survive(self):
+        import fbmchaos
+
+        assert set(KEPT_EXPORTS) <= set(fbmchaos.__all__)

@@ -10,7 +10,6 @@ from fbmchaos.experiments import _chunked_replicas
 from fbmchaos.fbm import (
     FbmPath,
     SimSpec,
-    coarsen,
     dump_csv,
     increment_cov_matrix,
     simulate,
@@ -112,27 +111,7 @@ class TestSimulate:
         assert abs(r) < 5 / np.sqrt(N)
 
 
-class TestCoarsen:
-    def test_identity(self):
-        p = simulate(spec(m=4))
-        assert coarsen(p, 4) is p
-
-    def test_endpoint_preserved(self):
-        p = simulate(spec(m=6, refine=2))
-        q = coarsen(p, 3)
-        np.testing.assert_allclose(q.values[:, -1], p.values[:, -1], atol=1e-12)
-
-    def test_refine_preserved(self):
-        p = simulate(spec(m=6, refine=2))
-        q = coarsen(p, 4)
-        assert q.spec.m == 4 and q.spec.refine == 2
-        assert q.increments.shape[1] == 2 * 16
-
-    def test_cannot_refine(self):
-        p = simulate(spec(m=3))
-        with pytest.raises(DomainError):
-            coarsen(p, 5)
-
+class TestCoarseLaw:
     def test_coarse_law(self):
         # coarse empirical covariance matches the coarse closed form
         sp = spec(H=0.4, m=6, seed=13)

@@ -11,7 +11,6 @@ from fbmchaos.lift import (
     levy_areas,
     lift2,
     lift3,
-    refinement_cauchy_gap,
 )
 
 
@@ -63,12 +62,6 @@ class TestLift2:
         L = lift2(p)
         cells = p.increments.reshape(2, 8, 16).sum(axis=2).T
         np.testing.assert_allclose(L.level1, cells, atol=1e-14)
-
-    def test_thinning_requires_divisor(self):
-        p = make_path(refine=12)
-        lift2(p, n_sub=4)
-        with pytest.raises(DomainError):
-            lift2(p, n_sub=5)
 
     def test_second_moment_matches_quadrature(self):
         # MC over [0,1]: E[(B^{1,2}_{0,1})^2] near tilde_rho(0) at n=64
@@ -179,16 +172,6 @@ class TestLift3:
 
 
 class TestRefinementGap:
-    def test_identical_zero(self):
-        p = make_path(refine=16)
-        g = refinement_cauchy_gap(lift2(p), lift2(p, n_sub=16))
-        assert g["max"] == 0.0
-
-    def test_different_paths_rejected(self):
-        p, q = make_path(seed=1), make_path(seed=2)
-        with pytest.raises(DomainError):
-            refinement_cauchy_gap(lift2(p), lift2(q))
-
     def test_gap_decreasing_in_n(self):
         H = 0.4
         N = 300

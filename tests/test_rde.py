@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fbmchaos.errors import DivergenceError, DomainError
+from fbmchaos.errors import DivergenceError
 from fbmchaos.fbm import SimSpec, simulate, simulate_batch
 from fbmchaos.gaussian import HurstModel
 from fbmchaos.lift import level3_areas, levy_areas, lift2, lift3
@@ -10,7 +10,6 @@ from fbmchaos.rde import (
     linear_1d,
     solve,
     taylor_steps,
-    weight_process,
 )
 
 
@@ -145,21 +144,3 @@ class TestBatchStepper:
         ds = np.array([np.sqrt(np.mean((ends[m] - ends[m + 1]) ** 2)) for m in ms])
         slope = -np.polyfit(ms * np.log(2), np.log(ds), 1)[0]
         assert slope > 1.0
-
-
-class TestWeightProcess:
-    def test_from_path(self):
-        p = simulate(SimSpec(model=HurstModel(0.4, 2), m=4, refine=2, seed=10))
-        w = weight_process(p, lambda B: np.tanh(B[:, 0]))
-        assert w.values.shape == w.times.shape
-        np.testing.assert_allclose(w.values, np.tanh(p.values[0]), atol=1e-15)
-
-    def test_from_solution(self):
-        _, L = make_lift(seed=11)
-        sol = solve(L, linear_1d(), np.array([1.0]))
-        w = weight_process(sol, lambda Y, J, K: Y[:, 0] * K[:, 0, 0])
-        np.testing.assert_allclose(w.values, sol.Y[:, 0] * sol.Jinv[:, 0, 0])
-
-    def test_rejects_other_sources(self):
-        with pytest.raises(DomainError):
-            weight_process(3.0, lambda x: x)

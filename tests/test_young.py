@@ -7,9 +7,8 @@ import pytest
 
 from fbmchaos import young
 from fbmchaos.errors import CapacityError, ConsistencyError, DomainError
-from fbmchaos.gaussian import cov, cov_rect, iterated_cov_Rl
+from fbmchaos.gaussian import cov_rect
 from fbmchaos.young import (
-    ControlFunction,
     GridFunction,
     GridPartition,
     Vp,
@@ -24,8 +23,6 @@ from fbmchaos.young import (
     tilde_Vp,
     towghi_check,
     towghi_fuzz_report,
-    young_compose_h,
-    zeta_sum_check,
 )
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -88,14 +85,6 @@ class TestTypes:
         P = GridPartition.uniform(3, 2)
         with pytest.raises(DomainError):
             GridFunction(partition=P, values=np.zeros((3, 4)))
-
-    def test_control_function_rejects_subadditive_failure(self):
-        ControlFunction(w=lambda s, t: t - s)
-        ControlFunction(w=lambda s, t: (t - s) ** 2)
-        with pytest.raises(DomainError):
-            ControlFunction(w=lambda s, t: np.sqrt(t - s))
-        with pytest.raises(DomainError):
-            ControlFunction(w=lambda s, t: t - s + 1.0)
 
 
 class TestRectIncrement:
@@ -397,33 +386,6 @@ class TestTowghi:
 
 
 class TestComposeAndIteratedA:
-    def test_constant_integrand_gives_increments(self):
-        rng = np.random.default_rng(17)
-        g = random_grid_function(rng)
-        one = GridFunction(partition=g.partition, values=np.ones(g.partition.shape))
-        h = young_compose_h(one, g)
-        for i in (1, 3):
-            for j in (2, 3):
-                assert h.values[i, j] == pytest.approx(
-                    rect_increment(g, {0: (0, i), 1: (0, j)}), abs=1e-12
-                )
-
-    def test_zero_f(self):
-        rng = np.random.default_rng(18)
-        g = random_grid_function(rng)
-        zero = GridFunction(partition=g.partition, values=np.zeros(g.partition.shape))
-        assert np.all(young_compose_h(zero, g).values == 0.0)
-
-    def test_reproduces_iterated_covariance_recursion(self):
-        H, n = 0.4, 32
-        ic1 = iterated_cov_Rl(1, (0, 1), n, H)
-        P = GridPartition(axes=(ic1.grid, ic1.grid))
-        f = GridFunction(partition=P, values=ic1.values)
-        g = GridFunction.sample(P, lambda s, t: cov(s, t, H))
-        h = young_compose_h(f, g)
-        ic2 = iterated_cov_Rl(2, (0, 1), n, H)
-        np.testing.assert_allclose(h.values, ic2.values, atol=1e-14)
-
     def test_single_level_telescoping(self):
         H, grid = 0.45, np.linspace(0, 1, 33)
         s, t = 0.25, 0.625
@@ -481,34 +443,3 @@ class TestProductAndZeta:
         assert rep["pass"] and np.isfinite(rep["ratio"])
         with pytest.raises(DomainError):
             product_pvar_check(f, g, 1.5, 1.5)
-
-    def test_zeta_bound_holds(self):
-        w = ControlFunction(w=lambda s, t: t - s)
-        P = GridPartition(axes=(np.linspace(0, 1, 6),) * 2)
-        phi = GridFunction.sample(P, lambda u, v: u * v)
-        rep = zeta_sum_check(phi, w, 1.9, 1.9, 1.0)
-        assert rep["pass"]
-
-    def test_zeta_homogeneity(self):
-        w1 = lambda s, t: t - s
-        w2 = lambda s, t: 2.0 * (t - s)
-        P = GridPartition(axes=(np.linspace(0, 1, 5),) * 2)
-        phi = GridFunction.sample(P, lambda u, v: u * v)
-        r1 = zeta_sum_check(phi, w1, 1.9, 1.9, 1.0)
-        r2 = zeta_sum_check(phi, w2, 1.9, 1.9, 1.0)
-        assert r2["bound"] == pytest.approx(r1["bound"] * 2.0 ** r1["theta"])
-        assert r2["lhs"] == pytest.approx(r1["lhs"])
-
-    def test_zeta_hypothesis_violation(self):
-        w = ControlFunction(w=lambda s, t: t - s)
-        P = GridPartition(axes=(np.linspace(0, 1, 5),) * 2)
-        phi = GridFunction.sample(P, lambda u, v: 50.0 * u * v)
-        with pytest.raises(DomainError):
-            zeta_sum_check(phi, w, 1.9, 1.9, 1.0)
-
-    def test_zero_phi(self):
-        w = ControlFunction(w=lambda s, t: t - s)
-        P = GridPartition(axes=(np.linspace(0, 1, 4),) * 2)
-        phi = GridFunction(partition=P, values=np.zeros((4, 4)))
-        rep = zeta_sum_check(phi, w, 1.9, 1.9, 0.0)
-        assert rep["pass"] and rep["lhs"] == 0.0
