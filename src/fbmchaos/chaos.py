@@ -35,9 +35,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapacityError, DomainError
-# _TABLE_ELEMS is re-exported: it bounds the chunks of the lag tables read here
-from .gaussian import (_TABLE_ELEMS, _lag_tables, _transposed, rho,  # noqa: F401
-                       rho_tail_bound, series_constants)
+from .gaussian import (_lag_tables, _transposed, rho, rho_tail_bound,
+                       series_constants)
 
 __all__ = [
     "SumProcess",

@@ -13,7 +13,7 @@ manifest carries a timestamp).
 Exit codes: 0 success, 1 a verification invariant failed (the failing
 invariant is named on stderr), 2 the run was refused or could not finish:
 a configuration, domain, capacity or consistency error, or a numerical
-failure (a refinement that did not converge, a stepper that diverged).
+failure (a stepper that diverged).
 Code 2 prints one line on stderr and no traceback.
 """
 
@@ -35,7 +35,6 @@ from .errors import (
     DivergenceError,
     DomainError,
     FbmchaosError,
-    RefinementError,
 )
 from .fbm import SimSpec, dump_csv, simulate
 from .gaussian import HurstModel
@@ -317,8 +316,7 @@ def build_parser():
 
 
 # the stderr label of an error that exits 2; any other is "config error"
-_ERROR_LABELS = {RefinementError: "numerical error",
-                 DivergenceError: "numerical error",
+_ERROR_LABELS = {DivergenceError: "numerical error",
                  ConsistencyError: "consistency error",
                  CapacityError: "capacity error"}
 

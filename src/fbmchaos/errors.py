@@ -6,7 +6,6 @@ __all__ = [
     "DivergenceError",
     "DomainError",
     "FbmchaosError",
-    "RefinementError",
 ]
 
 
@@ -20,14 +19,6 @@ class DomainError(FbmchaosError, ValueError):
 
 class CapacityError(FbmchaosError, RuntimeError):
     """Requested computation exceeds a hard size gate (refuse, don't approximate)."""
-
-
-class RefinementError(FbmchaosError, RuntimeError):
-    """A refinement sequence failed to converge; carries the last two iterates."""
-
-    def __init__(self, message, last_two=None):
-        super().__init__(message)
-        self.last_two = tuple(last_two) if last_two is not None else None
 
 
 class DivergenceError(FbmchaosError, RuntimeError):

@@ -6,8 +6,9 @@ Everything downstream is a function of the two-point covariance
 
 its rectangular increments, the unit-lag increment correlation sequence
 rho(k), the Levy-area correlation sequence tilde_rho(i) (a two-parameter
-Young integral of R against dR, evaluated by quadrature), and the three
-series constants
+Young integral, in closed form at lags 0 and 1 by the two-parameter
+product rule and by Gauss-Legendre on its smooth density beyond), and the
+three series constants
 
     sigma2       = rho(0)^2 + 2 sum_k rho(k)^2
     sigma2_tilde = tilde_rho(0) + 2 sum_i tilde_rho(i)
@@ -19,9 +20,8 @@ processes built in chaos.py.
 One lag-table engine, ``_lag_tables``, serves every second moment computed
 on sub-cell grids: for a vector of lags it builds, in chunks of bounded
 size, the prefix and sub-cell covariance tables of the unit cells [0,1] and
-[lag,lag+1].  The tilde_rho ladder sums its left-point table at each level,
-and every finite-resolution cell-pair covariance in chaos.py reduces the
-same tables over the lag axis.
+[lag,lag+1].  Every finite-resolution cell-pair covariance in chaos.py
+reduces these tables over the lag axis.
 
 Valid Hurst range is 1/3 < H <= 1/2.  H = 1/2 is the Brownian anchor where
 everything has an elementary closed form (rho(k) = 0 for k >= 1,
@@ -30,11 +30,12 @@ sanity case throughout the test-suite.
 """
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConsistencyError, DomainError, RefinementError
+from .errors import CapacityError, ConsistencyError, DomainError
 
 __all__ = [
     "HurstModel",
@@ -184,82 +185,44 @@ def _transposed(t):
                 qi=t["qj"], qj=t["qi"])
 
 
-class QuadValue(float):
-    """A float carrying the achieved quadrature tolerance and final grid size."""
+def tilde_rho(lags, H):
+    """Levy-area lag correlation tilde_rho(i) at integer lags i >= 0.
 
-    def __new__(cls, value, achieved_tol, n):
-        obj = super().__new__(cls, value)
-        obj.achieved_tol = float(achieved_tol)
-        obj.n = int(n)
-        return obj
+    tilde_rho(i) is the two-parameter Young integral of
+    f(u,v) = R([0,u] x [i,v]) against df over [0,1] x [i,i+1].  On a cell
+    with lower-left value f, edge increments b, c and rectangular increment
+    g, Delta(f^2) = 2fg + 2bc + 2(b+c)g + g^2.  Summed over any grid this is
+    f(1,i+1)^2 = rho(i)^2; under refinement the 2fg sum tends to
+    2 tilde_rho(i), the bc sum to the Lebesgue integral of d_u f d_v f, and
+    the rest vanishes like n^{1-4H}.  So tilde_rho(i) = rho(i)^2/2
+    - int int d_u f d_v f, which has a closed form at lags 0 and 1:
 
+        tilde_rho(0) = 2H^2 Gamma(2H)^2 / Gamma(4H+1) + H / (2(4H-1))
+        tilde_rho(1) = rho(1)^2/2 - (2^{4H}-2)/8 + H(2^{4H}-2)/(4(4H-1))
+                       + (2^{2H}-1)/4 - 2F1(1-2H, 2H; 2H+1; -1)/4,
 
-def _extrap_powers(H):
-    # leading error exponents of the left-point double sum: multiples of
-    # theta = 4H - 1 mixed with integer powers of 1/n; duplicates merge at
-    # H = 1/2 where theta = 1
-    th = 4 * H - 1
-    powers = []
-    for p in (th, 2 * th, 1.0, th + 1.0, 2.0):
-        if all(abs(p - q) > 1e-9 for q in powers):
-            powers.append(p)
-    return powers
-
-
-def tilde_rho(i, H, tol=1e-6, max_level=12):
-    """Levy-area lag correlation tilde_rho(i) by refined left-point quadrature.
-
-    Evaluates the two-parameter Young integral of R([0,u] x [i,v]) against
-    dR(u,v) over [0,1] x [i,i+1] with left-point sums on dyadic n = 2^j grids,
-    each the sum of F * g over the lag-i table of ``_lag_tables``.
-    The raw ladder converges like a mixture of powers n^{-(4H-1)}, n^{-1},
-    ... which is far too slow to certify small tolerances directly, so each
-    new level re-fits the known-exponent error model
-    a + sum_k b_k n^{-theta_k} and the stopping rule is two successive
-    fitted limits within ``tol``.  At H = 1/2 the error is exactly
-    proportional to 1/n and the fit is exact to rounding.
-
-    Returns a QuadValue (a float with .achieved_tol and .n attached).
-    Raises RefinementError, carrying the last two iterates, if the dyadic
-    ladder is exhausted first.
+    exactly 1/2 and 0 at H = 1/2.  Lags >= 2 use the off-diagonal density
+    (``_tilde_rho_smooth``).  Vectorized over lags; an integer lag returns a
+    float.
     """
+    from scipy.special import hyp2f1
+
     _check_H(H)
-    if i < 0:
-        raise DomainError("lag must be nonnegative")
-    if tol <= 0:
-        raise DomainError("tol must be positive")
-    powers = _extrap_powers(H)
-    ns, vals = [], []
-    best = None
-    prev_best = None
-    for j in range(3, max_level + 1):
-        n = 2 ** j
-        ns.append(float(n))
-        # one chunk: the generator is used up here, so a level's tables are
-        # freed before the next level builds its own
-        vals.append(sum(float(np.sum(t["F"] * t["g"]))
-                        for t in _lag_tables(H, [i], n)))
-        prev_best = best
-        best = vals[-1]
-        if len(vals) >= 2 and vals[-1] == vals[-2]:
-            # degenerate cases (Brownian disjoint lags) hit the limit exactly
-            return QuadValue(vals[-1], 0.0, n)
-        if len(vals) >= len(powers) + 2:
-            use_n = np.array(ns[-7:])
-            use_v = np.array(vals[-7:])
-            A = np.column_stack(
-                [np.ones_like(use_n)] + [use_n ** (-p) for p in powers]
-            )
-            coef, *_ = np.linalg.lstsq(A, use_v, rcond=None)
-            best = float(coef[0])
-        if prev_best is not None and len(vals) >= len(powers) + 3:
-            gap = abs(best - prev_best)
-            if gap < tol:
-                return QuadValue(best, gap, n)
-    raise RefinementError(
-        f"tilde_rho({i}, H={H}) did not reach tol={tol} by n=2^{max_level}",
-        last_two=(prev_best, best),
-    )
+    lags = np.asarray(lags, dtype=float)
+    if np.any(lags < 0) or np.any(lags % 1):
+        raise DomainError("lags must be nonnegative integers")
+    a = 2.0 ** (4 * H) - 2
+    t0 = (2 * H * H * math.gamma(2 * H) ** 2 / math.gamma(4 * H + 1)
+          + H / (2 * (4 * H - 1)))
+    t1 = (0.5 * rho(1, H) ** 2 - a / 8 + H * a / (4 * (4 * H - 1))
+          + (2.0 ** (2 * H) - 1) / 4
+          - 0.25 * float(hyp2f1(1 - 2 * H, 2 * H, 2 * H + 1, -1.0)))
+    out = np.where(lags == 0, t0, t1)
+    far = lags >= 2
+    out[far] = _tilde_rho_smooth(lags[far], H)
+    if out.ndim == 0:
+        return float(out)
+    return out
 
 
 def _tilde_rho_smooth(lags, H, nodes=32):
@@ -307,7 +270,10 @@ class SeriesConstants:
     sigma2: float
     sigma2_tilde: float
     fclt_C: float
-    quad_tol: float
+
+
+# the longest series truncation; a tol that needs more lags is refused
+K_MAX = 2 ** 22
 
 
 def series_constants(H, tol=1e-6):
@@ -315,11 +281,11 @@ def series_constants(H, tol=1e-6):
 
     The truncation K is chosen so the closed-form bound on the neglected
     rho^2 tail mass is below tol/10 (the tilde_rho tail is dominated by the
-    same bound up to the lag-ratio factor folded into ``tail_bound``).
-    tilde_rho(0) and tilde_rho(1) come from the refined left-point quadrature;
-    lags >= 2 use the off-diagonal density with Gauss-Legendre, which agrees
-    with the left-point route to quadrature tolerance (tested) and is cheap
-    enough to evaluate tens of thousands of lags.
+    same bound up to the lag-ratio factor folded into ``tail_bound``).  A
+    tol whose bound is not met by K_MAX lags is refused with CapacityError
+    before any table is built.  The tilde_rho table is one ``tilde_rho``
+    call: closed forms at lags 0 and 1, the off-diagonal density with
+    Gauss-Legendre beyond.
 
     fclt_C is assembled as sqrt(sigma2_tilde - (E[B_{0,1}^2])^2/4
     - (1/2) sum_{k>=1} rho(k)^2); the identity fclt_C^2 = sigma2_tilde
@@ -341,7 +307,10 @@ def _series_constants(H, tol):
         K = 2
     else:
         K = 4
-        while _rho_sq_tail_bound(K, H) >= tol / 10.0 and K < 2 ** 22:
+        while _rho_sq_tail_bound(K, H) >= tol / 10.0:
+            if K >= K_MAX:
+                raise CapacityError(f"tol={tol} at H={H} needs more than "
+                                    f"K_MAX = {K_MAX} series lags")
             K *= 2
         # binary search the smallest admissible K in (K/2, K]
         lo, hi = K // 2, K
@@ -354,14 +323,7 @@ def _series_constants(H, tol):
         K = hi
 
     rho_tab = rho(np.arange(K + 1), H)
-    t0 = tilde_rho(0, H, tol=tol)
-    t1 = tilde_rho(1, H, tol=tol)
-    achieved = max(t0.achieved_tol, t1.achieved_tol)
-    tilde_tab = np.empty(K + 1)
-    tilde_tab[0] = float(t0)
-    tilde_tab[1] = float(t1)
-    if K >= 2:
-        tilde_tab[2:] = _tilde_rho_smooth(np.arange(2, K + 1), H)
+    tilde_tab = tilde_rho(np.arange(K + 1), H)
 
     sigma2 = rho_tab[0] ** 2 + 2.0 * np.sum(rho_tab[1:] ** 2)
     sigma2_tilde = tilde_tab[0] + 2.0 * np.sum(tilde_tab[1:])
@@ -402,5 +364,4 @@ def _series_constants(H, tol):
         sigma2=float(sigma2),
         sigma2_tilde=float(sigma2_tilde),
         fclt_C=fclt_C,
-        quad_tol=float(max(achieved, tol)),
     )

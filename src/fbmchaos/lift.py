@@ -19,7 +19,7 @@ the level-3 shuffle identities also hold to machine precision.  Whole
 interval summaries combine associatively via the Chen relation.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -85,7 +85,6 @@ class RoughLift:
 
     path: object = field(repr=False, compare=False)
     m: int
-    n: int
     edges: np.ndarray = field(repr=False)
     level1: np.ndarray = field(repr=False)
     level2: np.ndarray = field(repr=False)
@@ -147,23 +146,15 @@ def lift2(path):
     spec = path.spec
     level1, level2 = levy_areas(_cell_increments(path))
     edges = np.arange(2 ** spec.m + 1) * 2.0 ** (-spec.m)
-    return RoughLift(path=path, m=spec.m, n=spec.refine, edges=edges,
-                     level1=level1, level2=level2)
+    return RoughLift(path=path, m=spec.m, edges=edges, level1=level1,
+                     level2=level2)
 
 
 def lift3(path, lift2_result):
     """Extend a level-2 lift with level-3 values from the same path."""
     if lift2_result.path is not path:
         raise DomainError("lift2 was computed from a different path")
-    return RoughLift(
-        path=path,
-        m=lift2_result.m,
-        n=lift2_result.n,
-        edges=lift2_result.edges,
-        level1=lift2_result.level1,
-        level2=lift2_result.level2,
-        level3=level3_areas(_cell_increments(path)),
-    )
+    return replace(lift2_result, level3=level3_areas(_cell_increments(path)))
 
 
 def chen_combine(a, b, tol=1e-12):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fbmchaos import chaos
+from fbmchaos import chaos, gaussian
 from fbmchaos.errors import CapacityError, DomainError
 from fbmchaos.fbm import SimSpec, simulate, simulate_batch
 from fbmchaos.gaussian import HurstModel, rho, series_constants, tilde_rho
@@ -461,7 +461,7 @@ class TestLagTableEngine:
     n = 31
 
     def lags(self):
-        chunk = chaos._TABLE_ELEMS // (self.n + 1) ** 2
+        chunk = gaussian._TABLE_ELEMS // (self.n + 1) ** 2
         assert 8 <= chunk < 70
         return np.arange(-2, chunk + 6)
 

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from fbmchaos.chaos import cov_Q_pair
-from fbmchaos.errors import DomainError, RefinementError
+from fbmchaos import gaussian
+from fbmchaos.errors import CapacityError, DomainError
 from fbmchaos.gaussian import (
     HurstModel,
     _check_H,
+    _lag_tables,
     cov,
     cov_rect,
     rho,
@@ -81,6 +83,83 @@ def iterated_cov_Rl(l, interval, n, H, corner_average=False):
         nxt[1:, 1:] = acc
         values = nxt
     return IteratedCov(l, s, t, n, grid, values)
+
+
+# An independent tilde_rho oracle: left-point sums of F * g over the lag-i
+# table of _lag_tables on dyadic grids n = 2^3 ... 2^max_level, extrapolated
+# to n = infinity.
+def _extrap_powers(H):
+    # leading error exponents of the left-point double sum: multiples of
+    # theta = 4H - 1 mixed with integer powers of 1/n; duplicates merge at
+    # H = 1/2 where theta = 1
+    th = 4 * H - 1
+    powers = []
+    for p in (th, 2 * th, 1.0, th + 1.0, 2.0):
+        if all(abs(p - q) > 1e-9 for q in powers):
+            powers.append(p)
+    return powers
+
+
+def leftpoint_tilde_rho(i, H, tol=1e-6, max_level=12):
+    """tilde_rho(i) by the refined left-point quadrature ladder.
+
+    The raw ladder converges like a mixture of powers n^{-(4H-1)}, n^{-1},
+    ... which is far too slow to certify small tolerances directly, so each
+    new level re-fits the known-exponent error model
+    a + sum_k b_k n^{-theta_k} and the stopping rule is two successive
+    fitted limits within ``tol``.  Fails if the ladder is exhausted first.
+    """
+    powers = _extrap_powers(H)
+    ns, vals = [], []
+    best = None
+    prev_best = None
+    for j in range(3, max_level + 1):
+        n = 2 ** j
+        ns.append(float(n))
+        # one chunk: the generator is used up here, so a level's tables are
+        # freed before the next level builds its own
+        vals.append(sum(float(np.sum(t["F"] * t["g"]))
+                        for t in _lag_tables(H, [i], n)))
+        prev_best = best
+        best = vals[-1]
+        if len(vals) >= 2 and vals[-1] == vals[-2]:
+            # degenerate cases (Brownian disjoint lags) hit the limit exactly
+            return vals[-1]
+        if len(vals) >= len(powers) + 2:
+            use_n = np.array(ns[-7:])
+            use_v = np.array(vals[-7:])
+            A = np.column_stack(
+                [np.ones_like(use_n)] + [use_n ** (-p) for p in powers]
+            )
+            coef, *_ = np.linalg.lstsq(A, use_v, rcond=None)
+            best = float(coef[0])
+        if prev_best is not None and len(vals) >= len(powers) + 3:
+            if abs(best - prev_best) < tol:
+                return best
+    raise AssertionError(f"ladder for tilde_rho({i}, H={H}) did not reach "
+                         f"tol={tol} by n=2^{max_level}")
+
+
+def product_rule_tilde_rho(lag, H):
+    """rho(lag)^2/2 - int int d_u f d_v f at lag >= 1, by 20-digit quadrature.
+
+    f(u,v) = R([0,u] x [lag,v]); for v >= u, d_u f = H((v-u)^c - (lag-u)^c)
+    and d_v f = H(v^c - (v-u)^c) with c = 2H - 1.
+    """
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(20):
+        H = mp.mpf(H)
+        c = 2 * H - 1
+
+        def du_dv(u, v):
+            return H * H * ((v - u) ** c - (lag - u) ** c) * (
+                v ** c - (v - u) ** c)
+
+        integral = mp.quad(
+            lambda u: mp.quad(lambda v: du_dv(u, v), [lag, lag + 1]), [0, 1])
+        r = ((lag + 1) ** (2 * H) + (lag - 1) ** (2 * H)
+             - 2 * mp.mpf(lag) ** (2 * H)) / 2
+        return float(r ** 2 / 2 - integral)
 
 
 class TestHurstModel:
@@ -232,21 +311,54 @@ class TestRhoTailBound:
 
 class TestTildeRho:
     def test_brownian_ito_isometry(self):
-        v = tilde_rho(0, 0.5, tol=1e-8)
-        assert float(v) == pytest.approx(0.5, abs=1e-8)
+        assert tilde_rho(0, 0.5) == 0.5
 
     def test_brownian_disjoint_lags(self):
         for i in (1, 2, 5):
             assert float(tilde_rho(i, 0.5)) == 0.0
 
+    @pytest.mark.parametrize("n", [8, 64])
+    @pytest.mark.parametrize("lag", [0, 1, 3])
+    def test_product_rule_is_exact_on_every_grid(self, lag, n):
+        # Delta(f^2) = 2Fg + 2bc + 2(b+c)g + g^2 on each sub-cell, with b and
+        # c its edge increments; over the cells it sums to f(1,lag+1)^2
+        for H in HS:
+            (t,) = _lag_tables(H, [lag], n)
+            P, F, g = t["P"], t["F"], t["g"]
+            b = np.diff(P, axis=1)[:, :, :-1]
+            c = np.diff(P, axis=2)[:, :-1, :]
+            total = np.sum(2 * F * g + 2 * b * c + 2 * (b + c) * g + g * g)
+            assert total == pytest.approx(t["r"][0] ** 2, abs=1e-13)
+
+    @pytest.mark.parametrize("H", [0.35, 0.4, 0.45])
+    def test_closed_forms_match_leftpoint_ladder(self, H):
+        for lag in (0, 1):
+            assert tilde_rho(lag, H) == pytest.approx(
+                leftpoint_tilde_rho(lag, H), abs=1e-6)
+
     @pytest.mark.parametrize("H", [0.35, 0.4, 0.45])
     def test_matches_smooth_density(self, H):
         # two independent evaluation routes for lags away from the diagonal
-        lags = np.array([2, 3, 4])
-        smooth = _tilde_rho_smooth(lags, H)
-        for lag, sv in zip(lags, smooth):
-            lv = tilde_rho(int(lag), H)
-            assert float(lv) == pytest.approx(sv, abs=5e-7)
+        for lag in (2, 3, 4):
+            assert tilde_rho(lag, H) == pytest.approx(
+                leftpoint_tilde_rho(lag, H), abs=5e-7)
+
+    @pytest.mark.parametrize("H", [0.35, 0.4, 0.45])
+    def test_matches_mpmath_product_rule(self, H):
+        assert tilde_rho(1, H) == pytest.approx(
+            product_rule_tilde_rho(1, H), abs=1e-12)
+        lags = [2, 3, 4]
+        np.testing.assert_allclose(
+            _tilde_rho_smooth(np.array(lags), H),
+            [product_rule_tilde_rho(lag, H) for lag in lags], rtol=1e-12)
+
+    @pytest.mark.parametrize("H", HS)
+    def test_scalar_and_vector_calls_agree(self, H):
+        lags = np.arange(6)
+        vec = tilde_rho(lags, H)
+        one = [tilde_rho(int(lag), H) for lag in lags]
+        assert all(type(v) is float for v in one)
+        np.testing.assert_allclose(vec, one, rtol=1e-14, atol=0)
 
     def test_matches_R2_recursion(self):
         H = 0.4
@@ -265,14 +377,14 @@ class TestTildeRho:
         vals = _tilde_rho_smooth(lags, H)
         assert np.all(np.abs(vals) <= rho(lags, H) ** 2)
 
-    def test_refinement_error_carries_iterates(self):
-        with pytest.raises(RefinementError) as ei:
-            tilde_rho(0, 0.4, tol=1e-15, max_level=8)
-        assert ei.value.last_two is not None and len(ei.value.last_two) == 2
-
     def test_negative_lag_rejected(self):
+        for lags in (-1, [0, -2]):
+            with pytest.raises(DomainError):
+                tilde_rho(lags, 0.4)
+
+    def test_fractional_lag_rejected(self):
         with pytest.raises(DomainError):
-            tilde_rho(-1, 0.4)
+            tilde_rho(0.5, 0.4)
 
 
 class TestSeriesConstants:
@@ -299,6 +411,14 @@ class TestSeriesConstants:
     def test_tail_bound_recorded(self):
         sc = series_constants(0.4, tol=1e-6)
         assert 0 < sc.tail_bound < 1e-6
+
+    def test_tol_beyond_K_MAX_is_refused_before_any_table(self, monkeypatch):
+        def table_built(*args):
+            raise AssertionError("a tilde_rho table was built")
+
+        monkeypatch.setattr(gaussian, "tilde_rho", table_built)
+        with pytest.raises(CapacityError, match="K_MAX"):
+            series_constants(0.4, tol=1e-13)
 
     def test_cached_and_read_only(self):
         sc = series_constants(0.45)
