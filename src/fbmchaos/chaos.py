@@ -11,7 +11,7 @@ dyadic grid D_m:
 
 together with closed-form second-moment oracles for all of them.  The
 oracles come in two flavours: converged (the continuum iterated-integral
-covariances, built on the rho and tilde_rho tables of series_constants) and
+covariances, built on rho and tilde_rho of gaussian.py) and
 finite-sub-step (matching the geometric lift at resolution n exactly, so
 Monte Carlo comparisons are unbiased).  Every hand-derived covariance
 formula is cross-checked in the tests against one brute-force pairing
@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import CapacityError, DomainError
 from .gaussian import (_lag_tables, _transposed, rho, rho_tail_bound,
-                       series_constants)
+                       tilde_rho)
 
 __all__ = [
     "SumProcess",
@@ -220,25 +220,19 @@ def cov_Q_pair(H, which, lag, n_sub=None):
         qhat:   (1/4) rho(l)^2        qcheck: (1/2) rho(l)^2
         qtilde: tilde_rho(l)          cross:  (1/4) rho(l)^2
 
-    with tilde_rho read from the series_constants table.  A lag beyond its
-    K reads 0 when the table's tail bound is 0 (H = 1/2, where tilde_rho(i)
-    = 0 for i >= 1) and is refused otherwise.  With ``n_sub`` the area
-    entries (qtilde, cross) are the finite-resolution geometric values of
-    tilde_rho_finite and cross_hat_tilde_finite, so Monte Carlo on a lift
-    with n_sub sub-steps is matched without discretization bias.  ``lag`` is
-    an integer or an integer array, sign ignored; an integer gives a float,
-    evaluated on a 0-d array as rho evaluates it.  The dyadic scale
-    (2^{-m})^{4H} is the caller's business.
+    with tilde_rho from gaussian.tilde_rho, which answers every lag.  With
+    ``n_sub`` the area entries (qtilde, cross) are the finite-resolution
+    geometric values of tilde_rho_finite and cross_hat_tilde_finite, so
+    Monte Carlo on a lift with n_sub sub-steps is matched without
+    discretization bias.  ``lag`` is an integer or an integer array, sign
+    ignored; an integer gives a float, evaluated on a 0-d array as rho
+    evaluates it.  The dyadic scale (2^{-m})^{4H} is the caller's business.
     """
     lags = np.abs(np.asarray(lag, dtype=int))
     if which in ("qhat", "qcheck") or (which == "cross" and n_sub is None):
         out = (0.5 if which == "qcheck" else 0.25) * rho(lags, H) ** 2
     elif which == "qtilde" and n_sub is None:
-        sc = series_constants(H)
-        beyond = lags > sc.K
-        if beyond.any() and sc.tail_bound != 0.0:
-            raise DomainError(f"lag beyond the tilde_rho table (K = {sc.K})")
-        out = np.where(beyond, 0.0, sc.rho_tilde[np.minimum(lags, sc.K)])
+        out = tilde_rho(lags, H)
     elif which in ("qtilde", "cross"):
         finite = tilde_rho_finite if which == "qtilde" else cross_hat_tilde_finite
         out = finite(lags, H, n_sub).reshape(lags.shape)
@@ -587,7 +581,8 @@ def brute_cov_K(H, pattern, lag, n):
 # rho-sum combinatorial bound
 
 
-def rho_sum_bound_verify(p, q, assignment, m_range, s=0.0, t=1.0, H=0.4):
+def rho_sum_bound_verify(p, q, assignment, m_range, s=0.0, t=1.0, H=0.4,
+                         cache=None):
     """Exhaustively check the multiple-sum bound for one exponent assignment.
 
     ``assignment`` maps frozenset({i, j}) (0-based, i != j, i, j < p) to a
@@ -595,7 +590,9 @@ def rho_sum_bound_verify(p, q, assignment, m_range, s=0.0, t=1.0, H=0.4):
     sum_{j != i} a({i,j}) <= q for every i.  The sequence is
     rho(n) = |rho_H(n)| / sum |rho_H| so that sum rho <= 1 = C, and the
     claim is  LHS <= count^{p - ceil(N/q)}  per m.  Returns a report dict
-    with per-m rows and an overall flag.
+    with per-m rows and an overall flag.  A caller checking many
+    assignments passes one ``cache`` dict to every call, so each level's
+    sequence, its powers and each contraction path are built once.
     """
     if p < 2 or q < 1:
         raise DomainError("need p >= 2 and q >= 1")
@@ -615,25 +612,25 @@ def rho_sum_bound_verify(p, q, assignment, m_range, s=0.0, t=1.0, H=0.4):
     # (2 for H < 1/2, 1 at H = 1/2): the normalized sequence then has unit
     # mass, so the lemma's C is 1
     total = 1.0 + 2.0 * rho_tail_bound(0, H)
+    cache = {} if cache is None else cache
+    subs = ["abcdefgh"[min(key)] + "abcdefgh"[max(key)] for key in a]
+    expr = ",".join(subs) + "->"
     rows = []
     ok = True
     for m in m_range:
         i0, i1 = _cell_range(m, s, t)
         count = i1 - i0
-        ks = np.arange(count)
-        seq = np.abs(rho(np.abs(ks[:, None] - ks[None, :]), H)) / total
-        operands = []
-        subs = []
-        letters = "abcdefgh"[:p]
-        for key, e in a.items():
-            i, j = sorted(key)
-            operands.append(seq ** e)
-            subs.append(letters[i] + letters[j])
+        if (H, count, q) not in cache:  # exponents are at most q
+            ks = np.arange(count)
+            seq = np.abs(rho(np.abs(ks[:, None] - ks[None, :]), H)) / total
+            cache[H, count, q] = {e: seq ** e for e in range(1, q + 1)}
+        operands = [cache[H, count, q][e] for e in a.values()]
         if operands:
-            lhs = float(
-                np.einsum(",".join(subs) + "->", *operands, optimize=True)
-                * count ** (p - len(set("".join(subs))))
-            )
+            if (expr, count) not in cache:  # greedy, as optimize=True is
+                cache[expr, count] = np.einsum_path(
+                    expr, *operands, optimize="greedy")[0]
+            lhs = float(np.einsum(expr, *operands, optimize=cache[expr, count])
+                        * count ** (p - len(set("".join(subs)))))
         else:
             lhs = float(count) ** p
         bound = float(count) ** exponent

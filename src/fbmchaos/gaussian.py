@@ -7,15 +7,16 @@ Everything downstream is a function of the two-point covariance
 its rectangular increments, the unit-lag increment correlation sequence
 rho(k), the Levy-area correlation sequence tilde_rho(i) (a two-parameter
 Young integral, in closed form at lags 0 and 1 by the two-parameter
-product rule and by Gauss-Legendre on its smooth density beyond), and the
-three series constants
+product rule and by an expansion in powers of 1/i beyond), and the three
+series constants
 
     sigma2       = rho(0)^2 + 2 sum_k rho(k)^2
     sigma2_tilde = tilde_rho(0) + 2 sum_i tilde_rho(i)
     fclt_C       = sqrt(sigma2_tilde - sigma2 / 4)
 
 which normalize the central limit behaviour of the antisymmetric sum
-processes built in chaos.py.
+processes built in chaos.py; their series are summed term by term to lag
+32 and in closed form, by Hurwitz zeta values, beyond.
 
 One lag-table engine, ``_lag_tables``, serves every second moment computed
 on sub-cell grids: for a vector of lags it builds, in chunks of bounded
@@ -133,11 +134,6 @@ def rho_tail_bound(K, H):
     return 0.5 * ((K + 1.0) ** (2 * H) - float(K) ** (2 * H))
 
 
-def _rho_sq_tail_bound(K, H):
-    # sum_{k>K} rho(k)^2 <= |rho(K+1)| * sum_{k>K} |rho(k)|  (|rho| decreasing)
-    return abs(rho(K + 1, H)) * rho_tail_bound(K, H)
-
-
 # ---------------------------------------------------------------------------
 # unit-lattice lag tables
 
@@ -191,19 +187,19 @@ def tilde_rho(lags, H):
     tilde_rho(i) is the two-parameter Young integral of
     f(u,v) = R([0,u] x [i,v]) against df over [0,1] x [i,i+1].  On a cell
     with lower-left value f, edge increments b, c and rectangular increment
-    g, Delta(f^2) = 2fg + 2bc + 2(b+c)g + g^2.  Summed over any grid this is
-    f(1,i+1)^2 = rho(i)^2; under refinement the 2fg sum tends to
-    2 tilde_rho(i), the bc sum to the Lebesgue integral of d_u f d_v f, and
-    the rest vanishes like n^{1-4H}.  So tilde_rho(i) = rho(i)^2/2
-    - int int d_u f d_v f, which has a closed form at lags 0 and 1:
+    g, Delta(f^2) = 2fg + 2bc + 2(b+c)g + g^2 sums to rho(i)^2 over any
+    grid; under refinement the 2fg sum tends to 2 tilde_rho(i), the bc sum
+    to int int d_u f d_v f, and the rest vanishes like n^{1-4H}.  So
+    tilde_rho(i) = rho(i)^2/2 - int int d_u f d_v f, in closed form at 0, 1:
 
         tilde_rho(0) = 2H^2 Gamma(2H)^2 / Gamma(4H+1) + H / (2(4H-1))
         tilde_rho(1) = rho(1)^2/2 - (2^{4H}-2)/8 + H(2^{4H}-2)/(4(4H-1))
                        + (2^{2H}-1)/4 - 2F1(1-2H, 2H; 2H+1; -1)/4,
 
-    exactly 1/2 and 0 at H = 1/2.  Lags >= 2 use the off-diagonal density
-    (``_tilde_rho_smooth``).  Vectorized over lags; an integer lag returns a
-    float.
+    exactly 1/2 and 0 at H = 1/2.  Every lag i >= 2 reads the expansion
+    i^{4H-2} sum_{n=2}^{J} c_n i^{-n} of ``_tilde_rho_coeffs``, which does
+    not cancel however far the lag.  Vectorized over lags; an integer lag
+    returns a float.
     """
     from scipy.special import hyp2f1
 
@@ -217,50 +213,75 @@ def tilde_rho(lags, H):
     t1 = (0.5 * rho(1, H) ** 2 - a / 8 + H * a / (4 * (4 * H - 1))
           + (2.0 ** (2 * H) - 1) / 4
           - 0.25 * float(hyp2f1(1 - 2 * H, 2 * H, 2 * H + 1, -1.0)))
-    out = np.where(lags == 0, t0, t1)
-    far = lags >= 2
-    out[far] = _tilde_rho_smooth(lags[far], H)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    flat = np.atleast_1d(lags)  # 0-d and array lags share one array loop
+    out = np.where(flat == 0, t0, t1)
+    far = flat[flat >= 2]
+    out[flat >= 2] = far ** (4 * H - 2) * np.polynomial.polynomial.polyval(
+        1.0 / far, _tilde_rho_coeffs(H))
+    return float(out[0]) if lags.ndim == 0 else out
 
 
-def _tilde_rho_smooth(lags, H, nodes=32):
-    """tilde_rho at integer lags >= 2 via the absolutely continuous density.
+# highest power of 1/lag kept; at lag 2 (ratios <= 1/2) the rest is < 1e-16
+_J = 60
 
-    Away from the diagonal the rectangular increments of R have the smooth
-    density d2R/dudv = H(2H-1)(v-u)^{2H-2}, so
 
-        tilde_rho(i) = int_0^1 int_i^{i+1} (R(u,v) - R(u,i))
-                       * H(2H-1) (v-u)^{2H-2} dv du.
+def _binom(a):  # C(a, j) for j = 0..J, any real a
+    j = np.arange(_J)
+    return np.concatenate([[1.0], np.cumprod((a - j) / (j + 1))])
 
-    For lags >= 2 the integrand is analytic on the closed rectangle and
-    tensor Gauss-Legendre converges geometrically; vectorized over lags.
+
+@functools.lru_cache(maxsize=16)
+def _tilde_rho_coeffs(H):
+    """c_0..c_J with tilde_rho(i) = i^{4H-2} sum_n c_n i^{-n} at lags i >= 2.
+
+    Off the diagonal R has the density H(2H-1)(v-u)^{2H-2}; with v = i + y,
+    tilde_rho(i) is the integral over (u, y) in [0,1]^2 of f dens, where
+    f = [(i+y)^{2H} - i^{2H} - (i+y-u)^{2H} + (i-u)^{2H}]/2 = i^{2H}/2
+    sum_j C(2H,j) i^{-j} p_j with p_j = y^j - (y-u)^j + (-u)^j (p_0 = p_1 =
+    0: those terms cancel exactly) and dens = H(2H-1) i^{2H-2} sum_l
+    C(2H-2,l) i^{-l} (y-u)^l.  So c_n is H(2H-1)/2 times the moment of
+    sum_{j+l=n} C(2H,j) C(2H-2,l) p_j (y-u)^l, of total degree n, which the
+    tensor Gauss-Legendre rule of J/2 + 1 nodes integrates exactly.
     """
-    lags = np.asarray(lags, dtype=float)
-    if lags.size and lags.min() < 2:
-        raise DomainError("smooth-density evaluation requires lag >= 2")
-    if H == 0.5:
-        return np.zeros_like(lags)
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    u = 0.5 * (x + 1.0)  # nodes on [0,1], weights w/2 per axis
-    out = np.empty(lags.shape)
-    chunk = 512
-    for a in range(0, lags.size, chunk):
-        lg = lags[a:a + chunk]               # (L,)
-        v = lg[None, :] + u[:, None]         # (nodes, L)
-        # f(u,v) = R(u,v) - R(u, lag), shape (nodes_u, nodes_v, L)
-        f = cov(u[:, None, None], v[None, :, :], H) - cov(
-            u[:, None], lg[None, :], H
-        )[:, None, :]
-        dens = H * (2 * H - 1) * (v[None, :, :] - u[:, None, None]) ** (2 * H - 2)
-        out[a:a + chunk] = 0.25 * np.einsum("a,b,abl->l", w, w, f * dens)
-    return out
+    x, w = np.polynomial.legendre.leggauss(_J // 2 + 1)
+    u, y = np.repeat(0.5 * (x + 1), len(x)), np.tile(0.5 * (x + 1), len(x))
+    wt = 0.25 * np.outer(w, w).ravel()
+    j = np.arange(_J + 1)[:, None]
+    d = (y - u) ** j
+    p = y ** j - d + (-u) ** j
+    p[:2] = 0.0
+    moments = (_binom(2 * H)[:, None] * p * wt) @ (
+        _binom(2 * H - 2)[:, None] * d).T               # [j, l]
+    c = 0.5 * H * (2 * H - 1) * np.bincount((j + j.T).ravel(),
+                                            weights=moments.ravel())[:_J + 1]
+    c.flags.writeable = False
+    return c
+
+
+def _remainder_bound(H, K):
+    """Proven bound on what the expansions drop beyond power J.
+
+    |C(a,m)| <= a(1-a)/m for 0 < a <= 1, m >= 2, |C(2H-2,l)| <= l+1 and
+    |p_j| <= 3 give |c_n| <= (3/4) h n(n-1) and |d_n| <= h (n-1)/4 (d_n of
+    rho(k)^2 = k^{4H} sum_n d_n k^{-2n}) with h = (H(1-2H))^2.  Summed over
+    the lags >= 2 (tilde_rho) and > K (rho^2) by zeta(s, q) <= q^{-s}
+    (1 + q/(s-1)), counted twice as sigma2 and sigma2_tilde count them.
+    """
+    def tail(A, a, b, q, n0):
+        # sum_{n >= n0} A(n) zeta(a n + b, q), A(n+1)/A(n) falling in n
+        s = a * n0 + b
+        first = A(n0) * q ** -s * (1 + q / (s - 1))
+        return first / (1 - A(n0 + 1) / A(n0) * q ** -a)
+
+    h = (H * (1 - 2 * H)) ** 2
+    return 2 * h * (tail(lambda n: 0.75 * n * (n - 1), 1, 2 - 4 * H, 2.0, _J + 1)
+                    + tail(lambda n: 0.25 * (n - 1), 2, -4 * H, K + 1.0,
+                           _J // 2 + 1))
 
 
 @dataclass(frozen=True)
 class SeriesConstants:
-    """Truncated rho / tilde_rho tables and the limit constants."""
+    """Lag tables 0..K, the limit constants and their proven tail bound."""
 
     H: float
     K: int
@@ -272,20 +293,23 @@ class SeriesConstants:
     fclt_C: float
 
 
-# the longest series truncation; a tol that needs more lags is refused
-K_MAX = 2 ** 22
+SERIES_K = 32  # lags summed term by term, the rest in closed form
+_ROUNDING = 1e-14  # of sigma2 and sigma2_tilde, O(1) sums: about 50 ulp
 
 
 def series_constants(H, tol=1e-6):
-    """Compute sigma^2, sigma~^2 and the FCLT constant C by truncated series.
+    """Compute sigma^2, sigma~^2 and the FCLT constant C.
 
-    The truncation K is chosen so the closed-form bound on the neglected
-    rho^2 tail mass is below tol/10 (the tilde_rho tail is dominated by the
-    same bound up to the lag-ratio factor folded into ``tail_bound``).  A
-    tol whose bound is not met by K_MAX lags is refused with CapacityError
-    before any table is built.  The tilde_rho table is one ``tilde_rho``
-    call: closed forms at lags 0 and 1, the off-diagonal density with
-    Gauss-Legendre beyond.
+    Lags 0..K (K = SERIES_K) are summed from the rho and tilde_rho tables,
+    the rest in closed form by Hurwitz zeta values: rho(k) = k^{2H}
+    sum_{j>=1} C(2H,2j) k^{-2j}, so with d the self-convolution of C(2H,2j)
+
+        sum_{k>K} rho(k)^2     = sum_n d_n zeta(2n - 4H, K+1),
+        sum_{k>K} tilde_rho(k) = sum_n c_n zeta(n + 2 - 4H, K+1).
+
+    ``tail_bound`` is the proven bound of ``_remainder_bound`` on what the
+    truncated expansions drop.  A tol that it plus a rounding allowance
+    cannot certify is refused with CapacityError before any table is built.
 
     fclt_C is assembled as sqrt(sigma2_tilde - (E[B_{0,1}^2])^2/4
     - (1/2) sum_{k>=1} rho(k)^2); the identity fclt_C^2 = sigma2_tilde
@@ -297,71 +321,48 @@ def series_constants(H, tol=1e-6):
     return _series_constants(H, tol)
 
 
+def _series_tails(H, K):
+    """sum_{k>K} rho(k)^2 and sum_{k>K} tilde_rho(k) as series_constants says."""
+    from scipy.special import zeta
+
+    a = _binom(2 * H)[2::2]                         # C(2H, 2j), j >= 1
+    d = np.convolve(a, a)[:_J // 2 - 1]             # d_n, n = 2..J/2
+    n = np.arange(2, _J + 1)
+    return (float(d @ zeta(2 * n[:len(d)] - 4 * H, K + 1)),
+            float(_tilde_rho_coeffs(H)[2:] @ zeta(n + 2 - 4 * H, K + 1)))
+
+
 @functools.lru_cache(maxsize=16)
 def _series_constants(H, tol):
     _check_H(H)
     if tol <= 0:
         raise DomainError("tol must be positive")
-
-    if H == 0.5:
-        K = 2
-    else:
-        K = 4
-        while _rho_sq_tail_bound(K, H) >= tol / 10.0:
-            if K >= K_MAX:
-                raise CapacityError(f"tol={tol} at H={H} needs more than "
-                                    f"K_MAX = {K_MAX} series lags")
-            K *= 2
-        # binary search the smallest admissible K in (K/2, K]
-        lo, hi = K // 2, K
-        while lo + 1 < hi:
-            mid = (lo + hi) // 2
-            if _rho_sq_tail_bound(mid, H) < tol / 10.0:
-                hi = mid
-            else:
-                lo = mid
-        K = hi
+    K, tail_bound = SERIES_K, _remainder_bound(H, SERIES_K)
+    if tol < tail_bound + _ROUNDING:
+        raise CapacityError(f"tol={tol} at H={H}: the series certify only "
+                            f"{tail_bound + _ROUNDING:.1e} (bound + rounding)")
 
     rho_tab = rho(np.arange(K + 1), H)
     tilde_tab = tilde_rho(np.arange(K + 1), H)
+    rho_sq_tail, tilde_tail = _series_tails(H, K)
 
-    sigma2 = rho_tab[0] ** 2 + 2.0 * np.sum(rho_tab[1:] ** 2)
-    sigma2_tilde = tilde_tab[0] + 2.0 * np.sum(tilde_tab[1:])
+    rho_sq = np.sum(rho_tab[1:] ** 2) + rho_sq_tail
+    sigma2 = rho_tab[0] ** 2 + 2.0 * rho_sq
+    sigma2_tilde = tilde_tab[0] + 2.0 * (np.sum(tilde_tab[1:]) + tilde_tail)
     # variance of the unit increment is cov(1,1,H) = 1 exactly
     var1 = cov(1.0, 1.0, H)
-    c_sq = sigma2_tilde - 0.25 * var1 ** 2 - 0.5 * np.sum(rho_tab[1:] ** 2)
+    c_sq = sigma2_tilde - 0.25 * var1 ** 2 - 0.5 * rho_sq
     # the expression above must coincide with sigma2_tilde - sigma2/4
     c_sq_alt = sigma2_tilde - sigma2 / 4.0
     if abs(c_sq - c_sq_alt) > 100 * max(tol, 1e-12):
-        raise ConsistencyError(
-            f"series bookkeeping mismatch: {c_sq} vs {c_sq_alt}"
-        )
+        raise ConsistencyError(f"series bookkeeping mismatch: {c_sq} vs "
+                               f"{c_sq_alt}")
     if c_sq < -10 * tol:
         raise ConsistencyError(f"negative radicand {c_sq} for fclt_C")
     fclt_C = float(np.sqrt(max(c_sq, 0.0)))
 
-    # tail accounting: rho^2 mass exactly bounded; tilde_rho tail dominated by
-    # the same quantity times the observed |tilde_rho|/rho^2 ratio at the edge
-    sq_tail = _rho_sq_tail_bound(K, H)
-    if H == 0.5 or K < 16:
-        ratio = 1.0
-    else:
-        edge = slice(max(2, K // 2), K + 1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r = np.abs(tilde_tab[edge]) / rho_tab[edge] ** 2
-        r = r[np.isfinite(r)]
-        ratio = float(max(1.0, r.max() if r.size else 1.0))
-    tail_bound = sq_tail * (1.0 + 2.0 * ratio)
-
-    rho_tab.flags.writeable = False
-    tilde_tab.flags.writeable = False
-    return SeriesConstants(
-        H=H,
-        K=K,
-        rho=rho_tab,
-        rho_tilde=tilde_tab,
-        tail_bound=float(tail_bound),
-        sigma2=float(sigma2),
-        sigma2_tilde=float(sigma2_tilde),
-        fclt_C=fclt_C,
-    )
+    for tab in (rho_tab, tilde_tab):
+        tab.flags.writeable = False
+    return SeriesConstants(H=H, K=K, rho=rho_tab, rho_tilde=tilde_tab,
+                           tail_bound=float(tail_bound), sigma2=float(sigma2),
+                           sigma2_tilde=float(sigma2_tilde), fclt_C=fclt_C)

@@ -345,6 +345,21 @@ class TestRhoSumBound:
                 count += 1
         assert count > 10
 
+    def test_shared_cache_matches_fresh_calls(self):
+        # one cache across exponent caps, Hurst values and levels: each
+        # entry is keyed by all it depends on
+        cache = {}
+        for H in (0.4, 0.45):
+            for p, q in [(3, 1), (3, 3), (4, 2)]:
+                for a in admissible_assignments(p, q, max_exponent=q):
+                    shared = rho_sum_bound_verify(p, q, a, [2, 4], H=H,
+                                                  cache=cache)
+                    fresh = rho_sum_bound_verify(p, q, a, [2, 4], H=H)
+                    assert shared["pass"] == fresh["pass"]
+                    for x, y in zip(shared["rows"], fresh["rows"]):
+                        assert x["lhs"] == pytest.approx(y["lhs"], rel=1e-14)
+        assert (0.45, 16, 3) in cache and len(cache[0.45, 16, 3]) == 3
+
     def test_brute_force_agreement(self):
         # einsum contraction equals the literal nested sum on a tiny range
         import itertools
@@ -424,18 +439,21 @@ class TestOrder2LagTable:
         assert exact_second_moment_Q(H, m, "q", n_sub=n_sub) == \
             pytest.approx(want, rel=1e-13, abs=0)
 
-    def test_converged_qtilde_reads_the_series_table(self):
+    def test_converged_qtilde_answers_every_lag(self):
         H = 0.4
         sc = series_constants(H)
-        lags = np.array([0, 1, 2, 7, sc.K])
+        np.testing.assert_array_equal(
+            chaos.cov_Q_pair(H, "qtilde", np.arange(sc.K + 1)), sc.rho_tilde)
+        lags = np.array([0, 1, 2, 7, 33, 10 ** 5])
         np.testing.assert_array_equal(chaos.cov_Q_pair(H, "qtilde", lags),
-                                      sc.rho_tilde[lags])
+                                      tilde_rho(lags, H))
         assert chaos.cov_Q_pair(H, "qtilde", -3) == sc.rho_tilde[3]
-        for lag in (sc.K + 1, -(sc.K + 1), [0, sc.K + 1]):
-            with pytest.raises(DomainError):
-                chaos.cov_Q_pair(H, "qtilde", lag)
-        # at H = 1/2 the table stops at K = 2 with a zero tail: every lag
-        # beyond it is 0, so only the diagonal tilde_rho(0) = 1/2 survives
+        # far out, tilde_rho(i) ~ rho(i)^2/4 ~ (H(2H-1))^2/4 i^{4H-4}
+        far = chaos.cov_Q_pair(H, "qtilde", 10 ** 5)
+        assert far == pytest.approx((H * (2 * H - 1)) ** 2 / 4
+                                    * 1e5 ** (4 * H - 4), rel=1e-4)
+        # at H = 1/2 every lag beyond 0 is exactly 0, so only the diagonal
+        # tilde_rho(0) = 1/2 survives
         for m in (2, 10):
             assert exact_second_moment_Q(0.5, m, "qtilde") == 0.5 * 2 ** -m
 
@@ -445,10 +463,8 @@ class TestOrder2LagTable:
         # numpy may evaluate a power on a 0-d array to a different last bit
         # than its array loop (at H = 0.4 first at lag 16), which the
         # cancellation in rho magnifies; an integer lag keeps the 0-d
-        # evaluation, so these lags stay below that (and within the K = 2
-        # tilde_rho table at H = 1/2)
-        top = min(12, series_constants(H).K + 1)
-        lags = np.arange(1 - top, top)
+        # evaluation, so these lags stay below that
+        lags = np.arange(-11, 12)
         for which in chaos.Q_PAIRS:
             vec = chaos.cov_Q_pair(H, which, lags, n_sub)
             one = [chaos.cov_Q_pair(H, which, int(lag), n_sub) for lag in lags]

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -190,9 +191,16 @@ class TestOtherCommands:
         assert all(r["bound_pass"] and 0 < r["C_fit"] < 10
                    for r in rep["rows"])
 
+    def test_tight_tol_is_answered_quickly(self, tmp_path):
+        # the series tails are closed forms with a proven bound near 1e-17
+        start = time.perf_counter()
+        assert run(tmp_path, "constants", "--tol", "1e-13") == 0
+        assert time.perf_counter() - start < 1.0
+        rep = json.loads((tmp_path / "constants.json").read_text())
+        assert rep["pass"] and all(r["K"] == 32 for r in rep["rows"])
+
     def test_fclt_at_the_brownian_anchor(self, tmp_path):
-        # tilde_rho(i) = 0 for i >= 1 at H = 1/2, so the converged oracle
-        # answers lags beyond its K = 2 table instead of refusing them
+        # tilde_rho(i) = 0 for i >= 1 at H = 1/2, exactly, at every lag
         assert run(tmp_path, "verify-fclt", "--hurst", "0.5", "--replicas",
                    "20", "--m", "3") == 0
         rep = json.loads((tmp_path / "verify-fclt.json").read_text())
@@ -258,7 +266,7 @@ class TestRefusals:
 
     @pytest.mark.parametrize("argv", [["pvar", "--points", "6"],
                                       ["simulate", "--m", "15"],
-                                      ["constants", "--tol", "1e-13"]])
+                                      ["constants", "--tol", "1e-15"]])
     def test_capacity_error_exits_2_with_its_own_label(self, tmp_path,
                                                        capsys, argv):
         assert run(tmp_path, *argv) == 2

@@ -16,7 +16,6 @@ from fbmchaos.gaussian import (
     rho_tail_bound,
     series_constants,
     tilde_rho,
-    _tilde_rho_smooth,
 )
 
 HS = [0.35, 0.4, 0.45, 0.5]
@@ -141,25 +140,67 @@ def leftpoint_tilde_rho(i, H, tol=1e-6, max_level=12):
 
 
 def product_rule_tilde_rho(lag, H):
-    """rho(lag)^2/2 - int int d_u f d_v f at lag >= 1, by 20-digit quadrature.
+    """rho(lag)^2/2 - int int d_u f d_v f at lag >= 1, in 40 digits.
 
     f(u,v) = R([0,u] x [lag,v]); for v >= u, d_u f = H((v-u)^c - (lag-u)^c)
-    and d_v f = H(v^c - (v-u)^c) with c = 2H - 1.
+    and d_v f = H(v^c - (v-u)^c) with c = 2H - 1.  Of the four terms of the
+    product, (lag-u)^c v^c separates and (v-u)^{2c} integrates in closed
+    form; the other two take one inner integral in closed form, leaving
+    one-dimensional quadratures.  Terms of size lag^{2c} cancel to
+    lag^{4H-4}, and the closed form of the (v-u)^{2c} term is a second
+    difference of lag^{2c+2}: about 20 digits lost at lag 26,425.
     """
     mp = pytest.importorskip("mpmath")
-    with mp.workdps(20):
+    with mp.workdps(40):
         H = mp.mpf(H)
-        c = 2 * H - 1
+        c, lag = 2 * H - 1, mp.mpf(lag)
 
-        def du_dv(u, v):
-            return H * H * ((v - u) ** c - (lag - u) ** c) * (
-                v ** c - (v - u) ** c)
+        def power_diff(x, a):  # int_{x-1}^{x} t^{a-1} dt
+            return (x ** a - (x - 1) ** a) / a
 
-        integral = mp.quad(
-            lambda u: mp.quad(lambda v: du_dv(u, v), [lag, lag + 1]), [0, 1])
+        t1 = mp.quad(lambda v: v ** c * power_diff(v, c + 1), [lag, lag + 1])
+        t2 = (power_diff(lag + 1, 2 * c + 2) - power_diff(lag, 2 * c + 2)) / (
+            2 * c + 1)
+        t3 = power_diff(lag, c + 1) * power_diff(lag + 1, c + 1)
+        t4 = mp.quad(lambda u: (lag - u) ** c * power_diff(lag + 1 - u, c + 1),
+                     [0, 1])
         r = ((lag + 1) ** (2 * H) + (lag - 1) ** (2 * H)
-             - 2 * mp.mpf(lag) ** (2 * H)) / 2
-        return float(r ** 2 / 2 - integral)
+             - 2 * lag ** (2 * H)) / 2
+        return float(r ** 2 / 2 - H * H * (t1 - t2 - t3 + t4))
+
+
+def smooth_density_tilde_rho(lags, H, nodes=32):
+    """tilde_rho at integer lags >= 2 by Gauss-Legendre on the density.
+
+    Away from the diagonal the rectangular increments of R have the smooth
+    density d2R/dudv = H(2H-1)(v-u)^{2H-2}, so
+
+        tilde_rho(i) = int_0^1 int_i^{i+1} (R(u,v) - R(u,i))
+                       * H(2H-1) (v-u)^{2H-2} dv du,
+
+    an analytic integrand on the closed rectangle.  R(u,v) - R(u,i)
+    cancels to the size of the result, so relative accuracy falls like
+    lag^2 eps: about 1e-13 at lag 8 and 1e-11 at lag 64.
+    """
+    lags = np.asarray(lags, dtype=float)
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    u = 0.5 * (x + 1.0)  # nodes on [0,1], weights w/2 per axis
+    v = lags[None, :] + u[:, None]  # (nodes, L)
+    # f(u,v) = R(u,v) - R(u, lag), shape (nodes_u, nodes_v, L)
+    f = cov(u[:, None, None], v[None, :, :], H) - cov(
+        u[:, None], lags[None, :], H)[:, None, :]
+    dens = H * (2 * H - 1) * (v[None, :, :] - u[:, None, None]) ** (2 * H - 2)
+    return 0.25 * np.einsum("a,b,abl->l", w, w, f * dens)
+
+
+def binomial_rho(k, H, terms=12):
+    """rho(k) = k^{2H} sum_{j>=1} C(2H,2j) k^{-2j}, cancellation-free at
+    lags k >= 8, where the terms left out are below k^{2H-2 terms-2}."""
+    from scipy.special import binom
+
+    k = np.asarray(k, dtype=float)
+    j = np.arange(1, terms + 1)[:, None]
+    return k ** (2 * H) * np.sum(binom(2 * H, 2 * j) * k ** (-2.0 * j), axis=0)
 
 
 class TestHurstModel:
@@ -314,8 +355,11 @@ class TestTildeRho:
         assert tilde_rho(0, 0.5) == 0.5
 
     def test_brownian_disjoint_lags(self):
-        for i in (1, 2, 5):
+        # every expansion coefficient carries H(2H-1) = 0
+        for i in (1, 2, 5, 10 ** 6):
             assert float(tilde_rho(i, 0.5)) == 0.0
+        assert np.all(tilde_rho(np.arange(1, 100), 0.5) == 0.0)
+        assert not np.any(gaussian._tilde_rho_coeffs(0.5))
 
     @pytest.mark.parametrize("n", [8, 64])
     @pytest.mark.parametrize("lag", [0, 1, 3])
@@ -347,10 +391,28 @@ class TestTildeRho:
     def test_matches_mpmath_product_rule(self, H):
         assert tilde_rho(1, H) == pytest.approx(
             product_rule_tilde_rho(1, H), abs=1e-12)
-        lags = [2, 3, 4]
+        # the expansion in 1/lag, from the nearest lag it serves to the
+        # largest series truncation the constants once needed
+        lags = [2, 3, 4, 8, 64, 1023, 26425]
         np.testing.assert_allclose(
-            _tilde_rho_smooth(np.array(lags), H),
+            tilde_rho(lags, H),
             [product_rule_tilde_rho(lag, H) for lag in lags], rtol=1e-12)
+
+    @pytest.mark.parametrize("H", [0.35, 0.4, 0.45])
+    def test_matches_smooth_density_quadrature(self, H):
+        # the quadrature's own cancellation limits this comparison
+        lags = np.arange(2, 65)
+        np.testing.assert_allclose(tilde_rho(lags, H),
+                                   smooth_density_tilde_rho(lags, H),
+                                   rtol=1e-10)
+
+    @pytest.mark.parametrize("H", [0.35, 0.4, 0.45])
+    def test_expansion_leading_terms(self, H):
+        # the j = 0, 1 terms of f cancel; the leading term is rho^2/4 with
+        # rho(k) ~ H(2H-1) k^{2H-2}
+        c = gaussian._tilde_rho_coeffs(H)
+        assert c[0] == 0.0 and c[1] == 0.0
+        assert c[2] == pytest.approx((H * (2 * H - 1)) ** 2 / 4, rel=1e-13)
 
     @pytest.mark.parametrize("H", HS)
     def test_scalar_and_vector_calls_agree(self, H):
@@ -374,7 +436,7 @@ class TestTildeRho:
         # |tilde_rho(i)| is controlled by the squared rho mass of the lag
         H = 0.4
         lags = np.arange(10, 200)
-        vals = _tilde_rho_smooth(lags, H)
+        vals = tilde_rho(lags, H)
         assert np.all(np.abs(vals) <= rho(lags, H) ** 2)
 
     def test_negative_lag_rejected(self):
@@ -411,14 +473,52 @@ class TestSeriesConstants:
     def test_tail_bound_recorded(self):
         sc = series_constants(0.4, tol=1e-6)
         assert 0 < sc.tail_bound < 1e-6
+        assert series_constants(0.5).tail_bound == 0.0
 
-    def test_tol_beyond_K_MAX_is_refused_before_any_table(self, monkeypatch):
+    @pytest.mark.parametrize("H", [0.35, 0.4, 0.45])
+    def test_zeta_tails_match_long_direct_sums(self, H):
+        K, N = gaussian.SERIES_K, 200_000
+        rho_sq, tilde = gaussian._series_tails(H, K)
+        far_rho_sq, far_tilde = gaussian._series_tails(H, N)
+        ks = np.arange(K + 1, N + 1)
+        # the far tails are under 1e-4 of the totals
+        assert np.sum(binomial_rho(ks, H) ** 2) + far_rho_sq == \
+            pytest.approx(rho_sq, rel=1e-12)
+        assert np.sum(tilde_rho(ks, H)) + far_tilde == \
+            pytest.approx(tilde, rel=1e-12)
+        # and with lags to 2000 from the independent quadrature
+        ks = np.arange(K + 1, 2001)
+        assert np.sum(smooth_density_tilde_rho(ks, H)) + \
+            gaussian._series_tails(H, 2000)[1] == pytest.approx(tilde, rel=1e-9)
+
+    @pytest.mark.parametrize("H", [0.35, 0.4, 0.45])
+    def test_tail_bound_dominates_a_shorter_expansion(self, H, monkeypatch):
+        # at J = 12 the remainder is large enough to see: the bound must
+        # cover what the coefficients 13..60 add to both constants
+        full = gaussian._series_constants.__wrapped__(H, 1e-6)
+        gaussian._tilde_rho_coeffs.cache_clear()
+        monkeypatch.setattr(gaussian, "_J", 12)
+        try:
+            short = gaussian._series_constants.__wrapped__(H, 1e-2)
+        finally:
+            gaussian._tilde_rho_coeffs.cache_clear()
+        moved = (abs(short.sigma2 - full.sigma2)
+                 + abs(short.sigma2_tilde - full.sigma2_tilde))
+        assert 0 < moved <= short.tail_bound
+        assert short.tail_bound > 1e3 * full.tail_bound
+
+    def test_uncertifiable_tol_is_refused_before_any_table(self, monkeypatch):
         def table_built(*args):
             raise AssertionError("a tilde_rho table was built")
 
         monkeypatch.setattr(gaussian, "tilde_rho", table_built)
-        with pytest.raises(CapacityError, match="K_MAX"):
-            series_constants(0.4, tol=1e-13)
+        with pytest.raises(CapacityError, match="certify"):
+            series_constants(0.4, tol=1e-15)
+
+    def test_tight_tol_is_answered(self):
+        # the proven bound is near 1e-17, so 1e-13 is certified
+        sc = series_constants(0.4, tol=1e-13)
+        assert sc.fclt_C == series_constants(0.4).fclt_C
 
     def test_cached_and_read_only(self):
         sc = series_constants(0.45)
