@@ -29,6 +29,7 @@ sub-cell covariance tables over the lag axis; offset -lag reads the
 transposed tables.
 """
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -581,8 +582,25 @@ def brute_cov_K(H, pattern, lag, n):
 # rho-sum combinatorial bound
 
 
-def rho_sum_bound_verify(p, q, assignment, m_range, s=0.0, t=1.0, H=0.4,
-                         cache=None):
+@functools.lru_cache(maxsize=32)
+def _seq_power(H, count, e):
+    """seq^e on count x count cells, seq = |rho(|i-j|)| / sum_k |rho(k)| of
+    unit mass (the lemma's C is 1); read-only, as callers share it."""
+    ks = np.arange(count)
+    out = (np.abs(rho(np.abs(ks[:, None] - ks[None, :]), H))
+           / (1.0 + 2.0 * rho_tail_bound(0, H))) ** e
+    out.flags.writeable = False
+    return out
+
+
+@functools.lru_cache(maxsize=1024)
+def _contraction_path(expr, count):
+    """The greedy path optimize=True finds; it reads operand shapes only."""
+    shapes = [np.empty((count, count))] * (expr.count(",") + 1)
+    return tuple(np.einsum_path(expr, *shapes, optimize="greedy")[0])
+
+
+def rho_sum_bound_verify(p, q, assignment, m_range, s=0.0, t=1.0, H=0.4):
     """Exhaustively check the multiple-sum bound for one exponent assignment.
 
     ``assignment`` maps frozenset({i, j}) (0-based, i != j, i, j < p) to a
@@ -590,9 +608,7 @@ def rho_sum_bound_verify(p, q, assignment, m_range, s=0.0, t=1.0, H=0.4,
     sum_{j != i} a({i,j}) <= q for every i.  The sequence is
     rho(n) = |rho_H(n)| / sum |rho_H| so that sum rho <= 1 = C, and the
     claim is  LHS <= count^{p - ceil(N/q)}  per m.  Returns a report dict
-    with per-m rows and an overall flag.  A caller checking many
-    assignments passes one ``cache`` dict to every call, so each level's
-    sequence, its powers and each contraction path are built once.
+    with per-m rows and an overall flag.
     """
     if p < 2 or q < 1:
         raise DomainError("need p >= 2 and q >= 1")
@@ -608,11 +624,6 @@ def rho_sum_bound_verify(p, q, assignment, m_range, s=0.0, t=1.0, H=0.4,
     N = sum(a.values())
     exponent = p - int(np.ceil(N / q)) if N else p
 
-    # sum over all integer lags of the absolute correlations, in closed form
-    # (2 for H < 1/2, 1 at H = 1/2): the normalized sequence then has unit
-    # mass, so the lemma's C is 1
-    total = 1.0 + 2.0 * rho_tail_bound(0, H)
-    cache = {} if cache is None else cache
     subs = ["abcdefgh"[min(key)] + "abcdefgh"[max(key)] for key in a]
     expr = ",".join(subs) + "->"
     rows = []
@@ -620,16 +631,10 @@ def rho_sum_bound_verify(p, q, assignment, m_range, s=0.0, t=1.0, H=0.4,
     for m in m_range:
         i0, i1 = _cell_range(m, s, t)
         count = i1 - i0
-        if (H, count, q) not in cache:  # exponents are at most q
-            ks = np.arange(count)
-            seq = np.abs(rho(np.abs(ks[:, None] - ks[None, :]), H)) / total
-            cache[H, count, q] = {e: seq ** e for e in range(1, q + 1)}
-        operands = [cache[H, count, q][e] for e in a.values()]
+        operands = [_seq_power(H, count, e) for e in a.values()]
         if operands:
-            if (expr, count) not in cache:  # greedy, as optimize=True is
-                cache[expr, count] = np.einsum_path(
-                    expr, *operands, optimize="greedy")[0]
-            lhs = float(np.einsum(expr, *operands, optimize=cache[expr, count])
+            lhs = float(np.einsum(expr, *operands,
+                                  optimize=_contraction_path(expr, count))
                         * count ** (p - len(set("".join(subs)))))
         else:
             lhs = float(count) ** p

@@ -373,12 +373,11 @@ def rho_sum_experiment(max_p=4, max_q=3, m_range=range(1, 7), H=0.4):
     exponent assignments up to the given sizes."""
     rows = []
     ok = True
-    total, cache = 0, {}
+    total = 0
     for p in range(2, max_p + 1):
         for q in range(1, max_q + 1):
             for a in chaos.admissible_assignments(p, q, max_exponent=q):
-                rep = chaos.rho_sum_bound_verify(p, q, a, m_range, H=H,
-                                                 cache=cache)
+                rep = chaos.rho_sum_bound_verify(p, q, a, m_range, H=H)
                 total += 1
                 ok = ok and rep["pass"]
                 if not rep["pass"]:

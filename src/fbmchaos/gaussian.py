@@ -221,7 +221,8 @@ def tilde_rho(lags, H):
     return float(out[0]) if lags.ndim == 0 else out
 
 
-# highest power of 1/lag kept; at lag 2 (ratios <= 1/2) the rest is < 1e-16
+# highest power of 1/lag kept; at lag 2 (ratios <= 1/2) the rest is < 1e-16.
+# Keep it >= 8: _remainder_bound's d_n bound holds only from n = J/2 + 1 >= 5
 _J = 60
 
 
@@ -262,8 +263,10 @@ def _remainder_bound(H, K):
     """Proven bound on what the expansions drop beyond power J.
 
     |C(a,m)| <= a(1-a)/m for 0 < a <= 1, m >= 2, |C(2H-2,l)| <= l+1 and
-    |p_j| <= 3 give |c_n| <= (3/4) h n(n-1) and |d_n| <= h (n-1)/4 (d_n of
-    rho(k)^2 = k^{4H} sum_n d_n k^{-2n}) with h = (H(1-2H))^2.  Summed over
+    |p_j| <= 3 give, with h = (H(1-2H))^2, |c_n| <= (3/4) h n(n-1) and
+    |d_n| <= h 2 H_{n-1} / n (d_n of rho(k)^2 = k^{4H} sum_n d_n k^{-2n},
+    H_{n-1} the harmonic number), which is <= h (n-1)/4 for n >= 5 only
+    (d_2 = h); the d_n sum starts at n = J/2 + 1, so J >= 8.  Summed over
     the lags >= 2 (tilde_rho) and > K (rho^2) by zeta(s, q) <= q^{-s}
     (1 + q/(s-1)), counted twice as sigma2 and sigma2_tilde count them.
     """
@@ -281,12 +284,10 @@ def _remainder_bound(H, K):
 
 @dataclass(frozen=True)
 class SeriesConstants:
-    """Lag tables 0..K, the limit constants and their proven tail bound."""
+    """The limit constants, their series length K and proven tail bound."""
 
     H: float
     K: int
-    rho: np.ndarray
-    rho_tilde: np.ndarray
     tail_bound: float
     sigma2: float
     sigma2_tilde: float
@@ -309,16 +310,23 @@ def series_constants(H, tol=1e-6):
 
     ``tail_bound`` is the proven bound of ``_remainder_bound`` on what the
     truncated expansions drop.  A tol that it plus a rounding allowance
-    cannot certify is refused with CapacityError before any table is built.
+    cannot certify is refused with CapacityError before any table is built;
+    every other tol gets the same constants.
 
     fclt_C is assembled as sqrt(sigma2_tilde - (E[B_{0,1}^2])^2/4
     - (1/2) sum_{k>=1} rho(k)^2); the identity fclt_C^2 = sigma2_tilde
-    - sigma2/4 is an algebraic consequence and is enforced to tolerance.
+    - sigma2/4 is an algebraic consequence and is enforced to rounding.
 
-    Results are cached per (H, tol), at most 16 entries; the returned object
-    is shared by callers, so its rho and rho_tilde arrays are read-only.
+    Results are cached per H, at most 16 entries, and shared by callers.
     """
-    return _series_constants(H, tol)
+    _check_H(H)
+    if tol <= 0:
+        raise DomainError("tol must be positive")
+    tail_bound = _remainder_bound(H, SERIES_K)
+    if tol < tail_bound + _ROUNDING:
+        raise CapacityError(f"tol={tol} at H={H}: the series certify only "
+                            f"{tail_bound + _ROUNDING:.1e} (bound + rounding)")
+    return _series_constants(H)
 
 
 def _series_tails(H, K):
@@ -333,18 +341,10 @@ def _series_tails(H, K):
 
 
 @functools.lru_cache(maxsize=16)
-def _series_constants(H, tol):
-    _check_H(H)
-    if tol <= 0:
-        raise DomainError("tol must be positive")
-    K, tail_bound = SERIES_K, _remainder_bound(H, SERIES_K)
-    if tol < tail_bound + _ROUNDING:
-        raise CapacityError(f"tol={tol} at H={H}: the series certify only "
-                            f"{tail_bound + _ROUNDING:.1e} (bound + rounding)")
-
-    rho_tab = rho(np.arange(K + 1), H)
-    tilde_tab = tilde_rho(np.arange(K + 1), H)
-    rho_sq_tail, tilde_tail = _series_tails(H, K)
+def _series_constants(H):
+    rho_tab = rho(np.arange(SERIES_K + 1), H)
+    tilde_tab = tilde_rho(np.arange(SERIES_K + 1), H)
+    rho_sq_tail, tilde_tail = _series_tails(H, SERIES_K)
 
     rho_sq = np.sum(rho_tab[1:] ** 2) + rho_sq_tail
     sigma2 = rho_tab[0] ** 2 + 2.0 * rho_sq
@@ -354,15 +354,11 @@ def _series_constants(H, tol):
     c_sq = sigma2_tilde - 0.25 * var1 ** 2 - 0.5 * rho_sq
     # the expression above must coincide with sigma2_tilde - sigma2/4
     c_sq_alt = sigma2_tilde - sigma2 / 4.0
-    if abs(c_sq - c_sq_alt) > 100 * max(tol, 1e-12):
+    if abs(c_sq - c_sq_alt) > _ROUNDING:
         raise ConsistencyError(f"series bookkeeping mismatch: {c_sq} vs "
                                f"{c_sq_alt}")
-    if c_sq < -10 * tol:
+    if c_sq < -_ROUNDING:
         raise ConsistencyError(f"negative radicand {c_sq} for fclt_C")
     fclt_C = float(np.sqrt(max(c_sq, 0.0)))
-
-    for tab in (rho_tab, tilde_tab):
-        tab.flags.writeable = False
-    return SeriesConstants(H=H, K=K, rho=rho_tab, rho_tilde=tilde_tab,
-                           tail_bound=float(tail_bound), sigma2=float(sigma2),
-                           sigma2_tilde=float(sigma2_tilde), fclt_C=fclt_C)
+    return SeriesConstants(H, SERIES_K, float(_remainder_bound(H, SERIES_K)),
+                           float(sigma2), float(sigma2_tilde), fclt_C)

@@ -1,4 +1,4 @@
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 
 import numpy as np
 import pytest
@@ -457,8 +457,9 @@ class TestSeriesConstants:
         assert sc.fclt_C == pytest.approx(0.5, abs=1e-8)
 
     def test_rho0_exact(self):
+        # sigma2 squares the table's rho(0), which is 1 with no rounding
         for H in (0.4, 0.5):
-            assert series_constants(H).rho[0] == 1.0
+            assert rho(np.arange(gaussian.SERIES_K + 1), H)[0] == 1.0
 
     @pytest.mark.parametrize("H", [0.35, 0.4, 0.45])
     def test_identity_and_bounds(self, H):
@@ -495,11 +496,11 @@ class TestSeriesConstants:
     def test_tail_bound_dominates_a_shorter_expansion(self, H, monkeypatch):
         # at J = 12 the remainder is large enough to see: the bound must
         # cover what the coefficients 13..60 add to both constants
-        full = gaussian._series_constants.__wrapped__(H, 1e-6)
+        full = gaussian._series_constants.__wrapped__(H)
         gaussian._tilde_rho_coeffs.cache_clear()
         monkeypatch.setattr(gaussian, "_J", 12)
         try:
-            short = gaussian._series_constants.__wrapped__(H, 1e-2)
+            short = gaussian._series_constants.__wrapped__(H)
         finally:
             gaussian._tilde_rho_coeffs.cache_clear()
         moved = (abs(short.sigma2 - full.sigma2)
@@ -521,12 +522,11 @@ class TestSeriesConstants:
         assert sc.fclt_C == series_constants(0.4).fclt_C
 
     def test_cached_and_read_only(self):
+        # tol only gates the request: every certified tol shares one object
         sc = series_constants(0.45)
-        assert series_constants(0.45, tol=1e-6) is sc
-        with pytest.raises(ValueError):
-            sc.rho[0] = 0.0
-        with pytest.raises(ValueError):
-            sc.rho_tilde[0] = 0.0
+        assert series_constants(0.45, tol=1e-3) is sc
+        with pytest.raises(FrozenInstanceError):
+            sc.fclt_C = 0.0
 
 
 class TestIteratedCov:
