@@ -167,6 +167,14 @@ def _forward(name):
         name, **{_KEYWORDS.get(key, key): val for key, val in o.items()})
 
 
+def _resolve_threads(o):
+    """Replace an unset ``threads`` by the usable core count, in place, so
+    the manifest records the count the run used."""
+    if o["threads"] is None:
+        o["threads"] = experiments.default_threads()
+    return o
+
+
 def _sampled(o):
     return simulate(SimSpec(model=HurstModel(o["hurst"], o["d"]), m=o["m"],
                             refine=o["refine"], seed=o["seed"],
@@ -207,14 +215,15 @@ _MOMENT = {"levy-area": ("levy_area_mc_experiment", 10000, 101),
 
 def _verify_moment(o, args):
     name, replicas, seed = _MOMENT[o["which"]]
-    if replicas is None and (o["replicas"] is not None or o["threads"] != 1):
+    if replicas is None and (o["replicas"] is not None
+                             or o["threads"] not in (None, 1)):
         raise DomainError(f"--which {o['which']} draws no samples: "
                           "--replicas and --threads do not apply")
     kwargs = {"H": o["hurst"],
               "seed": seed if o["seed"] is None else o["seed"]}
     if replicas is not None:
         kwargs.update(N=replicas if o["replicas"] is None else o["replicas"],
-                      threads=o["threads"])
+                      threads=_resolve_threads(o)["threads"])
     return _experiment(name, **kwargs)
 
 
@@ -243,6 +252,9 @@ def _pvar(o, args):
 _SIMULATE = {"hurst": (float, 0.4), "d": (int, 2), "m": (int, 8),
              "refine": (int, 1), "seed": (int, 0), "replica": (int, 0)}
 
+_THREADS = (int, None, "worker threads (default: the usable cores); "
+            "never changes the numbers")
+
 # command -> (help, {option: (type or choices, default[, help])}, runner)
 COMMANDS = {
     "constants": (
@@ -261,13 +273,14 @@ COMMANDS = {
     "verify-moment": (
         "second-moment and moment-growth checks",
         {"which": (list(_MOMENT), "levy-area"), "hurst": (float, 0.4),
-         "replicas": (int, None), "seed": (int, None), "threads": (int, 1)},
+         "replicas": (int, None), "seed": (int, None), "threads": _THREADS},
         _verify_moment),
     "verify-fclt": (
         "Gaussian-limit marginal verification",
         {"hurst": (float, 0.4), "m": (int, 10), "replicas": (int, 2000),
-         "n_sub": (int, 8), "seed": (int, 303), "threads": (int, 1)},
-        _forward("fclt_experiment")),
+         "n_sub": (int, 8), "seed": (int, 303), "threads": _THREADS},
+        lambda o, args: _forward("fclt_experiment")(_resolve_threads(o),
+                                                    args)),
     "verify-third-order": (
         "order-3 scaling and correlation-sum bounds",
         {"which": (["scaling", "rho-sum"], "scaling"), "hurst": (float, 0.4)},

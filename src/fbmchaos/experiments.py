@@ -3,12 +3,18 @@
 Each runner returns a plain dict {experiment, params, rows, pass} ready for
 JSON serialization.  Monte Carlo runners draw replicas from counter-based
 per-replica streams and reduce chunk results in a fixed order, so the
-numbers are identical for any --threads setting and any chunking.
+numbers are identical for any --threads setting and any chunking.  By
+default they run on every usable core.  Chunks are sized in bytes: the
+sampler's working set summed over all threads stays within
+CHUNK_BUDGET_BYTES, at most MAX_CHUNK replicas per chunk.  The sampler's
+spectrum is computed in the calling thread before any worker starts, so
+the threads share one cached copy.
 
 Every estimate row carries its standard error (Monte Carlo) or the
 tolerance of its oracle (series truncation, quadrature).
 """
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -16,12 +22,14 @@ from scipy import stats
 
 from . import chaos, young
 from .errors import DomainError
-from .fbm import SimSpec, simulate, simulate_batch
+from .fbm import (SimSpec, _replica_bytes, _root_spectrum, simulate,
+                  simulate_batch)
 from .gaussian import HurstModel, rho, series_constants
 from .lift import levy_areas, level3_areas, lift2, lift3
 from .rde import linear_1d, solve, taylor_steps
 
 __all__ = [
+    "default_threads",
     "constants_experiment",
     "constant_identity_experiment",
     "levy_area_mc_experiment",
@@ -63,16 +71,44 @@ def _report(experiment, params, rows, ok):
     }
 
 
-def _chunked_replicas(spec, n_replicas, worker, chunk=250, threads=1):
+# In-flight sampler bytes over all threads, and replicas per chunk at most.
+CHUNK_BUDGET_BYTES = 2 ** 25
+MAX_CHUNK = 250
+
+
+def default_threads():
+    """The usable core count, which Monte Carlo runners use by default."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
+
+
+def _chunk_plan(d, size, threads):
+    """(workers, replicas per chunk) keeping the sampler's working set over
+    all workers within CHUNK_BUDGET_BYTES whenever one replica fits in it."""
+    per_replica = _replica_bytes(d, size)
+    workers = max(1, min(threads, CHUNK_BUDGET_BYTES // per_replica))
+    chunk = CHUNK_BUDGET_BYTES // (workers * per_replica)
+    return workers, max(1, min(MAX_CHUNK, chunk))
+
+
+def _chunked_replicas(spec, n_replicas, worker, chunk=None, threads=None):
     """Apply ``worker(increments)`` per replica chunk, reduced in order.
 
-    Chunks are identified by absolute replica offsets, so the concatenated
-    output does not depend on the chunk size or the thread count.
+    ``threads`` defaults to ``default_threads()``; ``chunk`` defaults to the
+    byte rule of ``_chunk_plan``.  Chunks are identified by absolute replica
+    offsets, so the concatenated output does not depend on the chunk size or
+    the thread count.
     """
     if n_replicas < 1:
         raise DomainError(f"n_replicas must be >= 1, got {n_replicas}")
+    if threads is None:
+        threads = default_threads()
     if threads < 1:
         raise DomainError(f"threads must be >= 1, got {threads}")
+    workers, planned = _chunk_plan(spec.model.d, spec.size, threads)
+    chunk = planned if chunk is None else chunk
     starts = list(range(0, n_replicas, chunk))
 
     def run(start):
@@ -83,8 +119,11 @@ def _chunked_replicas(spec, n_replicas, worker, chunk=250, threads=1):
         )
         return worker(simulate_batch(sub, count))
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    workers = min(workers, len(starts))
+    if workers > 1:
+        # one spectrum for all threads: warm its cache before they start
+        _root_spectrum(spec.model.H, spec.size)
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(run, starts))
     else:
         parts = [run(s) for s in starts]
@@ -149,7 +188,8 @@ def constant_identity_experiment(H_list=(0.35, 0.4, 0.45), tol=1e-6):
 # Monte Carlo vs quadrature
 
 
-def levy_area_mc_experiment(H=0.4, N=10000, n_sub=64, seed=101, threads=1):
+def levy_area_mc_experiment(H=0.4, N=10000, n_sub=64, seed=101,
+                            threads=None):
     """E[(area over [0,1])^2] by simulation against the lag-0 qtilde entry
     of cov_Q_pair at n_sub sub-steps (the geometric area the lift draws)."""
     _check_stderr_replicas(N)
@@ -173,7 +213,7 @@ def levy_area_mc_experiment(H=0.4, N=10000, n_sub=64, seed=101, threads=1):
 
 
 def moment_experiment(H=0.4, ps=(2, 4), m_range=range(4, 10), N=1000,
-                      n_sub=4, seed=202, threads=1, ratio_cap=3.0):
+                      n_sub=4, seed=202, threads=None, ratio_cap=3.0):
     """Weighted-sum moment growth over dyadic levels.
 
     For each weight (constant, tanh of the first component) and p, tabulates
@@ -236,7 +276,7 @@ def moment_experiment(H=0.4, ps=(2, 4), m_range=range(4, 10), N=1000,
     )
 
 
-def fclt_experiment(H=0.4, m=10, N=2000, n_sub=8, seed=303, threads=1,
+def fclt_experiment(H=0.4, m=10, N=2000, n_sub=8, seed=303, threads=None,
                     ks_alpha=0.01, conv_tol=0.02):
     """Gaussian-limit marginal checks for the normalized antisymmetric sum.
 
@@ -254,8 +294,7 @@ def fclt_experiment(H=0.4, m=10, N=2000, n_sub=8, seed=303, threads=1,
         q = 0.5 * l1[:, :, 0] * l1[:, :, 1] - l2[:, :, 0, 1]
         return q.sum(axis=1)
 
-    chunk = max(1, min(250, (2 ** 22) // (2 ** m * n_sub)))
-    qsum = _chunked_replicas(spec, N, worker, chunk=chunk, threads=threads)
+    qsum = _chunked_replicas(spec, N, worker, threads=threads)
     scale = float(2 ** m) ** (2 * H - 0.5)
     x = qsum * scale
     # scale squared, by one power: scale ** 2 rounds (8.000000000000002 at

@@ -14,7 +14,10 @@ bytes (MAX_WORKING_BYTES).
 
 Components use independent, reproducible counter-based Philox streams
 keyed directly by (seed, replica, component), so any replica of a batch can
-be drawn again on its own.
+be drawn again on its own.  A call keeps one Philox generator and sets its
+state to each stream's key with counter 0 and an empty buffer, which is
+bitwise the stream of ``Generator(Philox(key=...))`` without the entropy
+seeding that constructor performs before the key replaces it.
 """
 
 import functools
@@ -150,15 +153,27 @@ def increment_cov_matrix(spec):
     return spec.mesh ** (2 * H) * rho(i, H)[np.abs(i[:, None] - i[None, :])]
 
 
-def _stream(seed, replica, component):
-    """Philox generator for one (seed, replica, component) triple.
+def _stream_state(seed, replica, component):
+    """Philox state at the start of one (seed, replica, component) stream.
 
     The 128-bit Philox key is (seed, replica * 2^16 + component): distinct
     triples in the ranges SimSpec enforces get distinct keys, so streams are
-    collision-free and independent of execution order.
+    collision-free and independent of execution order.  Counter 0 and an
+    empty buffer are what ``Philox(key=...)`` starts from.  The key is a
+    uint64 array: numpy reads a list holding a word >= 2^63 as float64,
+    which rounds it (seed 2^64 - 1 would become seed 0).
     """
-    key = [int(seed), (int(replica) << _COMPONENT_BITS) | component]
-    return np.random.Generator(np.random.Philox(key=key))
+    zero = np.zeros(4, dtype=np.uint64)
+    word = (int(replica) << _COMPONENT_BITS) | component
+    key = np.array([int(seed), word], dtype=np.uint64)
+    return {"bit_generator": "Philox", "state": {"counter": zero, "key": key},
+            "buffer": zero, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+
+
+def _replica_bytes(d, size):
+    """Sampler working set of one replica: per stream, 2*size normals, a
+    size+1 complex spectrum and 2*size outputs."""
+    return d * (8 * 2 * size + 16 * (size + 1) + 8 * 2 * size)
 
 
 def _sample(spec, n_replicas):
@@ -171,18 +186,19 @@ def _sample(spec, n_replicas):
     if spec.replica + n_replicas > _REPLICA_LIMIT:
         raise DomainError(f"replicas must stay below 2^{_REPLICA_BITS}")
     d, size = spec.model.d, spec.size
-    # per stream: 2*size normals, size+1 complex spectrum, 2*size outputs
-    need = n_replicas * d * (8 * 2 * size + 16 * (size + 1) + 8 * 2 * size)
+    need = n_replicas * _replica_bytes(d, size)
     if need > MAX_WORKING_BYTES:
         raise CapacityError(
             f"sampler working set {need} bytes exceeds cap "
             f"{MAX_WORKING_BYTES} bytes"
         )
     z = np.empty((n_replicas, d, 2 * size))
+    bits = np.random.Philox(0)  # every stream below replaces this state
+    normals = np.random.Generator(bits)
     for r in range(n_replicas):
         for comp in range(d):
-            _stream(spec.seed, spec.replica + r, comp).standard_normal(
-                out=z[r, comp])
+            bits.state = _stream_state(spec.seed, spec.replica + r, comp)
+            normals.standard_normal(out=z[r, comp])
     return _transform(z, spec.model.H, scale=spec.mesh ** spec.model.H)
 
 

@@ -60,6 +60,16 @@ class TestDeterminism:
         ra = (tmp_path / "a" / "verify-moment.json").read_bytes()
         rb = (tmp_path / "b" / "verify-moment.json").read_bytes()
         assert ra == rb
+        # an 8,192-point grid: 40 replicas make one to three chunks
+        fclt = ["verify-fclt", "--m", "6", "--n-sub", "128",
+                "--replicas", "40"]
+        results = set()
+        for i, threads in enumerate((["--threads", "1"], ["--threads", "2"],
+                                     ["--threads", "3"], [])):
+            run(tmp_path / f"fclt{i}", *fclt, *threads)
+            results.add((tmp_path / f"fclt{i}" / "verify-fclt.json")
+                        .read_bytes())
+        assert len(results) == 1
 
 
 class TestConfigHandling:
@@ -78,6 +88,23 @@ class TestConfigHandling:
             (tmp_path / "verify-moment.manifest.json").read_text())
         assert man["config"]["seed"] is None
         assert man["seed"] == 404
+
+    @pytest.mark.parametrize("argv, threads", [
+        (["verify-fclt", "--m", "3", "--replicas", "20"], None),
+        (["verify-moment", "--which", "levy-area", "--replicas", "50"], None),
+        (["verify-moment", "--which", "levy-area", "--replicas", "50",
+          "--threads", "3"], 3),
+    ])
+    def test_manifest_records_the_resolved_thread_count(self, tmp_path, argv,
+                                                        threads):
+        from fbmchaos import experiments
+
+        assert run(tmp_path, *argv) == 0
+        man = json.loads(
+            (tmp_path / f"{argv[0]}.manifest.json").read_text())
+        got = man["config"]["threads"]
+        assert isinstance(got, int) and got >= 1
+        assert got == (threads or experiments.default_threads())
 
     def test_flag_overrides_config(self, tmp_path):
         cfg = tmp_path / "cfg.txt"
@@ -275,7 +302,8 @@ class TestRefusals:
         assert len(err.strip().splitlines()) == 1
         assert not (tmp_path / f"{argv[0]}.json").exists()
 
-    @pytest.mark.parametrize("flags", [["--replicas", "5"], ["--threads", "9"]])
+    @pytest.mark.parametrize("flags", [["--replicas", "5"], ["--threads", "9"],
+                                       ["--threads", "2"]])
     def test_unsampled_verify_moment_refuses_sampling_options(
             self, tmp_path, capsys, flags):
         assert run(tmp_path, "verify-moment", "--which", "covariance",

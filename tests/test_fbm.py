@@ -1,10 +1,12 @@
 import io
+import sys
+import time
 
 import numpy as np
 import pytest
 from scipy.linalg import toeplitz
 
-from fbmchaos import fbm
+from fbmchaos import experiments, fbm
 from fbmchaos.errors import CapacityError, ConsistencyError, DomainError
 from fbmchaos.experiments import _chunked_replicas
 from fbmchaos.fbm import (
@@ -208,3 +210,103 @@ class TestCirculantSampler:
             SimSpec(model=HurstModel(0.4, 2 ** 16), m=2)
         with pytest.raises(DomainError):
             simulate_batch(spec(replica=2 ** 48 - 1), 2)
+
+
+def _normals(monkeypatch, sp, n_replicas):
+    # the standard normals _sample feeds its transform, one row per stream
+    monkeypatch.setattr(fbm, "_transform", lambda z, H, scale=1.0: z)
+    return fbm._sample(sp, n_replicas)
+
+
+def _philox(seed, replica, comp, n):
+    # a uint64 array: numpy reads a list key holding a word >= 2^63 as
+    # float64, which rounds it (2^64 - 1 becomes 0)
+    key = np.array([seed, (replica << 16) | comp], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key)).standard_normal(n)
+
+
+class TestStreamKeying:
+    @pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
+    @pytest.mark.parametrize("replica", [0, 2 ** 48 - 2])
+    def test_streams_equal_keyed_philox(self, monkeypatch, seed, replica):
+        # two replicas of three components: every stream but the first
+        # follows another in the same call, so leaked state would show
+        z = _normals(monkeypatch, spec(d=3, m=3, seed=seed, replica=replica),
+                     2)
+        for r in range(2):
+            for comp in range(3):
+                want = _philox(seed, replica + r, comp, z.shape[-1])
+                assert z[r, comp].tobytes() == want.tobytes()
+
+    def test_widest_key(self, monkeypatch):
+        # the last replica with the largest component: key word 2^64 - 2
+        d = 2 ** 16 - 1
+        z = _normals(monkeypatch, spec(d=d, m=1, seed=2 ** 64 - 1,
+                                       replica=2 ** 48 - 1), 1)
+        for comp in (0, d - 1):
+            want = _philox(2 ** 64 - 1, 2 ** 48 - 1, comp, z.shape[-1])
+            assert z[0, comp].tobytes() == want.tobytes()
+
+    def test_extreme_keys_stay_distinct(self):
+        # seed 2^64 - 1 would collide with seed 0 under a rounded key
+        top = simulate(spec(seed=2 ** 64 - 1)).increments
+        assert not np.array_equal(top, simulate(spec(seed=0)).increments)
+        assert not np.array_equal(
+            top, simulate(spec(seed=2 ** 64 - 2)).increments)
+
+    def test_order_and_split_do_not_matter(self):
+        whole = simulate_batch(spec(m=4, seed=21, replica=3), 9)
+        # later replicas first, in uneven batches
+        parts = {a: simulate_batch(spec(m=4, seed=21, replica=3 + a), b - a)
+                 for a, b in ((7, 9), (2, 7), (0, 1), (1, 2))}
+        joined = np.concatenate([parts[a] for a in sorted(parts)])
+        assert joined.tobytes() == whole.tobytes()
+
+
+class TestChunkPlan:
+    # (d, size) of every sampled workload command, and the grid cap
+    SHAPES = [(2, 2 ** 13), (2, 64), (1, 2 ** 9), (2, fbm.MAX_GRID),
+              (1, fbm.MAX_GRID)] + [(2, 4 * 2 ** m) for m in range(4, 10)]
+
+    @pytest.mark.parametrize("d, size", SHAPES)
+    @pytest.mark.parametrize("threads", [1, 2, 3, 64])
+    def test_working_set_within_budget(self, d, size, threads):
+        per_replica = d * (48 * size + 16)
+        assert fbm._replica_bytes(d, size) == per_replica
+        workers, chunk = experiments._chunk_plan(d, size, threads)
+        assert 1 <= workers <= threads
+        assert 1 <= chunk <= experiments.MAX_CHUNK
+        assert workers * chunk * per_replica <= experiments.CHUNK_BUDGET_BYTES
+
+    def test_default_threads_is_the_usable_core_count(self, monkeypatch):
+        assert experiments.default_threads() >= 1
+        monkeypatch.delattr(experiments.os, "sched_getaffinity",
+                            raising=False)
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 5)
+        assert experiments.default_threads() == 5
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: None)
+        assert experiments.default_threads() == 1
+
+    def test_one_spectrum_for_all_threads(self, monkeypatch):
+        # more workers than cores, a short switch interval and a rho that
+        # yields the interpreter lock: without the warm-up a second thread
+        # misses the spectrum cache while the first computes it
+        calls = []
+
+        def counted(k, H):
+            calls.append(H)
+            time.sleep(0.01)
+            return rho(k, H)
+
+        fbm._root_spectrum.cache_clear()
+        monkeypatch.setattr(fbm, "rho", counted)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            out = _chunked_replicas(spec(m=5, seed=4), 24, lambda inc: inc,
+                                    chunk=3, threads=4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(calls) == 1
+        assert out.tobytes() == simulate_batch(spec(m=5, seed=4),
+                                               24).tobytes()

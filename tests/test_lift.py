@@ -199,3 +199,18 @@ class TestRefinementGap:
             est = np.mean(gaps ** 2)
             se = np.std(gaps ** 2, ddof=1) / np.sqrt(N)
             assert abs(est - 1 / (8 * n)) < 4 * se
+
+
+class TestBatchInvariance:
+    # replica chunks of any size must give bitwise the rows of one batch,
+    # whatever memory layout the chunking leaves behind
+    @pytest.mark.parametrize("cells, n", [(1024, 8), (512, 4)])
+    def test_rows_bitwise_equal_in_any_batching(self, cells, n):
+        inc = np.random.default_rng(8).standard_normal((40, 2, cells, n))
+        whole = levy_areas(inc)
+        for batch in (1, 7, 32):
+            parts = [levy_areas(inc[i:i + batch])
+                     for i in range(0, len(inc), batch)]
+            for k in range(2):
+                joined = np.concatenate([p[k] for p in parts])
+                assert joined.tobytes() == whole[k].tobytes()
