@@ -1,11 +1,13 @@
 """Weighted sum processes of chaos orders 2 and 3 and their exact moments.
 
-Builds the discrete processes assembled from per-cell lift values on the
-dyadic grid D_m:
+One batched path: q_processes and third_order_sums assemble cells X_i on
+the dyadic grid D_m from the lift arrays, leading replica axes kept, and
+sum_process reduces them to I^m_t(F) = sum_{i <= floor(2^m t)}
+F_{tau_{i-1}} X_i, normalized by (2^m)^{q H - 1/2} at chaos order q
+(normalization).  The cells are
 
-  * weighted Levy-area sums      I^m_t(F)  = sum F_{tau_{i-1}} B^{a,b}_cell_i
   * the antisymmetric family     Qhat (half products), Qcheck (centered
-    squares), Qtilde (areas), Q = Qhat - Qtilde
+    squares), Qtilde (Levy areas), Q = Qhat - Qtilde
   * the order-3 family           level-3 values, area x increment,
     triple increment products
 
@@ -19,19 +21,18 @@ formula is cross-checked in the tests against one brute-force pairing
 with one builder, on the same discretization.
 
 Each order has one per-lag table, vectorized over lags (cov_Q_pair,
-cov_K_lags), a dyadic-scaled cell pair (exact_cov_Q, exact_cov_K) and a
-stationary sum over lags (exact_second_moment_Q, second_moment_K):
-increment stationarity makes the covariances functions of the lag only,
-turning the 2^m x 2^m double sums into single sums over lags.  Every
-finite-resolution table reads the lag-table engine of gaussian.py on the
-unit lattice (cells of width 1 at integer offsets), reducing its prefix and
-sub-cell covariance tables over the lag axis; offset -lag reads the
-transposed tables.
+cov_K_lags), and a stationary sum over lags (exact_second_moment_Q,
+second_moment_K); order 2 also has a dyadic-scaled cell pair
+(exact_cov_Q).  Increment stationarity makes the covariances functions of
+the lag only, turning the 2^m x 2^m double sums into single sums over
+lags.  Every finite-resolution table reads the lag-table engine of
+gaussian.py on the unit lattice (cells of width 1 at integer offsets),
+reducing its prefix and sub-cell covariance tables over the lag axis;
+offset -lag reads the transposed tables.
 """
 
 import functools
 import itertools
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,10 +41,8 @@ from .gaussian import (_lag_tables, _transposed, rho, rho_tail_bound,
                        tilde_rho)
 
 __all__ = [
-    "SumProcess",
-    "QProcesses",
-    "ThirdOrderSums",
-    "weighted_levy_sum",
+    "sum_process",
+    "normalization",
     "q_processes",
     "exact_second_moment_Q",
     "Q_PAIRS",
@@ -51,12 +50,10 @@ __all__ = [
     "exact_cov_Q",
     "brute_cov_Q",
     "third_order_sums",
-    "exact_cov_K",
     "cov_K_lags",
     "second_moment_K",
     "K_PATTERNS",
     "isserlis_moment",
-    "brute_cov_K",
     "rho_sum_bound_verify",
     "tilde_rho_finite",
     "cross_hat_tilde_finite",
@@ -70,112 +67,60 @@ ISSERLIS_MAX_DEGREE = 12
 # sum processes
 
 
-@dataclass(frozen=True)
-class SumProcess:
-    """Partial sums on D_m; piecewise constant, evaluation via floor(2^m t)."""
+def sum_process(cells, times=1.0, weights=None):
+    """I^m_t(F) = sum_{i <= floor(2^m t)} F_{tau_{i-1}} X_i, per replica.
 
-    m: int
-    values: np.ndarray = field(repr=False)  # length 2^m + 1, values[0] = 0
-    norm_exponent: float = 0.0  # normalization is (2^m)^{norm_exponent}
-
-    def __post_init__(self):
-        if self.values.shape[0] != 2 ** self.m + 1:
-            raise DomainError("values must have length 2^m + 1")
-
-    @property
-    def scale(self):
-        return float(2 ** self.m) ** self.norm_exponent
-
-    def at(self, t):
-        """Value at time t (uses the dyadic floor), unnormalized."""
-        idx = int(np.floor(2 ** self.m * t))
-        return float(self.values[np.clip(idx, 0, 2 ** self.m)])
-
-    def increment(self, s, t):
-        return self.at(t) - self.at(s)
-
-
-def _cells_from_values(m, cells):
-    vals = np.zeros(2 ** m + 1)
-    np.cumsum(cells, out=vals[1:])
-    return vals
+    ``cells`` holds X_1..X_{2^m} on its last axis, after any leading replica
+    axes; ``weights`` (default 1) broadcasts to ``cells`` and holds F at each
+    cell's left point.  ``times`` is a time or an array of times in [0, 1],
+    whose shape replaces the cell axis.  Each value is a slice sum: the last
+    entry of a cumsum over the same cells has different bits.
+    """
+    cells = np.asarray(cells)
+    count = cells.shape[-1] if cells.ndim else 0
+    if count < 1 or count & (count - 1):
+        raise DomainError(f"need 2^m cells on the last axis, got {count}")
+    if weights is not None:
+        try:
+            cells = np.broadcast_to(weights, cells.shape) * cells
+        except ValueError:
+            raise DomainError("weights must broadcast to the cells") from None
+    t = np.asarray(times, dtype=float)
+    if not np.all((t >= 0.0) & (t <= 1.0)):  # NaN fails too
+        raise DomainError("times must lie in [0, 1]")
+    sums = [cells[..., :k].sum(axis=-1)
+            for k in np.floor(count * t).astype(int).ravel()]
+    return np.stack(sums, axis=-1).reshape(cells.shape[:-1] + t.shape)
 
 
-def _cell_range(m, s, t):
-    if not (0.0 <= s <= t <= 1.0):
-        raise DomainError("need 0 <= s <= t <= 1")
-    return int(np.floor(2 ** m * s)), int(np.floor(2 ** m * t))
-
-
-def _weights(F, m):
-    w = np.asarray(F.values if hasattr(F, "values") else F, dtype=float)
-    if w.ndim == 0:
-        return np.full(2 ** m + 1, float(w))
-    if w.shape[0] != 2 ** m + 1:
-        raise DomainError("weight series length must be 2^m + 1")
-    return w
-
-
-def weighted_levy_sum(F, lift, alpha, beta, s=0.0, t=1.0):
-    """sum_{i} F_{tau_{i-1}} B^{alpha,beta}_{cell_i} over cells of (s,t]."""
-    if alpha == beta:
-        raise DomainError("weighted Levy-area sums need distinct components")
-    w = _weights(F, lift.m)
-    i0, i1 = _cell_range(lift.m, s, t)
-    areas = lift.level2[i0:i1, alpha, beta]
-    return float(np.dot(w[i0:i1], areas))
+def normalization(m, H, order, power=1):
+    """(2^m)^{order H - 1/2}, the scale of an order-``order`` sum process at
+    level m, to the ``power``: one power of 2^m, since squaring the rounded
+    scale drifts (8.000000000000002 at H = 1/2, m = 3, order 2)."""
+    return float(2 ** m) ** (power * (order * H - 0.5))
 
 
 # ---------------------------------------------------------------------------
 # order-2 antisymmetric family
 
 
-@dataclass(frozen=True)
-class QProcesses:
-    """Per-cell entries of the order-2 family for one lift."""
+def q_processes(level1, level2, H):
+    """Order-2 cells from levy_areas' (..., 2^m, d) and (..., 2^m, d, d).
 
-    m: int
-    H: float
-    qhat: np.ndarray = field(repr=False)    # (cells, d, d), symmetric, 0 diag
-    qcheck: np.ndarray = field(repr=False)  # (cells, d), centered squares / 2
-    qtilde: np.ndarray = field(repr=False)  # (cells, d, d) off-diagonal areas
-    q: np.ndarray = field(repr=False)       # qhat - qtilde, skew-symmetric
-
-    def process(self, which, alpha, beta=None):
-        """SumProcess of one entry; which in {qhat, qcheck, qtilde, q}."""
-        table = {"qhat": self.qhat, "qtilde": self.qtilde, "q": self.q}
-        if which == "qcheck":
-            cells = self.qcheck[:, alpha]
-        elif which in table:
-            cells = table[which][:, alpha, beta]
-        else:
-            raise DomainError(f"unknown family {which!r}")
-        return SumProcess(
-            m=self.m,
-            values=_cells_from_values(self.m, cells),
-            norm_exponent=2 * self.H - 0.5,
-        )
-
-
-def q_processes(lift):
-    """Assemble Qhat, Qcheck, Qtilde, Q per cell from a level-2 lift.
-
-    d^{m,alpha,beta} per cell is exactly the q entry (half product minus
-    area), which by the shuffle identity is the antisymmetric part of the
-    cell's level-2 value.
+    A dict keyed as the oracles' families: "qhat" (half products) and
+    "qtilde" (areas), both with zero diagonals, "qcheck" (..., 2^m, d)
+    (centered half squares) and "q" = qhat - qtilde, the antisymmetric
+    part of level 2.
     """
-    H = lift.path.spec.model.H
-    B = lift.level1  # (cells, d)
-    mesh2H = (2.0 ** -lift.m) ** (2 * H)
-    qhat = 0.5 * np.einsum("ca,cb->cab", B, B)
-    d = B.shape[1]
-    ii = np.arange(d)
-    qhat[:, ii, ii] = 0.0
-    qcheck = 0.5 * (B ** 2 - mesh2H)
-    qtilde = lift.level2.copy()
-    qtilde[:, ii, ii] = 0.0
-    return QProcesses(m=lift.m, H=H, qhat=qhat, qcheck=qcheck, qtilde=qtilde,
-                      q=qhat - qtilde)
+    mesh2H = (1.0 / level1.shape[-2]) ** (2 * H)
+    # pair by pair, in level2's memory layout: one long vector operation
+    # each, where d x d broadcasting iterates over axes of length d
+    qhat, qtilde = np.zeros_like(level2), np.zeros_like(level2)
+    for a, b in itertools.permutations(range(level1.shape[-1]), 2):
+        qhat[..., a, b] = 0.5 * level1[..., a] * level1[..., b]
+        qtilde[..., a, b] = level2[..., a, b]
+    return {"qhat": qhat, "qcheck": 0.5 * (level1 ** 2 - mesh2H),
+            "qtilde": qtilde, "q": qhat - qtilde}
 
 
 def tilde_rho_finite(lags, H, n):
@@ -251,6 +196,12 @@ def exact_cov_Q(H, m, which, i, j, n_sub=None):
     return (2.0 ** -m) ** (4 * H) * cov_Q_pair(H, which, j - i, n_sub=n_sub)
 
 
+def _cell_range(m, s, t):
+    if not (0.0 <= s <= t <= 1.0):
+        raise DomainError("need 0 <= s <= t <= 1")
+    return int(np.floor(2 ** m * s)), int(np.floor(2 ** m * t))
+
+
 def _lag_weighted_sum(count, per_lag):
     lags = np.arange(count)
     mult = np.where(lags == 0, count, 2.0 * (count - lags))
@@ -281,41 +232,18 @@ def exact_second_moment_Q(H, m, which, s=0.0, t=1.0, n_sub=None):
 # order-3 family
 
 
-@dataclass(frozen=True)
-class ThirdOrderSums:
-    """Per-cell order-3 entries from a level-3 lift."""
+def third_order_sums(level1, level2, level3):
+    """Per-cell order-3 cells from the arrays of levy_areas and level3_areas.
 
-    m: int
-    H: float
-    level3: np.ndarray = field(repr=False)    # (cells, d, d, d)
-    area_inc: np.ndarray = field(repr=False)  # (cells, d, d, d): B^{ab} B^g
-    triple: np.ndarray = field(repr=False)    # (cells, d, d, d): B^a B^b B^g
-
-    def cells(self, kind, a, b, g):
-        table = {"level3": self.level3, "area_inc": self.area_inc,
-                 "triple": self.triple}
-        if kind not in table:
-            raise DomainError(f"unknown kind {kind!r}")
-        return table[kind][:, a, b, g]
-
-    def process(self, kind, a, b, g):
-        return SumProcess(
-            m=self.m,
-            values=_cells_from_values(self.m, self.cells(kind, a, b, g)),
-            norm_exponent=2 * self.H - 0.5,
-        )
-
-
-def third_order_sums(lift):
-    """Assemble the order-3 per-cell families from a level-3 lift."""
-    if lift.level3 is None:
-        raise DomainError("third-order sums need a level-3 lift")
-    H = lift.path.spec.model.H
-    B = lift.level1
-    area_inc = np.einsum("cab,cg->cabg", lift.level2, B)
-    triple = np.einsum("ca,cb,cg->cabg", B, B, B)
-    return ThirdOrderSums(m=lift.m, H=H, level3=lift.level3,
-                          area_inc=area_inc, triple=triple)
+    Leading replica axes are kept.  Returns a dict of (..., 2^m, d, d, d)
+    arrays: "level3", "area_inc" (B^{ab} B^g) and "triple" (B^a B^b B^g).
+    """
+    if level3 is None:
+        raise DomainError("third-order sums need level-3 values")
+    return {"level3": level3,
+            "area_inc": np.einsum("...ab,...g->...abg", level2, level1),
+            "triple": np.einsum("...a,...b,...g->...abg",
+                                level1, level1, level1)}
 
 
 K_PATTERNS = (
@@ -397,26 +325,6 @@ def _cov_K_tables(pattern, tb, tt):
         - _cross_X_Z(tt)
         + _cov_l3_aab(tb)
     )
-
-
-def _cov_K_unit(H, pattern, offset, n):
-    """Unit-lattice covariance of one K pattern at signed cell offset."""
-    return float(cov_K_lags(H, pattern, [offset], n, symmetrized=False)[0])
-
-
-def exact_cov_K(H, m, pattern, i, j, n_quad=32):
-    """E[K_cell_i K_cell_j] for one order-3 pattern at dyadic level m.
-
-    Cells are 1-indexed.  The value is the explicit discrete inner-product
-    sum on an n_quad x n_quad sub-grid of each cell (patterns without
-    quadrature are closed forms), scaled by (2^{-m})^{6H}.
-    """
-    if n_quad < 2:
-        raise DomainError("n_quad must be >= 2")
-    if not (1 <= i <= 2 ** m and 1 <= j <= 2 ** m):
-        raise DomainError("cell indices out of range")
-    scale = (2.0 ** -m) ** (6 * H)
-    return scale * _cov_K_unit(H, pattern, j - i, n_quad)
 
 
 def cov_K_lags(H, pattern, lags, n_quad=32, symmetrized=True):
@@ -565,17 +473,6 @@ def brute_cov_Q(H, which, lag, n):
     sign of the lag.
     """
     return _pairing_cov(H, n, abs(lag), *_Q_KINDS.get(which, (which, which)))
-
-
-def brute_cov_K(H, pattern, lag, n):
-    """Pairing-enumeration oracle for the unit-lattice pattern covariance.
-
-    Discretizes each unit cell into n fine increments (mesh 1/n), expands
-    K_i and K_j into Gaussian monomials, and sums Isserlis moments of all
-    cross products; a negative lag puts cell j before cell i.  O((n^3)^2)
-    Isserlis calls of degree 6 — keep n small.
-    """
-    return _pairing_cov(H, n, lag, pattern, pattern)
 
 
 # ---------------------------------------------------------------------------

@@ -196,8 +196,9 @@ def levy_area_mc_experiment(H=0.4, N=10000, n_sub=64, seed=101,
     spec = SimSpec(model=HurstModel(H, 2), m=1, refine=n_sub // 2, seed=seed)
 
     def worker(inc):
-        _, l2 = levy_areas(inc.reshape(inc.shape[0], 2, 1, n_sub))
-        return l2[:, 0, 0, 1]
+        l1, l2 = levy_areas(inc.reshape(inc.shape[0], 2, 1, n_sub))
+        areas = chaos.q_processes(l1, l2, H)["qtilde"][..., 0, 1]
+        return chaos.sum_process(areas)
 
     areas = _chunked_replicas(spec, N, worker, threads=threads)
     sq = areas ** 2
@@ -231,18 +232,15 @@ def moment_experiment(H=0.4, ps=(2, 4), m_range=range(4, 10), N=1000,
         def worker(inc, m=m):
             shaped = inc.reshape(inc.shape[0], 2, 2 ** m, n_sub)
             l1, l2 = levy_areas(shaped)
-            areas = l2[:, :, 0, 1]
-            pre = np.cumsum(l1[:, :, 0], axis=1)
-            left = np.concatenate(
-                [np.zeros((inc.shape[0], 1)), pre[:, :-1]], axis=1
-            )
-            return np.stack(
-                [areas.sum(axis=1), (np.tanh(left) * areas).sum(axis=1)],
-                axis=1,
-            )
+            areas = chaos.q_processes(l1, l2, H)["qtilde"][..., 0, 1]
+            left = np.zeros_like(l1[..., 0])  # B^0 at each cell's left point
+            np.cumsum(l1[:, :-1, 0], axis=1, out=left[:, 1:])
+            return np.stack([chaos.sum_process(areas),
+                             chaos.sum_process(areas, weights=np.tanh(left))],
+                            axis=1)
 
         sums = _chunked_replicas(spec, N, worker, threads=threads)
-        samples[m] = sums * float(2 ** m) ** (2 * H - 0.5)
+        samples[m] = sums * chaos.normalization(m, H, 2)
 
     rows = []
     ok = True
@@ -262,7 +260,7 @@ def moment_experiment(H=0.4, ps=(2, 4), m_range=range(4, 10), N=1000,
                 if wname == "one" and p == 2:
                     oracle = chaos.exact_second_moment_Q(
                         H, m, "qtilde", n_sub=n_sub
-                    ) * float(2 ** m) ** (4 * H - 1)
+                    ) * chaos.normalization(m, H, 2, power=2)
                     row["oracle"] = oracle
                     row["z"] = (est - oracle) / se
                     row["pass"] = row["pass"] and abs(row["z"]) < 4.0
@@ -291,15 +289,11 @@ def fclt_experiment(H=0.4, m=10, N=2000, n_sub=8, seed=303, threads=None,
     def worker(inc):
         shaped = inc.reshape(inc.shape[0], 2, 2 ** m, n_sub)
         l1, l2 = levy_areas(shaped)
-        q = 0.5 * l1[:, :, 0] * l1[:, :, 1] - l2[:, :, 0, 1]
-        return q.sum(axis=1)
+        return chaos.sum_process(chaos.q_processes(l1, l2, H)["q"][..., 0, 1])
 
     qsum = _chunked_replicas(spec, N, worker, threads=threads)
-    scale = float(2 ** m) ** (2 * H - 0.5)
-    x = qsum * scale
-    # scale squared, by one power: scale ** 2 rounds (8.000000000000002 at
-    # H = 1/2, m = 3)
-    scale_sq = float(2 ** m) ** (4 * H - 1)
+    x = qsum * chaos.normalization(m, H, 2)
+    scale_sq = chaos.normalization(m, H, 2, power=2)
     var_fin = chaos.exact_second_moment_Q(H, m, "q", n_sub=n_sub) * scale_sq
     var_conv = chaos.exact_second_moment_Q(H, m, "q") * scale_sq
     c_sq = series_constants(H).fclt_C ** 2

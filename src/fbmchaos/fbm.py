@@ -34,7 +34,6 @@ __all__ = [
     "FbmPath",
     "simulate",
     "simulate_batch",
-    "increment_cov_matrix",
     "dump_csv",
 ]
 
@@ -144,13 +143,6 @@ def _transform(z, H, scale=1.0):
     spectrum = np.fft.rfft(z)
     spectrum *= scale * _root_spectrum(H, size)
     return np.fft.irfft(spectrum, n=2 * size)[..., :size]
-
-
-def increment_cov_matrix(spec):
-    """Toeplitz covariance mesh^{2H} rho(|i-j|) of the fine-grid increments."""
-    H = spec.model.H
-    i = np.arange(spec.size)
-    return spec.mesh ** (2 * H) * rho(i, H)[np.abs(i[:, None] - i[None, :])]
 
 
 def _stream_state(seed, replica, component):

@@ -34,7 +34,6 @@ from .gaussian import cov_rect
 __all__ = [
     "GridPartition",
     "GridFunction",
-    "rect_increment",
     "tilde_Vp",
     "Vp",
     "controlled_pvar",
@@ -112,33 +111,6 @@ def _cell_increments(values):
     for ax in range(values.ndim):
         out = np.diff(out, axis=ax)
     return out
-
-
-def rect_increment(f, box, fixed=None):
-    """Alternating-corner sum of f over an index box, other axes pinned.
-
-    ``box`` maps axis -> (i0, i1) breakpoint index interval; ``fixed`` maps
-    axis -> breakpoint index.  The two maps must cover all axes exactly.
-    """
-    fixed = fixed or {}
-    N = f.partition.N
-    if sorted(list(box) + list(fixed)) != list(range(N)):
-        raise DomainError("box and fixed axes must partition the axis set")
-    vals = f.values
-    shape = f.partition.shape
-    idx = [None] * N
-    for ax, i in fixed.items():
-        if not 0 <= i < shape[ax]:
-            raise DomainError("fixed index out of range")
-        idx[ax] = np.array([i])
-    for ax, (i0, i1) in box.items():
-        if not 0 <= i0 < i1 < shape[ax]:
-            raise DomainError("box indices out of range")
-        idx[ax] = np.array([i0, i1])
-    sub = vals[np.ix_(*idx)]
-    for ax in sorted(box):
-        sub = np.diff(sub, axis=ax)
-    return float(sub.reshape(()))
 
 
 def tilde_Vp(f, p):

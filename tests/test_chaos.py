@@ -8,22 +8,54 @@ from fbmchaos.gaussian import HurstModel, rho, series_constants, tilde_rho
 from fbmchaos.lift import level3_areas, levy_areas, lift2, lift3
 from fbmchaos.chaos import (
     K_PATTERNS,
-    SumProcess,
     admissible_assignments,
-    brute_cov_K,
     cov_K_lags,
     cross_hat_tilde_finite,
-    exact_cov_K,
     exact_second_moment_Q,
     isserlis_moment,
+    normalization,
     q_processes,
     rho_sum_bound_verify,
     second_moment_K,
+    sum_process,
     third_order_sums,
     tilde_rho_finite,
-    weighted_levy_sum,
-    _cov_K_unit,
 )
+
+
+# Test-only oracles: the per-cell-pair view of cov_K_lags and the pairing
+# enumeration of the order-3 patterns.  No command needs them.
+
+
+def _cov_K_unit(H, pattern, offset, n):
+    """Unit-lattice covariance of one K pattern at signed cell offset."""
+    return float(cov_K_lags(H, pattern, [offset], n, symmetrized=False)[0])
+
+
+def exact_cov_K(H, m, pattern, i, j, n_quad=32):
+    """E[K_cell_i K_cell_j] for one order-3 pattern at dyadic level m.
+
+    Cells are 1-indexed.  The value is the explicit discrete inner-product
+    sum on an n_quad x n_quad sub-grid of each cell (patterns without
+    quadrature are closed forms), scaled by (2^{-m})^{6H}.
+    """
+    if n_quad < 2:
+        raise DomainError("n_quad must be >= 2")
+    if not (1 <= i <= 2 ** m and 1 <= j <= 2 ** m):
+        raise DomainError("cell indices out of range")
+    scale = (2.0 ** -m) ** (6 * H)
+    return scale * _cov_K_unit(H, pattern, j - i, n_quad)
+
+
+def brute_cov_K(H, pattern, lag, n):
+    """Pairing-enumeration oracle for the unit-lattice pattern covariance.
+
+    Discretizes each unit cell into n fine increments (mesh 1/n), expands
+    K_i and K_j into Gaussian monomials, and sums Isserlis moments of all
+    cross products; a negative lag puts cell j before cell i.  O((n^3)^2)
+    Isserlis calls of degree 6 — keep n small.
+    """
+    return chaos._pairing_cov(H, n, lag, pattern, pattern)
 
 
 def make_lift(H=0.4, d=2, m=4, refine=4, seed=1, with_l3=False):
@@ -32,79 +64,121 @@ def make_lift(H=0.4, d=2, m=4, refine=4, seed=1, with_l3=False):
     return p, (lift3(p, L) if with_l3 else L)
 
 
+def lift_cells(L):
+    return q_processes(L.level1, L.level2, L.path.spec.model.H)
+
+
 class TestSumProcess:
     def test_values_length_checked(self):
-        with pytest.raises(DomainError):
-            SumProcess(m=3, values=np.zeros(5))
+        for cells in (np.zeros(5), np.zeros((3, 6)), np.zeros(0), 1.0):
+            with pytest.raises(DomainError):
+                sum_process(cells)
 
     def test_evaluation_uses_dyadic_floor(self):
         cells = np.arange(1.0, 5.0)
-        sp = SumProcess(m=2, values=np.concatenate([[0], np.cumsum(cells)]))
-        assert sp.at(0.0) == 0.0
-        assert sp.at(0.3) == 1.0  # floor(4 * 0.3) = 1
-        assert sp.at(1.0) == 10.0
-        assert sp.increment(0.3, 0.8) == pytest.approx(6.0 - 1.0)
+        assert sum_process(cells, 0.0) == 0.0
+        assert sum_process(cells, 0.3) == 1.0  # floor(4 * 0.3) = 1
+        assert sum_process(cells) == 10.0
+        np.testing.assert_array_equal(sum_process(cells, [0.3, 0.8]), [1, 6])
+        batch = np.stack([cells, -cells, 2 * cells])
+        out = sum_process(batch, np.array([[0.3], [1.0]]))
+        assert out.shape == (3, 2, 1)
+        np.testing.assert_array_equal(out[:, :, 0],
+                                      [[1, 10], [-1, -10], [2, 20]])
+
+    def test_times_outside_unit_interval_refused(self):
+        # no clipping: t = -0.5 is not the empty sum, t = 1.5 not the total
+        cells = np.arange(1.0, 5.0)
+        for t in (-0.5, 1.5, np.nan, [0.5, 1.5]):
+            with pytest.raises(DomainError):
+                sum_process(cells, t)
+
+    def test_total_is_a_slice_sum(self):
+        # the bits of a slice sum, which a cumsum's last entry need not keep
+        cells = np.random.default_rng(3).normal(size=(5, 1024))
+        np.testing.assert_array_equal(sum_process(cells), cells.sum(axis=-1))
 
     def test_normalization_scale(self):
-        sp = SumProcess(m=6, values=np.zeros(65), norm_exponent=2 * 0.4 - 0.5)
-        assert sp.scale == pytest.approx(64 ** 0.3)
+        assert normalization(6, 0.4, 2) == pytest.approx(64 ** 0.3)
+        assert normalization(6, 0.4, 3) == pytest.approx(64 ** 0.7)
+        # the square by one power of 2^m is exact at the Brownian anchor
+        assert normalization(3, 0.5, 2) ** 2 != 8.0
+        assert normalization(3, 0.5, 2, power=2) == 8.0
 
 
 class TestWeightedSums:
-    def test_equal_components_rejected(self):
-        _, L = make_lift()
-        with pytest.raises(DomainError):
-            weighted_levy_sum(1.0, L, 1, 1)
-
     def test_constant_weight_is_plain_sum(self):
         _, L = make_lift(seed=3)
-        v = weighted_levy_sum(1.0, L, 0, 1)
-        assert v == pytest.approx(L.level2[:, 0, 1].sum(), abs=1e-14)
+        cells = lift_cells(L)["qtilde"][:, 0, 1]
+        total = L.level2[:, 0, 1].sum()
+        assert sum_process(cells) == total
+        assert sum_process(cells, weights=1.0) == total
 
     def test_weight_length_checked(self):
         _, L = make_lift()
-        with pytest.raises(DomainError):
-            weighted_levy_sum(np.ones(7), L, 0, 1)
+        cells = lift_cells(L)["qtilde"][:, 0, 1]
+        for w in (np.ones(7), np.ones((2, 16))):
+            with pytest.raises(DomainError):
+                sum_process(cells, weights=w)
 
     def test_subinterval_uses_left_endpoint_weights(self):
         _, L = make_lift(seed=4)
         w = np.arange(17.0)
-        v = weighted_levy_sum(w, L, 0, 1, s=0.25, t=0.75)
+        cells = lift_cells(L)["qtilde"][:, 0, 1]
+        s, t = sum_process(cells, [0.25, 0.75], weights=w[:-1])
         expect = np.dot(w[4:12], L.level2[4:12, 0, 1])
-        assert v == pytest.approx(expect, abs=1e-14)
+        assert t - s == pytest.approx(expect, abs=1e-14)
+
+    def test_batch_rows_are_single_replica_values(self):
+        # the one-path API on a single replica is the N = 1 case
+        H, m, n, N = 0.4, 4, 4, 3
+        spec = SimSpec(model=HurstModel(H, 2), m=m, refine=n, seed=5)
+        l1, l2 = levy_areas(simulate_batch(spec, N).reshape(N, 2, 2 ** m, n))
+        cells = q_processes(l1, l2, H)["qtilde"][..., 0, 1]
+        w = np.tanh(l1[..., 0])
+        batch = sum_process(cells, [0.5, 1.0], weights=w)
+        for r in range(N):
+            one = sum_process(cells[r], [0.5, 1.0], weights=w[r])
+            np.testing.assert_array_equal(batch[r], one)
 
 
 class TestQProcesses:
     def test_algebraic_structure(self):
         _, L = make_lift(d=3, seed=6)
-        Q = q_processes(L)
-        np.testing.assert_allclose(Q.q, -np.swapaxes(Q.q, 1, 2), atol=1e-16)
-        np.testing.assert_allclose(Q.qhat, np.swapaxes(Q.qhat, 1, 2), atol=1e-16)
-        assert np.all(Q.qhat[:, np.arange(3), np.arange(3)] == 0)
-        assert np.all(Q.qtilde[:, np.arange(3), np.arange(3)] == 0)
+        Q = lift_cells(L)
+        np.testing.assert_allclose(Q["q"], -np.swapaxes(Q["q"], 1, 2),
+                                   atol=1e-16)
+        np.testing.assert_allclose(Q["qhat"], np.swapaxes(Q["qhat"], 1, 2),
+                                   atol=1e-16)
+        assert np.all(Q["qhat"][:, np.arange(3), np.arange(3)] == 0)
+        assert np.all(Q["qtilde"][:, np.arange(3), np.arange(3)] == 0)
 
     def test_q_is_antisymmetric_part_of_level2(self):
         # shuffle identity: qhat - qtilde = (B^{ba} - B^{ab}) / 2
         _, L = make_lift(seed=7)
-        Q = q_processes(L)
         anti = 0.5 * (np.swapaxes(L.level2, 1, 2) - L.level2)
-        np.testing.assert_allclose(Q.q, anti, atol=1e-14)
+        np.testing.assert_allclose(lift_cells(L)["q"], anti, atol=1e-14)
 
     def test_qcheck_centering(self):
         _, L = make_lift(H=0.45, m=5, seed=8)
-        Q = q_processes(L)
         expect = 0.5 * (L.level1[:, 0] ** 2 - 2.0 ** (-5 * 2 * 0.45))
-        np.testing.assert_allclose(Q.qcheck[:, 0], expect, atol=1e-15)
+        np.testing.assert_allclose(lift_cells(L)["qcheck"][:, 0], expect,
+                                   atol=1e-15)
 
-    def test_process_accessor(self):
-        _, L = make_lift(seed=9)
-        Q = q_processes(L)
-        sp = Q.process("q", 0, 1)
-        assert sp.at(1.0) == pytest.approx(Q.q[:, 0, 1].sum(), abs=1e-14)
-        sp2 = Q.process("qcheck", 1)
-        assert sp2.values.shape == (17,)
-        with pytest.raises(DomainError):
-            Q.process("nope", 0, 1)
+    def test_q_cells_of_a_batch(self):
+        # replica r of a batch has the cells of its own path's lift, bitwise,
+        # and the half-product-minus-area q the sampled checks once formed
+        H, m, n, N = 0.4, 3, 4, 3
+        spec = SimSpec(model=HurstModel(H, 2), m=m, refine=n, seed=9)
+        l1, l2 = levy_areas(simulate_batch(spec, N).reshape(N, 2, 2 ** m, n))
+        Q = q_processes(l1, l2, H)
+        for r in range(N):
+            one = lift_cells(lift2(simulate(SimSpec(
+                model=HurstModel(H, 2), m=m, refine=n, seed=9, replica=r))))
+            for key in ("qhat", "qcheck", "qtilde", "q"):
+                np.testing.assert_array_equal(Q[key][r], one[key], err_msg=key)
+        np.testing.assert_array_equal(
+            Q["q"][..., 0, 1], 0.5 * l1[..., 0] * l1[..., 1] - l2[..., 0, 1])
 
 
 class TestFiniteResolutionOracles:
@@ -197,26 +271,31 @@ class TestThirdOrderSums:
     def test_requires_level3(self):
         _, L = make_lift()
         with pytest.raises(DomainError):
-            third_order_sums(L)
+            third_order_sums(L.level1, L.level2, L.level3)
 
     def test_cells_assembled_from_lift(self):
         _, L = make_lift(d=2, with_l3=True, seed=11)
-        T = third_order_sums(L)
-        np.testing.assert_array_equal(T.level3, L.level3)
+        T = third_order_sums(L.level1, L.level2, L.level3)
+        np.testing.assert_array_equal(T["level3"], L.level3)
         np.testing.assert_allclose(
-            T.triple[:, 0, 1, 1], L.level1[:, 0] * L.level1[:, 1] ** 2, atol=1e-15
-        )
+            T["triple"][:, 0, 1, 1], L.level1[:, 0] * L.level1[:, 1] ** 2,
+            atol=1e-15)
         np.testing.assert_allclose(
-            T.area_inc[:, 0, 1, 0], L.level2[:, 0, 1] * L.level1[:, 0], atol=1e-15
-        )
-        with pytest.raises(DomainError):
-            T.cells("quartic", 0, 0, 0)
+            T["area_inc"][:, 0, 1, 0], L.level2[:, 0, 1] * L.level1[:, 0],
+            atol=1e-15)
+        batch = third_order_sums(L.level1[None], L.level2[None],
+                                 L.level3[None])
+        for key in ("level3", "area_inc", "triple"):
+            np.testing.assert_array_equal(batch[key][0], T[key])
 
     def test_process_normalization(self):
-        _, L = make_lift(H=0.45, with_l3=True, seed=12)
-        T = third_order_sums(L)
-        sp = T.process("triple", 0, 1, 0)
-        assert sp.norm_exponent == pytest.approx(2 * 0.45 - 0.5)
+        # order-3 sums scale by (2^m)^{3H - 1/2}: the normalized exact second
+        # moment is flat in m (by (2^m)^{2H - 1/2} it falls 3x per 2 levels)
+        H = 0.4
+        for pattern in ("prod_abc", "l3_abc"):
+            vals = [second_moment_K(H, m, pattern, n_quad=8)
+                    * normalization(m, H, 3, power=2) for m in range(4, 11)]
+            assert max(vals) / min(vals) - 1.0 < 1e-3, pattern
 
 
 class TestCovKOracles:

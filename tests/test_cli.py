@@ -1,5 +1,7 @@
 import json
 import os
+import pathlib
+import re
 import subprocess
 import sys
 import time
@@ -7,6 +9,12 @@ import time
 import pytest
 
 from fbmchaos import cli
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+# rows of the sampled commands at reduced sizes, recorded before their
+# workers moved onto the batched sum-process path (chaos.sum_process)
+GOLDEN = json.loads((ROOT / "tests" / "data" / "sampled_rows_golden.json")
+                    .read_text())
 
 
 def run(tmp_path, *argv):
@@ -70,6 +78,15 @@ class TestDeterminism:
             results.add((tmp_path / f"fclt{i}" / "verify-fclt.json")
                         .read_bytes())
         assert len(results) == 1
+
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("label", sorted(GOLDEN))
+    def test_sampled_rows_match_golden(self, tmp_path, label, threads):
+        argv = GOLDEN[label]["argv"]
+        run(tmp_path, *argv, "--threads", threads)
+        rep = json.loads((tmp_path / f"{argv[0]}.json").read_text())
+        assert rep["rows"] == GOLDEN[label]["rows"]
 
 
 class TestConfigHandling:
@@ -355,23 +372,24 @@ class TestImport:
 
 
 # the package's exports before the unused library code was deleted, less
-# the deleted names and RefinementError (nothing raises it since tilde_rho
-# has closed forms): every one must still be exported
+# the deleted names, RefinementError (nothing raises it since tilde_rho has
+# closed forms), the single-lift sum-process classes and weighted_levy_sum
+# (one batched path replaced them) and the oracles only tests use, which
+# moved into the tests: every one must still be exported
 KEPT_EXPORTS = [
     "CapacityError", "ConsistencyError", "DivergenceError", "DomainError",
     "FbmchaosError",
     "HurstModel", "SeriesConstants", "cov", "cov_rect", "rho",
     "rho_tail_bound", "tilde_rho", "series_constants",
     "SimSpec", "FbmPath", "simulate", "simulate_batch",
-    "increment_cov_matrix", "dump_csv",
+    "dump_csv",
     "RoughLift", "IntervalSignature", "levy_areas", "level3_areas", "lift2",
     "lift3", "chen_combine",
     "CoefficientField", "RdeSolution", "linear_1d", "taylor_steps", "solve",
-    "K_PATTERNS", "Q_PAIRS", "QProcesses", "SumProcess", "ThirdOrderSums",
-    "admissible_assignments", "cov_K_lags", "cov_Q_pair", "exact_cov_K",
-    "exact_cov_Q", "exact_second_moment_Q", "isserlis_moment",
+    "K_PATTERNS", "Q_PAIRS", "admissible_assignments", "cov_K_lags",
+    "cov_Q_pair", "exact_cov_Q", "exact_second_moment_Q", "isserlis_moment",
     "q_processes", "rho_sum_bound_verify", "second_moment_K",
-    "third_order_sums", "weighted_levy_sum",
+    "third_order_sums",
     "GridFunction", "GridPartition", "Vp", "bar_Vp", "controlled_pvar",
     "discrete_young_integral", "iterated_A", "iterated_A_bound",
     "product_pvar_check", "psi_path", "tilde_Vp", "towghi_check",
@@ -395,3 +413,13 @@ class TestExports:
         import fbmchaos
 
         assert set(KEPT_EXPORTS) <= set(fbmchaos.__all__)
+
+
+class TestReadme:
+    def test_python_example_runs(self, capsys):
+        # the README's example must keep working against the library
+        text = (ROOT / "README.md").read_text()
+        blocks = re.findall(r"```python\n(.*?)```", text, re.S)
+        assert len(blocks) == 1
+        exec(compile(blocks[0], "README.md", "exec"), {})
+        assert capsys.readouterr().out.strip()

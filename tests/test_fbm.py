@@ -13,11 +13,18 @@ from fbmchaos.fbm import (
     FbmPath,
     SimSpec,
     dump_csv,
-    increment_cov_matrix,
     simulate,
     simulate_batch,
 )
 from fbmchaos.gaussian import HurstModel, cov_rect, rho
+
+
+def increment_cov_matrix(spec):
+    """Toeplitz covariance mesh^{2H} rho(|i-j|) of the fine-grid increments,
+    the law the sampler must reproduce (a test oracle; no command needs it)."""
+    H = spec.model.H
+    i = np.arange(spec.size)
+    return spec.mesh ** (2 * H) * rho(i, H)[np.abs(i[:, None] - i[None, :])]
 
 
 def spec(H=0.4, d=2, m=4, refine=1, seed=7, replica=0):

@@ -19,13 +19,40 @@ from fbmchaos.young import (
     iterated_A_bound,
     product_pvar_check,
     psi_path,
-    rect_increment,
     tilde_Vp,
     towghi_check,
     towghi_fuzz_report,
 )
 
 DATA = pathlib.Path(__file__).parent / "data"
+
+
+def rect_increment(f, box, fixed=None):
+    """Alternating-corner sum of f over an index box, other axes pinned (a
+    test oracle for the variation engine's increment table).
+
+    ``box`` maps axis -> (i0, i1) breakpoint index interval; ``fixed`` maps
+    axis -> breakpoint index.  The two maps must cover all axes exactly.
+    """
+    fixed = fixed or {}
+    N = f.partition.N
+    if sorted(list(box) + list(fixed)) != list(range(N)):
+        raise DomainError("box and fixed axes must partition the axis set")
+    vals = f.values
+    shape = f.partition.shape
+    idx = [None] * N
+    for ax, i in fixed.items():
+        if not 0 <= i < shape[ax]:
+            raise DomainError("fixed index out of range")
+        idx[ax] = np.array([i])
+    for ax, (i0, i1) in box.items():
+        if not 0 <= i0 < i1 < shape[ax]:
+            raise DomainError("box indices out of range")
+        idx[ax] = np.array([i0, i1])
+    sub = vals[np.ix_(*idx)]
+    for ax in sorted(box):
+        sub = np.diff(sub, axis=ax)
+    return float(sub.reshape(()))
 
 
 def random_grid_function(rng, points=4, N=2):
