@@ -36,9 +36,9 @@ from .errors import (
     DomainError,
     FbmchaosError,
 )
-from .fbm import SimSpec, dump_csv, simulate
+from .fbm import SimSpec, dump_csv, simulate_batch
 from .gaussian import HurstModel
-from .lift import lift2, lift3
+from .lift import chen_fold, level3_areas, levy_areas
 
 OUT_ENV = "FBMCHAOS_OUT"
 
@@ -176,31 +176,32 @@ def _resolve_threads(o):
 
 
 def _sampled(o):
-    return simulate(SimSpec(model=HurstModel(o["hurst"], o["d"]), m=o["m"],
-                            refine=o["refine"], seed=o["seed"],
-                            replica=o["replica"]))
+    """The one replica the options name: its spec and increments (d, size)."""
+    spec = SimSpec(model=HurstModel(o["hurst"], o["d"]), m=o["m"],
+                   refine=o["refine"], seed=o["seed"], replica=o["replica"])
+    return spec, simulate_batch(spec, 1)[0]
 
 
 def _simulate(o, args):
-    path = _sampled(o)
+    spec, inc = _sampled(o)
+    values = np.zeros((o["d"], spec.size + 1))
+    np.cumsum(inc, axis=1, out=values[:, 1:])
     with open(os.path.join(args.out, "path.csv"), "w") as fh:
-        dump_csv(path, fh)
+        dump_csv(spec.times, values, fh)
     return {"experiment": "simulate", "params": o, "pass": True, "rows": [
         {"component": c,
-         "terminal": float(path.values[c, -1]),
-         "increment_std": float(np.std(path.increments[c], ddof=1)),
+         "terminal": float(values[c, -1]),
+         "increment_std": float(np.std(inc[c], ddof=1)),
          "pass": True}
         for c in range(o["d"])
     ]}
 
 
 def _lift(o, args):
-    path = _sampled(o)
-    lifted = lift2(path)
-    if o["level3"]:
-        lifted = lift3(path, lifted)
-    sig = lifted.signature()
-    levels = (sig.level1, sig.level2) + ((sig.level3,) if o["level3"] else ())
+    spec, inc = _sampled(o)
+    cells = inc.reshape(o["d"], 2 ** spec.m, spec.refine)
+    level3 = level3_areas(cells) if o["level3"] else None
+    levels = [v for v in chen_fold(*levy_areas(cells), level3) if v is not None]
     return {"experiment": "lift", "params": o, "pass": True, "rows": [
         {"level": k, "values": v.tolist(), "pass": True}
         for k, v in enumerate(levels, 1)

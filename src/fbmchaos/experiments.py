@@ -22,11 +22,10 @@ from scipy import stats
 
 from . import chaos, young
 from .errors import DomainError
-from .fbm import (SimSpec, _replica_bytes, _root_spectrum, simulate,
-                  simulate_batch)
+from .fbm import SimSpec, _replica_bytes, _root_spectrum, simulate_batch
 from .gaussian import HurstModel, rho, series_constants
-from .lift import levy_areas, level3_areas, lift2, lift3
-from .rde import linear_1d, solve, taylor_steps
+from .lift import levy_areas, level3_areas
+from .rde import jacobian_defect, linear_1d, taylor_steps
 
 __all__ = [
     "default_threads",
@@ -503,9 +502,11 @@ def young_suite_experiment(seed=2024, cases=100, H=0.4):
 # ---------------------------------------------------------------------------
 # differential-equation demo
 
+# replicas 0..7 of the demo's seed, whatever N is, carry the Jacobian defect
+DEFECT_REPLICAS = 8
 
-def rde_demo_experiment(H=0.5, N=400, m_range=(5, 6, 7, 8, 9), seed=12,
-                        defect_replicas=8):
+
+def rde_demo_experiment(H=0.5, N=400, m_range=(5, 6, 7, 8, 9), seed=12):
     """Step-halving self-convergence of the linear benchmark plus the
     forward/inverse Jacobian product defect.
 
@@ -532,12 +533,11 @@ def rde_demo_experiment(H=0.5, N=400, m_range=(5, 6, 7, 8, 9), seed=12,
         np.array([a for a, _ in pairs]) * np.log(2.0), np.log(rms), 1
     )[0])
 
-    defect = 0.0
-    for r in range(defect_replicas):
-        p = simulate(SimSpec(model=HurstModel(H, 1), m=m_max, refine=1,
-                             seed=seed, replica=r))
-        sol = solve(lift3(p, lift2(p)), linear_1d(), np.array([1.0]))
-        defect = max(defect, sol.jacobian_defect())
+    inc = simulate_batch(spec, DEFECT_REPLICAS)[..., None]
+    _, J, Jinv = taylor_steps(linear_1d(), np.array([1.0]), 2.0 ** -m_max,
+                              *levy_areas(inc), level3_areas(inc),
+                              with_jacobian=True)
+    defect = jacobian_defect(J, Jinv)
     estimate = rms[-1]
     rows = [
         {"check": "order", "halving_rms": rms, "levels": m_range,
@@ -549,6 +549,6 @@ def rde_demo_experiment(H=0.5, N=400, m_range=(5, 6, 7, 8, 9), seed=12,
     return _report(
         "rde-demo",
         {"H": H, "N": N, "m_range": m_range, "seed": seed,
-         "defect_replicas": defect_replicas},
+         "defect_replicas": DEFECT_REPLICAS},
         rows, ok,
     )

@@ -1,5 +1,8 @@
 """Exact-in-law simulation of d-dimensional fBm increments on dyadic grids.
 
+``simulate_batch`` returns increments of shape (N, d, size), the one array
+format the lift and the stepper read; a path's values are their cumsum.
+
 The fine grid is the dyadic grid D_m refined by ``refine`` sub-steps per
 cell.  Per component, the increment vector is N(0, Sigma) with the Toeplitz
 covariance Sigma_{ij} = mesh^{2H} rho(|i-j|).  Sampling is by circulant
@@ -22,7 +25,7 @@ seeding that constructor performs before the key replaces it.
 
 import functools
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,8 +34,6 @@ from .gaussian import HurstModel, rho
 
 __all__ = [
     "SimSpec",
-    "FbmPath",
-    "simulate",
     "simulate_batch",
     "dump_csv",
 ]
@@ -96,19 +97,6 @@ class SimSpec:
         return np.arange(self.size + 1) * self.mesh
 
 
-@dataclass(frozen=True)
-class FbmPath:
-    """Sampled increments (d x size) and cumulative values (d x (size+1))."""
-
-    spec: SimSpec
-    increments: np.ndarray = field(repr=False)
-    values: np.ndarray = field(repr=False)
-
-    @property
-    def times(self):
-        return self.spec.times
-
-
 @functools.lru_cache(maxsize=32)
 def _root_spectrum(H, size):
     """Square roots of the eigenvalues of the unit-mesh circulant embedding.
@@ -168,10 +156,13 @@ def _replica_bytes(d, size):
     return d * (8 * 2 * size + 16 * (size + 1) + 8 * 2 * size)
 
 
-def _sample(spec, n_replicas):
+def simulate_batch(spec, n_replicas):
     """Increments of replicas spec.replica, ..., +n_replicas-1: (N, d, size).
 
-    The one sampler path behind both ``simulate`` and ``simulate_batch``.
+    The one sampler path.  Every (replica, component) stream is keyed on its
+    own, so any replica of a batch is reproduced bitwise by a batch of one
+    starting at that replica.  Raises DomainError for n_replicas < 1 and
+    CapacityError when the working set exceeds MAX_WORKING_BYTES.
     """
     if n_replicas < 1:
         raise DomainError(f"n_replicas must be >= 1, got {n_replicas}")
@@ -194,34 +185,14 @@ def _sample(spec, n_replicas):
     return _transform(z, spec.model.H, scale=spec.mesh ** spec.model.H)
 
 
-def simulate(spec):
-    """Draw one FbmPath with the exact joint law of fBm increments.
+def dump_csv(times, values, fileobj):
+    """Write a path as CSV: header t,B1,...,Bd then one row per grid point.
 
-    Bitwise deterministic in (spec); components are independent streams.
+    ``values`` has shape (d, times.size), the path's values at ``times``.
     """
-    inc = _sample(spec, 1)[0]
-    values = np.zeros((inc.shape[0], spec.size + 1))
-    np.cumsum(inc, axis=1, out=values[:, 1:])
-    return FbmPath(spec=spec, increments=inc, values=values)
-
-
-def simulate_batch(spec, n_replicas):
-    """Increments for replicas replica, replica+1, ..., shape (N, d, size).
-
-    Uses the same per-replica streams and the same row-wise transform as
-    ``simulate`` (replica index offsets spec.replica), so any single replica
-    is reproduced standalone.  Raises DomainError for n_replicas < 1 and
-    CapacityError when the working set exceeds MAX_WORKING_BYTES.
-    """
-    return _sample(spec, n_replicas)
-
-
-def dump_csv(path, fileobj):
-    """Write the path as CSV: header t,B1,...,Bd then one row per grid point."""
-    d = path.values.shape[0]
+    d = values.shape[0]
     header = "t," + ",".join(f"B{k+1}" for k in range(d))
     fileobj.write(header + "\n")
-    times = path.times
     for i in range(times.size):
-        row = [f"{times[i]:.17g}"] + [f"{path.values[k, i]:.17g}" for k in range(d)]
+        row = [f"{times[i]:.17g}"] + [f"{values[k, i]:.17g}" for k in range(d)]
         fileobj.write(",".join(row) + "\n")

@@ -15,24 +15,19 @@ just in the limit.  Level 3 uses the compensated sum
          +  dB^a_k dB^b_k dB^c_k / 6,
 
 the exact level-3 signature of the same piecewise-linear interpolation, so
-the level-3 shuffle identities also hold to machine precision.  Whole
-interval summaries combine associatively via the Chen relation.
-"""
+the level-3 shuffle identities also hold to machine precision.
 
-from dataclasses import dataclass, field, replace
+Sub-step increments come in as (..., d, cells, n) and per-cell levels go out
+as (..., cells, d[, d, d]), leading batch axes kept.  ``chen_fold`` folds
+the cells of such arrays into the lift of their union by the Chen relation.
+"""
 
 import numpy as np
 
-from .errors import DomainError
-
 __all__ = [
-    "RoughLift",
-    "IntervalSignature",
-    "lift2",
-    "lift3",
-    "chen_combine",
     "levy_areas",
     "level3_areas",
+    "chen_fold",
 ]
 
 
@@ -79,96 +74,25 @@ def level3_areas(inc):
     return term1 + comp
 
 
-@dataclass(frozen=True)
-class RoughLift:
-    """Per-dyadic-cell lift of one FbmPath over its n = refine sub-steps."""
+def chen_fold(level1, level2, level3=None):
+    """Chen-fold per-cell lift values left to right over their cells axis.
 
-    path: object = field(repr=False, compare=False)
-    m: int
-    edges: np.ndarray = field(repr=False)
-    level1: np.ndarray = field(repr=False)
-    level2: np.ndarray = field(repr=False)
-    level3: np.ndarray = field(default=None, repr=False)
-
-    @property
-    def cells(self):
-        return self.level1.shape[0]
-
-    def signature(self, i=None, j=None):
-        """Chen-fold cells i..j-1 into one IntervalSignature (defaults: all)."""
-        i = 0 if i is None else i
-        j = self.cells if j is None else j
-        sig = IntervalSignature.zero(
-            self.edges[i], self.level1.shape[1], with_level3=self.level3 is not None
-        )
-        for k in range(i, j):
-            l3 = None if self.level3 is None else self.level3[k]
-            cell = IntervalSignature(
-                s=self.edges[k],
-                t=self.edges[k + 1],
-                level1=self.level1[k],
-                level2=self.level2[k],
-                level3=l3,
-            )
-            sig = chen_combine(sig, cell)
-        return sig
-
-
-@dataclass(frozen=True)
-class IntervalSignature:
-    """Whole-interval lift summary: increments and iterated integrals on [s,t]."""
-
-    s: float
-    t: float
-    level1: np.ndarray
-    level2: np.ndarray
-    level3: np.ndarray = None
-
-    @staticmethod
-    def zero(at, d, with_level3=False):
-        return IntervalSignature(
-            s=float(at),
-            t=float(at),
-            level1=np.zeros(d),
-            level2=np.zeros((d, d)),
-            level3=np.zeros((d, d, d)) if with_level3 else None,
-        )
-
-
-def _cell_increments(path):
-    spec = path.spec
-    return path.increments.reshape(path.increments.shape[0], 2 ** spec.m,
-                                    spec.refine)
-
-
-def lift2(path):
-    """Level-2 lift of a path over all refine sub-steps of each cell."""
-    spec = path.spec
-    level1, level2 = levy_areas(_cell_increments(path))
-    edges = np.arange(2 ** spec.m + 1) * 2.0 ** (-spec.m)
-    return RoughLift(path=path, m=spec.m, edges=edges, level1=level1,
-                     level2=level2)
-
-
-def lift3(path, lift2_result):
-    """Extend a level-2 lift with level-3 values from the same path."""
-    if lift2_result.path is not path:
-        raise DomainError("lift2 was computed from a different path")
-    return replace(lift2_result, level3=level3_areas(_cell_increments(path)))
-
-
-def chen_combine(a, b, tol=1e-12):
-    """Chen relation for abutting interval signatures: [s,t] + [t,u] -> [s,u]."""
-    if abs(a.t - b.s) > tol:
-        raise DomainError(f"intervals [{a.s},{a.t}] and [{b.s},{b.t}] do not abut")
-    level1 = a.level1 + b.level1
-    level2 = a.level2 + b.level2 + np.outer(a.level1, b.level1)
-    level3 = None
-    if a.level3 is not None and b.level3 is not None:
-        level3 = (
-            a.level3
-            + b.level3
-            + np.einsum("a,bc->abc", a.level1, b.level2)
-            + np.einsum("ab,c->abc", a.level2, b.level1)
-        )
-    return IntervalSignature(s=a.s, t=b.t, level1=level1, level2=level2, level3=level3)
+    Takes (..., cells, d), (..., cells, d, d) and optionally
+    (..., cells, d, d, d) arrays, as ``levy_areas``/``level3_areas`` return
+    them, and returns the lift of the concatenated cells: (level1, level2,
+    level3) of shapes (..., d), (..., d, d), (..., d, d, d), level3 None when
+    not given.  The fold starts from the zero lift, so no cells give zeros.
+    """
+    lead, d = level1.shape[:-2], level1.shape[-1]
+    s1, s2 = np.zeros(lead + (d,)), np.zeros(lead + (d, d))
+    s3 = None if level3 is None else np.zeros(lead + (d, d, d))
+    for k in range(level1.shape[-2]):
+        x1, x2 = level1[..., k, :], level2[..., k, :, :]
+        if s3 is not None:
+            # reads the running level 1 and level 2 before they move on
+            s3 = (s3 + level3[..., k, :, :, :]
+                  + s1[..., :, None, None] * x2[..., None, :, :]
+                  + s2[..., None] * x1[..., None, None, :])
+        s2 = s2 + x2 + s1[..., :, None] * x1[..., None, :]
+        s1 = s1 + x1
+    return s1, s2, s3

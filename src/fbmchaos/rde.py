@@ -11,15 +11,16 @@ self-convergence order of the plain second-order step on the driving paths
 handled here caps out at 1, and the level-3 term is what pushes the fitted
 order past 1 on the linear benchmark.  The Jacobian J of the flow and its
 inverse are advanced by the second-order scheme for their linearized
-equations; the product J.Jinv - I is then a fourth-order defect that serves
-as a consistency check on the stepping.
+equations; the product J.Jinv - I is then a fourth-order defect
+(``jacobian_defect``) that serves as a consistency check on the stepping.
 
-All steppers broadcast over leading batch axes, so a whole Monte Carlo batch
-advances with one set of einsum contractions per step.  Coefficient callables
-must follow the same convention (see CoefficientField).
+``taylor_steps`` reads the per-cell level arrays (..., cells, d[, d, d]) of
+``lift`` and broadcasts over their leading batch axes, so a whole Monte Carlo
+batch advances with one set of einsum contractions per step.  Coefficient
+callables must follow the same convention (see CoefficientField).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,10 +28,9 @@ from .errors import DivergenceError
 
 __all__ = [
     "CoefficientField",
-    "RdeSolution",
     "linear_1d",
     "taylor_steps",
-    "solve",
+    "jacobian_defect",
 ]
 
 
@@ -141,26 +141,11 @@ def taylor_steps(coeff, xi, dt, level1, level2, level3=None, with_jacobian=False
     return Y
 
 
-@dataclass(frozen=True)
-class RdeSolution:
-    """Scheme output on the lift's cell edges."""
+def jacobian_defect(J, Jinv):
+    """max |J Jinv - I| over Jacobian trajectories (..., n, n), as a float.
 
-    times: np.ndarray = field(repr=False)
-    Y: np.ndarray = field(repr=False)
-    J: np.ndarray = field(repr=False)
-    Jinv: np.ndarray = field(repr=False)
-
-    def jacobian_defect(self):
-        """max |J Jinv - I| along the trajectory (fourth-order in the step)."""
-        n = self.J.shape[-1]
-        prod = np.einsum("...ij,...jk->...ik", self.J, self.Jinv)
-        return float(np.abs(prod - np.eye(n)).max())
-
-
-def solve(lift, coeff, xi):
-    """Run the stepper over one path's lift cells; J and Jinv come along."""
-    dt = float(lift.edges[1] - lift.edges[0])
-    Y, J, K = taylor_steps(
-        coeff, xi, dt, lift.level1, lift.level2, lift.level3, with_jacobian=True
-    )
-    return RdeSolution(times=lift.edges, Y=Y, J=J, Jinv=K)
+    Fourth-order in the step for the trajectories ``taylor_steps`` returns.
+    """
+    n = J.shape[-1]
+    prod = np.einsum("...ij,...jk->...ik", J, Jinv)
+    return float(np.abs(prod - np.eye(n)).max())

@@ -3,9 +3,9 @@ import pytest
 
 from fbmchaos import chaos, gaussian
 from fbmchaos.errors import CapacityError, DomainError
-from fbmchaos.fbm import SimSpec, simulate, simulate_batch
+from fbmchaos.fbm import SimSpec, simulate_batch
 from fbmchaos.gaussian import HurstModel, rho, series_constants, tilde_rho
-from fbmchaos.lift import level3_areas, levy_areas, lift2, lift3
+from fbmchaos.lift import level3_areas, levy_areas
 from fbmchaos.chaos import (
     K_PATTERNS,
     admissible_assignments,
@@ -58,14 +58,13 @@ def brute_cov_K(H, pattern, lag, n):
     return chaos._pairing_cov(H, n, lag, pattern, pattern)
 
 
-def make_lift(H=0.4, d=2, m=4, refine=4, seed=1, with_l3=False):
-    p = simulate(SimSpec(model=HurstModel(H, d), m=m, refine=refine, seed=seed))
-    L = lift2(p)
-    return p, (lift3(p, L) if with_l3 else L)
-
-
-def lift_cells(L):
-    return q_processes(L.level1, L.level2, L.path.spec.model.H)
+def make_lift(H=0.4, d=2, m=4, refine=4, seed=1, with_l3=False, replica=0):
+    """Per-cell (level1, level2, level3 or None) of one sampled replica."""
+    spec = SimSpec(model=HurstModel(H, d), m=m, refine=refine, seed=seed,
+                   replica=replica)
+    cells = simulate_batch(spec, 1)[0].reshape(d, 2 ** m, refine)
+    l1, l2 = levy_areas(cells)
+    return l1, l2, (level3_areas(cells) if with_l3 else None)
 
 
 class TestSumProcess:
@@ -108,25 +107,25 @@ class TestSumProcess:
 
 class TestWeightedSums:
     def test_constant_weight_is_plain_sum(self):
-        _, L = make_lift(seed=3)
-        cells = lift_cells(L)["qtilde"][:, 0, 1]
-        total = L.level2[:, 0, 1].sum()
+        l1, l2, _ = make_lift(seed=3)
+        cells = q_processes(l1, l2, 0.4)["qtilde"][:, 0, 1]
+        total = l2[:, 0, 1].sum()
         assert sum_process(cells) == total
         assert sum_process(cells, weights=1.0) == total
 
     def test_weight_length_checked(self):
-        _, L = make_lift()
-        cells = lift_cells(L)["qtilde"][:, 0, 1]
+        l1, l2, _ = make_lift()
+        cells = q_processes(l1, l2, 0.4)["qtilde"][:, 0, 1]
         for w in (np.ones(7), np.ones((2, 16))):
             with pytest.raises(DomainError):
                 sum_process(cells, weights=w)
 
     def test_subinterval_uses_left_endpoint_weights(self):
-        _, L = make_lift(seed=4)
+        l1, l2, _ = make_lift(seed=4)
         w = np.arange(17.0)
-        cells = lift_cells(L)["qtilde"][:, 0, 1]
+        cells = q_processes(l1, l2, 0.4)["qtilde"][:, 0, 1]
         s, t = sum_process(cells, [0.25, 0.75], weights=w[:-1])
-        expect = np.dot(w[4:12], L.level2[4:12, 0, 1])
+        expect = np.dot(w[4:12], l2[4:12, 0, 1])
         assert t - s == pytest.approx(expect, abs=1e-14)
 
     def test_batch_rows_are_single_replica_values(self):
@@ -144,8 +143,7 @@ class TestWeightedSums:
 
 class TestQProcesses:
     def test_algebraic_structure(self):
-        _, L = make_lift(d=3, seed=6)
-        Q = lift_cells(L)
+        Q = q_processes(*make_lift(d=3, seed=6)[:2], 0.4)
         np.testing.assert_allclose(Q["q"], -np.swapaxes(Q["q"], 1, 2),
                                    atol=1e-16)
         np.testing.assert_allclose(Q["qhat"], np.swapaxes(Q["qhat"], 1, 2),
@@ -155,15 +153,16 @@ class TestQProcesses:
 
     def test_q_is_antisymmetric_part_of_level2(self):
         # shuffle identity: qhat - qtilde = (B^{ba} - B^{ab}) / 2
-        _, L = make_lift(seed=7)
-        anti = 0.5 * (np.swapaxes(L.level2, 1, 2) - L.level2)
-        np.testing.assert_allclose(lift_cells(L)["q"], anti, atol=1e-14)
+        l1, l2, _ = make_lift(seed=7)
+        anti = 0.5 * (np.swapaxes(l2, 1, 2) - l2)
+        np.testing.assert_allclose(q_processes(l1, l2, 0.4)["q"], anti,
+                                   atol=1e-14)
 
     def test_qcheck_centering(self):
-        _, L = make_lift(H=0.45, m=5, seed=8)
-        expect = 0.5 * (L.level1[:, 0] ** 2 - 2.0 ** (-5 * 2 * 0.45))
-        np.testing.assert_allclose(lift_cells(L)["qcheck"][:, 0], expect,
-                                   atol=1e-15)
+        l1, l2, _ = make_lift(H=0.45, m=5, seed=8)
+        expect = 0.5 * (l1[:, 0] ** 2 - 2.0 ** (-5 * 2 * 0.45))
+        np.testing.assert_allclose(q_processes(l1, l2, 0.45)["qcheck"][:, 0],
+                                   expect, atol=1e-15)
 
     def test_q_cells_of_a_batch(self):
         # replica r of a batch has the cells of its own path's lift, bitwise,
@@ -173,8 +172,8 @@ class TestQProcesses:
         l1, l2 = levy_areas(simulate_batch(spec, N).reshape(N, 2, 2 ** m, n))
         Q = q_processes(l1, l2, H)
         for r in range(N):
-            one = lift_cells(lift2(simulate(SimSpec(
-                model=HurstModel(H, 2), m=m, refine=n, seed=9, replica=r))))
+            one = q_processes(*make_lift(H, 2, m, n, seed=9, replica=r)[:2],
+                              H)
             for key in ("qhat", "qcheck", "qtilde", "q"):
                 np.testing.assert_array_equal(Q[key][r], one[key], err_msg=key)
         np.testing.assert_array_equal(
@@ -269,22 +268,18 @@ class TestExactSecondMomentQ:
 
 class TestThirdOrderSums:
     def test_requires_level3(self):
-        _, L = make_lift()
         with pytest.raises(DomainError):
-            third_order_sums(L.level1, L.level2, L.level3)
+            third_order_sums(*make_lift())
 
     def test_cells_assembled_from_lift(self):
-        _, L = make_lift(d=2, with_l3=True, seed=11)
-        T = third_order_sums(L.level1, L.level2, L.level3)
-        np.testing.assert_array_equal(T["level3"], L.level3)
+        l1, l2, l3 = make_lift(d=2, with_l3=True, seed=11)
+        T = third_order_sums(l1, l2, l3)
+        np.testing.assert_array_equal(T["level3"], l3)
         np.testing.assert_allclose(
-            T["triple"][:, 0, 1, 1], L.level1[:, 0] * L.level1[:, 1] ** 2,
-            atol=1e-15)
+            T["triple"][:, 0, 1, 1], l1[:, 0] * l1[:, 1] ** 2, atol=1e-15)
         np.testing.assert_allclose(
-            T["area_inc"][:, 0, 1, 0], L.level2[:, 0, 1] * L.level1[:, 0],
-            atol=1e-15)
-        batch = third_order_sums(L.level1[None], L.level2[None],
-                                 L.level3[None])
+            T["area_inc"][:, 0, 1, 0], l2[:, 0, 1] * l1[:, 0], atol=1e-15)
+        batch = third_order_sums(l1[None], l2[None], l3[None])
         for key in ("level3", "area_inc", "triple"):
             np.testing.assert_array_equal(batch[key][0], T[key])
 

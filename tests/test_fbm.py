@@ -6,16 +6,10 @@ import numpy as np
 import pytest
 from scipy.linalg import toeplitz
 
-from fbmchaos import experiments, fbm
+from fbmchaos import cli, experiments, fbm
 from fbmchaos.errors import CapacityError, ConsistencyError, DomainError
 from fbmchaos.experiments import _chunked_replicas
-from fbmchaos.fbm import (
-    FbmPath,
-    SimSpec,
-    dump_csv,
-    simulate,
-    simulate_batch,
-)
+from fbmchaos.fbm import SimSpec, dump_csv, simulate_batch
 from fbmchaos.gaussian import HurstModel, cov_rect, rho
 
 
@@ -29,6 +23,11 @@ def increment_cov_matrix(spec):
 
 def spec(H=0.4, d=2, m=4, refine=1, seed=7, replica=0):
     return SimSpec(model=HurstModel(H, d), m=m, refine=refine, seed=seed, replica=replica)
+
+
+def one(sp):
+    """Increments (d, size) of the single replica sp names."""
+    return simulate_batch(sp, 1)[0]
 
 
 class TestSimSpec:
@@ -68,27 +67,29 @@ class TestIncrementCov:
 
 class TestSimulate:
     def test_deterministic(self):
-        a = simulate(spec())
-        b = simulate(spec())
-        assert np.array_equal(a.increments, b.increments)
+        assert np.array_equal(one(spec()), one(spec()))
 
     def test_distinct_replicas_and_components(self):
-        a = simulate(spec(replica=0))
-        b = simulate(spec(replica=1))
-        assert not np.allclose(a.increments, b.increments)
-        assert not np.allclose(a.increments[0], a.increments[1])
+        a = one(spec(replica=0))
+        b = one(spec(replica=1))
+        assert not np.allclose(a, b)
+        assert not np.allclose(a[0], a[1])
 
-    def test_starts_at_zero(self):
-        p = simulate(spec())
-        assert np.all(p.values[:, 0] == 0)
-        np.testing.assert_allclose(p.values[:, -1], p.increments.sum(axis=1))
+    def test_starts_at_zero(self, tmp_path):
+        # the simulate command's path starts at 0 and ends at the increments'
+        # sum; its defaults are H = 0.4, d = 2, refine = 1, replica = 0
+        assert cli.main(["simulate", "--m", "4", "--seed", "7",
+                         "--out", str(tmp_path)]) == 0
+        rows = np.loadtxt(tmp_path / "path.csv", delimiter=",", skiprows=1)
+        assert np.all(rows[0] == 0)
+        np.testing.assert_allclose(rows[-1, 1:], one(spec()).sum(axis=1))
 
     def test_batch_matches_single(self):
         sp = spec(m=3)
         batch = simulate_batch(sp, 3)
         for r in range(3):
-            single = simulate(spec(m=3, replica=r))
-            np.testing.assert_allclose(batch[r], single.increments, atol=1e-12)
+            single = one(spec(m=3, replica=r))
+            np.testing.assert_allclose(batch[r], single, atol=1e-12)
 
     def test_empirical_covariance_exact_law(self):
         # grid of 16 increments, 10^4 replicas: every covariance entry within
@@ -135,15 +136,17 @@ class TestCoarseLaw:
 
 class TestDump:
     def test_csv_roundtrip(self):
-        p = simulate(spec(m=2, d=2))
+        sp = spec(m=2, d=2)
+        values = np.zeros((2, sp.size + 1))
+        np.cumsum(one(sp), axis=1, out=values[:, 1:])
         buf = io.StringIO()
-        dump_csv(p, buf)
+        dump_csv(sp.times, values, buf)
         lines = buf.getvalue().strip().split("\n")
         assert lines[0] == "t,B1,B2"
-        assert len(lines) == 1 + p.spec.size + 1
+        assert len(lines) == 1 + sp.size + 1
         last = [float(x) for x in lines[-1].split(",")]
         assert last[0] == 1.0
-        assert last[1] == p.values[0, -1]
+        assert last[1:] == list(values[:, -1])
 
 
 def _assert_exact(H, size):
@@ -182,12 +185,12 @@ class TestCirculantSampler:
         fbm._root_spectrum.cache_clear()
         monkeypatch.setattr(fbm, "rho", not_positive_definite)
         with pytest.raises(ConsistencyError):
-            simulate(spec(m=2))
+            one(spec(m=2))
 
     def test_batch_rows_bitwise_equal_single(self):
         batch = simulate_batch(spec(m=3, replica=5), 4)
         for r in range(4):
-            single = simulate(spec(m=3, replica=5 + r)).increments
+            single = one(spec(m=3, replica=5 + r))
             assert np.array_equal(batch[r], single)
 
     def test_chunking_is_byte_identical(self):
@@ -220,9 +223,9 @@ class TestCirculantSampler:
 
 
 def _normals(monkeypatch, sp, n_replicas):
-    # the standard normals _sample feeds its transform, one row per stream
+    # the standard normals the sampler feeds its transform, one per stream
     monkeypatch.setattr(fbm, "_transform", lambda z, H, scale=1.0: z)
-    return fbm._sample(sp, n_replicas)
+    return simulate_batch(sp, n_replicas)
 
 
 def _philox(seed, replica, comp, n):
@@ -256,10 +259,9 @@ class TestStreamKeying:
 
     def test_extreme_keys_stay_distinct(self):
         # seed 2^64 - 1 would collide with seed 0 under a rounded key
-        top = simulate(spec(seed=2 ** 64 - 1)).increments
-        assert not np.array_equal(top, simulate(spec(seed=0)).increments)
-        assert not np.array_equal(
-            top, simulate(spec(seed=2 ** 64 - 2)).increments)
+        top = one(spec(seed=2 ** 64 - 1))
+        assert not np.array_equal(top, one(spec(seed=0)))
+        assert not np.array_equal(top, one(spec(seed=2 ** 64 - 2)))
 
     def test_order_and_split_do_not_matter(self):
         whole = simulate_batch(spec(m=4, seed=21, replica=3), 9)

@@ -1,37 +1,46 @@
 import numpy as np
 import pytest
 
-from fbmchaos.errors import DomainError
-from fbmchaos.fbm import SimSpec, simulate, simulate_batch
+from fbmchaos.fbm import SimSpec, simulate_batch
 from fbmchaos.gaussian import HurstModel, tilde_rho
-from fbmchaos.lift import (
-    IntervalSignature,
-    chen_combine,
-    level3_areas,
-    levy_areas,
-    lift2,
-    lift3,
-)
+from fbmchaos.lift import chen_fold, level3_areas, levy_areas
 
 
-def make_path(H=0.4, d=2, m=3, refine=16, seed=1, replica=0):
-    return simulate(
-        SimSpec(model=HurstModel(H, d), m=m, refine=refine, seed=seed, replica=replica)
-    )
+def make_cells(H=0.4, d=2, m=3, refine=16, seed=1, replica=0):
+    """Sub-step increments (d, cells, refine) of one sampled replica."""
+    sp = SimSpec(model=HurstModel(H, d), m=m, refine=refine, seed=seed,
+                 replica=replica)
+    return simulate_batch(sp, 1)[0].reshape(d, 2 ** m, refine)
+
+
+def lift_of(cells, with_l3=False):
+    """Per-cell (level1, level2, level3 or None) of sub-step increments."""
+    l1, l2 = levy_areas(cells)
+    return l1, l2, (level3_areas(cells) if with_l3 else None)
+
+
+def fold_range(levels, i, j):
+    """chen_fold of cells i..j-1 of per-cell levels (level3 may be None)."""
+    return chen_fold(*(None if x is None else x[i:j] for x in levels))
+
+
+def join(*folds):
+    """chen_fold of already folded intervals, taken as consecutive cells."""
+    return chen_fold(*(None if parts[0] is None else np.stack(parts)
+                       for parts in zip(*folds)))
 
 
 class TestLift2:
     def test_single_substep(self):
         # with one sub-step only the geometric half-product survives
-        p = make_path(refine=1)
-        L = lift2(p)
-        expect = 0.5 * np.einsum("ca,cb->cab", L.level1, L.level1)
-        np.testing.assert_allclose(L.level2, expect, atol=1e-15)
+        l1, l2 = levy_areas(make_cells(refine=1))
+        expect = 0.5 * np.einsum("ca,cb->cab", l1, l1)
+        np.testing.assert_allclose(l2, expect, atol=1e-15)
 
     def test_shuffle_identity(self):
-        L = lift2(make_path(d=3))
-        lhs = L.level2 + np.swapaxes(L.level2, -1, -2)
-        rhs = np.einsum("ca,cb->cab", L.level1, L.level1)
+        l1, l2 = levy_areas(make_cells(d=3))
+        lhs = l2 + np.swapaxes(l2, -1, -2)
+        rhs = np.einsum("ca,cb->cab", l1, l1)
         np.testing.assert_allclose(lhs, rhs, atol=1e-14)
 
     def test_shuffle_identity_random(self):
@@ -43,25 +52,27 @@ class TestLift2:
                    d=st.integers(1, 4), m=st.integers(1, 4),
                    refine=st.integers(1, 16), seed=st.integers(0, 2 ** 32 - 1))
         def check(H, d, m, refine, seed):
-            L = lift2(make_path(H=H, d=d, m=m, refine=refine, seed=seed))
-            sig = L.signature()
-            for l1, l2 in ((L.level1, L.level2), (sig.level1, sig.level2)):
+            l1, l2 = levy_areas(make_cells(H=H, d=d, m=m, refine=refine,
+                                           seed=seed))
+            s1, s2, _ = chen_fold(l1, l2)
+            for a, b in ((l1, l2), (s1, s2)):
                 np.testing.assert_allclose(
-                    l2 + np.swapaxes(l2, -1, -2),
-                    np.einsum("...a,...b->...ab", l1, l1), atol=1e-13)
+                    b + np.swapaxes(b, -1, -2),
+                    np.einsum("...a,...b->...ab", a, a), atol=1e-13)
 
         check()
 
     def test_diagonal_rule(self):
-        L = lift2(make_path())
+        l1, l2 = levy_areas(make_cells())
+        s1, s2, _ = chen_fold(l1, l2)
         for a in range(2):
-            np.testing.assert_array_equal(L.level2[:, a, a], 0.5 * L.level1[:, a] ** 2)
+            np.testing.assert_array_equal(l2[:, a, a], 0.5 * l1[:, a] ** 2)
+            assert s2[a, a] == pytest.approx(0.5 * s1[a] ** 2, abs=1e-14)
 
     def test_level1_consistency(self):
-        p = make_path()
-        L = lift2(p)
-        cells = p.increments.reshape(2, 8, 16).sum(axis=2).T
-        np.testing.assert_allclose(L.level1, cells, atol=1e-14)
+        cells = make_cells()
+        l1, _ = levy_areas(cells)
+        np.testing.assert_allclose(l1, cells.sum(axis=2).T, atol=1e-14)
 
     def test_second_moment_matches_quadrature(self):
         # MC over [0,1]: E[(B^{1,2}_{0,1})^2] near tilde_rho(0) at n=64
@@ -79,37 +90,38 @@ class TestLift2:
 
 class TestChen:
     def test_zero_length_identity(self):
-        L = lift2(make_path())
-        sig = L.signature()
-        z = IntervalSignature.zero(sig.t, 2)
-        out = chen_combine(sig, z)
-        np.testing.assert_array_equal(out.level1, sig.level1)
-        np.testing.assert_array_equal(out.level2, sig.level2)
+        levels = lift_of(make_cells(), with_l3=True)
+        whole = fold_range(levels, 0, 8)
+        empty = fold_range(levels, 0, 0)
+        for k, shape in enumerate([(2,), (2, 2), (2, 2, 2)]):
+            assert empty[k].shape == shape
+            assert not empty[k].any()
+        for out in (join(whole, empty), join(empty, whole)):
+            for k in range(3):
+                np.testing.assert_array_equal(out[k], whole[k])
 
     def test_recombination_matches_direct(self):
-        p = make_path(d=3)
-        L = lift2(p)
-        sig = L.signature()
-        inc_full = p.increments.reshape(3, 1, -1)
-        l1, l2 = levy_areas(inc_full)
-        np.testing.assert_allclose(sig.level1, l1[0], atol=1e-13)
-        np.testing.assert_allclose(sig.level2, l2[0], atol=1e-13)
+        cells = make_cells(d=3)
+        s1, s2, _ = chen_fold(*levy_areas(cells))
+        l1, l2 = levy_areas(cells.reshape(3, 1, -1))
+        np.testing.assert_allclose(s1, l1[0], atol=1e-13)
+        np.testing.assert_allclose(s2, l2[0], atol=1e-13)
 
     def test_recombination_level3(self):
-        p = make_path(d=2)
-        L = lift3(p, lift2(p))
-        sig = L.signature()
-        l3 = level3_areas(p.increments.reshape(2, 1, -1))
-        np.testing.assert_allclose(sig.level3, l3[0], atol=1e-13)
+        cells = make_cells(d=2)
+        sig = chen_fold(*lift_of(cells, with_l3=True))
+        l3 = level3_areas(cells.reshape(2, 1, -1))
+        np.testing.assert_allclose(sig[2], l3[0], atol=1e-13)
 
     def test_associativity(self):
-        L = lift2(make_path(m=2, refine=4))
-        a = L.signature(0, 1)
-        b = L.signature(1, 2)
-        c = L.signature(2, 4)
-        left = chen_combine(chen_combine(a, b), c)
-        right = chen_combine(a, chen_combine(b, c))
-        np.testing.assert_allclose(left.level2, right.level2, atol=1e-14)
+        levels = lift_of(make_cells(m=2, refine=4))
+        a, b, c = (fold_range(levels, i, j) for i, j in ((0, 1), (1, 2),
+                                                          (2, 4)))
+        left = join(join(a, b), c)
+        right = join(a, join(b, c))
+        np.testing.assert_allclose(left[1], right[1], atol=1e-14)
+        np.testing.assert_allclose(left[1], fold_range(levels, 0, 4)[1],
+                                   atol=1e-14)
 
     def test_associativity_random_splits(self):
         hyp = pytest.importorskip("hypothesis")
@@ -120,52 +132,47 @@ class TestChen:
                    d=st.integers(1, 3), m=st.integers(2, 4),
                    seed=st.integers(0, 2 ** 32 - 1), data=st.data())
         def check(H, d, m, seed, data):
-            p = make_path(H=H, d=d, m=m, refine=2, seed=seed)
-            L = lift3(p, lift2(p))
+            levels = lift_of(make_cells(H=H, d=d, m=m, refine=2, seed=seed),
+                             with_l3=True)
             cuts = sorted(data.draw(st.lists(
                 st.integers(0, 2 ** m), min_size=4, max_size=4, unique=True)))
-            a, b, c = (L.signature(i, j) for i, j in zip(cuts, cuts[1:]))
-            left = chen_combine(chen_combine(a, b), c)
-            right = chen_combine(a, chen_combine(b, c))
-            whole = L.signature(cuts[0], cuts[-1])
-            for level in ("level1", "level2", "level3"):
-                np.testing.assert_allclose(getattr(left, level),
-                                           getattr(right, level), atol=1e-13)
-                np.testing.assert_allclose(getattr(left, level),
-                                           getattr(whole, level), atol=1e-13)
+            a, b, c = (fold_range(levels, i, j)
+                       for i, j in zip(cuts, cuts[1:]))
+            left = join(join(a, b), c)
+            right = join(a, join(b, c))
+            whole = fold_range(levels, cuts[0], cuts[-1])
+            for k in range(3):
+                np.testing.assert_allclose(left[k], right[k], atol=1e-13)
+                np.testing.assert_allclose(left[k], whole[k], atol=1e-13)
 
         check()
 
-    def test_non_abutting_rejected(self):
-        L = lift2(make_path(m=2, refine=4))
-        with pytest.raises(DomainError):
-            chen_combine(L.signature(0, 1), L.signature(2, 3))
+    def test_batch_rows_are_single_replica_folds(self):
+        # the fold broadcasts over leading replica axes, row by row bitwise
+        sp = SimSpec(model=HurstModel(0.4, 2), m=3, refine=4, seed=3)
+        cells = simulate_batch(sp, 3).reshape(3, 2, 8, 4)
+        batch = chen_fold(*lift_of(cells, with_l3=True))
+        for r in range(3):
+            one = chen_fold(*lift_of(cells[r], with_l3=True))
+            for k in range(3):
+                assert batch[k][r].tobytes() == one[k].tobytes()
 
 
 class TestLift3:
-    def test_requires_same_path(self):
-        p, q = make_path(seed=1), make_path(seed=2)
-        with pytest.raises(DomainError):
-            lift3(p, lift2(q))
-
     def test_aaa_closed_form(self):
-        p = make_path(m=2, refine=64, seed=5)
-        L = lift3(p, lift2(p))
-        expect = L.level1[:, 0] ** 3 / 6
-        np.testing.assert_allclose(L.level3[:, 0, 0, 0], expect, atol=1e-13)
+        l1, _, l3 = lift_of(make_cells(m=2, refine=64, seed=5), with_l3=True)
+        np.testing.assert_allclose(l3[:, 0, 0, 0], l1[:, 0] ** 3 / 6,
+                                   atol=1e-13)
 
     def test_aba_identity(self):
-        p = make_path(m=2, refine=64, seed=6)
-        L = lift3(p, lift2(p))
-        B1, B2, B3 = L.level1, L.level2, L.level3
+        B1, B2, B3 = lift_of(make_cells(m=2, refine=64, seed=6), with_l3=True)
         lhs = B3[:, 0, 1, 0]
         rhs = B2[:, 0, 1] * B1[:, 0] - 2 * B3[:, 0, 0, 1]
         np.testing.assert_allclose(lhs, rhs, atol=1e-13)
 
     def test_baa_identity(self):
-        p = make_path(m=2, refine=256, seed=7)
-        L = lift3(p, lift2(p))
-        B1, B2, B3 = L.level1, L.level2, L.level3
+        B1, B2, B3 = lift_of(make_cells(m=2, refine=256, seed=7),
+                             with_l3=True)
         lhs = B3[:, 1, 0, 0]
         rhs = 0.5 * B1[:, 0] ** 2 * B1[:, 1] - B2[:, 0, 1] * B1[:, 0] + B3[:, 0, 0, 1]
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)

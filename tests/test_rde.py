@@ -2,56 +2,66 @@ import numpy as np
 import pytest
 
 from fbmchaos.errors import DivergenceError
-from fbmchaos.fbm import SimSpec, simulate, simulate_batch
+from fbmchaos.fbm import SimSpec, simulate_batch
 from fbmchaos.gaussian import HurstModel
-from fbmchaos.lift import level3_areas, levy_areas, lift2, lift3
+from fbmchaos.lift import level3_areas, levy_areas
 from fbmchaos.rde import (
     CoefficientField,
+    jacobian_defect,
     linear_1d,
-    solve,
     taylor_steps,
 )
 
 
-def make_lift(H=0.4, d=1, m=5, seed=1, with_l3=True):
-    p = simulate(SimSpec(model=HurstModel(H, d), m=m, refine=1, seed=seed))
-    L = lift2(p)
-    return p, (lift3(p, L) if with_l3 else L)
+def make_lift(H=0.4, d=1, m=5, seed=1, with_l3=True, replica=0):
+    """Increments (d, 2^m) of one replica and its per-cell levels."""
+    sp = SimSpec(model=HurstModel(H, d), m=m, refine=1, seed=seed,
+                 replica=replica)
+    inc = simulate_batch(sp, 1)[0]
+    cells = inc[..., None]
+    l1, l2 = levy_areas(cells)
+    return inc, (l1, l2, level3_areas(cells) if with_l3 else None)
+
+
+def steps_with_jacobian(levels, coeff, xi):
+    """(Y, J, Jinv) of the stepper over one replica's cells of width 1/cells."""
+    return taylor_steps(coeff, xi, 1.0 / len(levels[0]), *levels,
+                        with_jacobian=True)
 
 
 class TestLinearExample:
     def test_matches_closed_form_update(self):
-        p, L = make_lift(seed=2)
-        sol = solve(L, linear_1d(), np.array([1.0]))
-        x = p.increments[0]
+        inc, L = make_lift(seed=2)
+        Y, _, _ = steps_with_jacobian(L, linear_1d(), np.array([1.0]))
+        x = inc[0]
         expect = np.cumprod(1 + x + x ** 2 / 2 + x ** 3 / 6)
-        np.testing.assert_allclose(sol.Y[1:, 0], expect, rtol=1e-12)
+        np.testing.assert_allclose(Y[1:, 0], expect, rtol=1e-12)
 
     def test_second_order_without_level3(self):
-        p, L = make_lift(seed=2, with_l3=False)
-        sol = solve(L, linear_1d(), np.array([1.0]))
-        x = p.increments[0]
+        inc, L = make_lift(seed=2, with_l3=False)
+        Y, _, _ = steps_with_jacobian(L, linear_1d(), np.array([1.0]))
+        x = inc[0]
         expect = np.cumprod(1 + x + x ** 2 / 2)
-        np.testing.assert_allclose(sol.Y[1:, 0], expect, rtol=1e-12)
+        np.testing.assert_allclose(Y[1:, 0], expect, rtol=1e-12)
 
     def test_jacobian_is_flow_derivative(self):
         # linear equation, level-2 lift: J and Y share one update, J = Y / Y_0
         _, L = make_lift(seed=3, with_l3=False)
-        sol = solve(L, linear_1d(), np.array([1.0]))
-        np.testing.assert_allclose(sol.J[:, 0, 0] * sol.Y[0, 0], sol.Y[:, 0], rtol=1e-12)
+        Y, J, _ = steps_with_jacobian(L, linear_1d(), np.array([1.0]))
+        np.testing.assert_allclose(J[:, 0, 0] * Y[0, 0], Y[:, 0], rtol=1e-12)
 
     def test_jacobian_defect_small(self):
         _, L = make_lift(H=0.5, m=7, seed=4)
-        sol = solve(L, linear_1d(), np.array([1.0]))
-        assert sol.jacobian_defect() < 1e-2
+        _, J, Jinv = steps_with_jacobian(L, linear_1d(), np.array([1.0]))
+        assert jacobian_defect(J, Jinv) < 1e-2
 
     def test_approaches_exponential(self):
         # scheme limit is exp(B_1); error shrinks as the grid refines
         errs = []
         for m in (4, 6, 8):
-            p, L = make_lift(H=0.5, m=m, seed=5)
-            sol = solve(L, linear_1d(), np.array([1.0]))
-            errs.append(abs(sol.Y[-1, 0] - np.exp(p.values[0, -1])))
+            inc, L = make_lift(H=0.5, m=m, seed=5)
+            Y, _, _ = steps_with_jacobian(L, linear_1d(), np.array([1.0]))
+            errs.append(abs(Y[-1, 0] - np.exp(inc[0].sum())))
         assert errs[2] < errs[0]
 
 
@@ -76,27 +86,26 @@ class TestMultidimensional:
         # A1 = I, A2 = 0: each component solves the scalar linear equation in B^1
         A1, A2 = np.eye(2), np.zeros((2, 2))
         coeff = self._affine_field(A1, A2, np.zeros(2))
-        p = simulate(SimSpec(model=HurstModel(0.4, 2), m=5, refine=1, seed=6))
-        L = lift3(p, lift2(p))
-        sol = solve(L, coeff, np.array([1.0, 2.0]))
-        x = p.increments[0]
+        inc, L = make_lift(H=0.4, d=2, m=5, seed=6)
+        Y, _, _ = steps_with_jacobian(L, coeff, np.array([1.0, 2.0]))
+        x = inc[0]
         scalar = np.cumprod(1 + x + x ** 2 / 2 + x ** 3 / 6)
-        np.testing.assert_allclose(sol.Y[1:, 0], scalar, rtol=1e-11)
-        np.testing.assert_allclose(sol.Y[1:, 1], 2 * scalar, rtol=1e-11)
+        np.testing.assert_allclose(Y[1:, 0], scalar, rtol=1e-11)
+        np.testing.assert_allclose(Y[1:, 1], 2 * scalar, rtol=1e-11)
 
     def test_jacobian_product_near_identity(self):
         A1 = np.array([[0.0, 1.0], [-1.0, 0.0]])
         A2 = np.array([[0.5, 0.0], [0.2, -0.3]])
         coeff = self._affine_field(A1, A2, np.array([0.1, -0.2]))
         _, L = make_lift(H=0.45, d=2, m=7, seed=7)
-        sol = solve(L, coeff, np.array([1.0, 0.5]))
-        assert sol.jacobian_defect() < 5e-2
+        _, J, Jinv = steps_with_jacobian(L, coeff, np.array([1.0, 0.5]))
+        assert jacobian_defect(J, Jinv) < 5e-2
 
     def test_drift_only_is_euler_exact_direction(self):
         coeff = self._affine_field(np.zeros((2, 2)), np.zeros((2, 2)), np.array([1.0, -1.0]))
         _, L = make_lift(d=2, m=5, seed=8)
-        sol = solve(L, coeff, np.zeros(2))
-        np.testing.assert_allclose(sol.Y[-1], [1.0, -1.0], atol=1e-12)
+        Y, _, _ = steps_with_jacobian(L, coeff, np.zeros(2))
+        np.testing.assert_allclose(Y[-1], [1.0, -1.0], atol=1e-12)
 
 
 class TestBatchStepper:
@@ -109,9 +118,23 @@ class TestBatchStepper:
         l3 = level3_areas(inc)
         Y = taylor_steps(linear_1d(), np.array([1.0]), 2.0 ** -4, l1, l2, l3)
         for r in range(N):
-            p = simulate(SimSpec(model=HurstModel(H, 1), m=4, refine=1, seed=9, replica=r))
-            sol = solve(lift3(p, lift2(p)), linear_1d(), np.array([1.0]))
-            np.testing.assert_allclose(Y[r], sol.Y, rtol=1e-11)
+            _, L = make_lift(H=H, m=4, seed=9, replica=r)
+            one, _, _ = steps_with_jacobian(L, linear_1d(), np.array([1.0]))
+            np.testing.assert_allclose(Y[r], one, rtol=1e-11)
+
+    def test_batch_defect_is_max_of_replica_defects(self):
+        # rde-demo takes its Jacobian defect over one batch of replicas
+        sp = SimSpec(model=HurstModel(0.45, 1), m=6, refine=1, seed=7)
+        inc = simulate_batch(sp, 4)[..., None]
+        _, J, Jinv = taylor_steps(linear_1d(), np.array([1.0]), 2.0 ** -6,
+                                  *levy_areas(inc), level3_areas(inc),
+                                  with_jacobian=True)
+        singles = []
+        for r in range(4):
+            _, L = make_lift(H=0.45, m=6, seed=7, replica=r)
+            _, Jr, Jinv_r = steps_with_jacobian(L, linear_1d(), np.array([1.0]))
+            singles.append(jacobian_defect(Jr, Jinv_r))
+        assert jacobian_defect(J, Jinv) == max(singles) > 0
 
     def test_divergence_raises_with_step(self):
         bad = CoefficientField(
