@@ -403,22 +403,15 @@ def third_order_experiment(H=0.4, m_range=range(4, 10), n_quad=24,
 def rho_sum_experiment(max_p=4, max_q=3, m_range=range(1, 7), H=0.4):
     """Exhaustive check of the correlation-sum bound over all admissible
     exponent assignments up to the given sizes."""
-    rows = []
-    ok = True
-    total = 0
-    for p in range(2, max_p + 1):
-        for q in range(1, max_q + 1):
-            for a in chaos.admissible_assignments(p, q, max_exponent=q):
-                rep = chaos.rho_sum_bound_verify(p, q, a, m_range, H=H)
-                total += 1
-                ok = ok and rep["pass"]
-                if not rep["pass"]:
-                    rows.append({
-                        "p": p, "q": q,
-                        "assignment": {str(sorted(k)): v for k, v in a.items()},
-                        "pass": False,
-                    })
-    rows.append({"assignments": total, "violations": len(rows), "pass": ok})
+    cases = [(p, q, a) for p in range(2, max_p + 1) for q in range(1, max_q + 1)
+             for a in chaos.admissible_assignments(p, q, max_exponent=q)]
+    rows = [{"p": p, "q": q, "pass": False,
+             "assignment": {str(sorted(k)): v for k, v in a.items()}}
+            for p, q, a in cases
+            if not chaos.rho_sum_bound_verify(p, q, a, m_range, H=H)["pass"]]
+    ok = not rows
+    rows.append({"assignments": len(cases), "violations": len(rows),
+                 "pass": ok})
     return _report(
         "rho-sum-bound",
         {"max_p": max_p, "max_q": max_q, "m_range": list(m_range), "H": H},

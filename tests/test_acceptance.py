@@ -88,6 +88,7 @@ def test_criterion_09_rho_sum_exhaustive():
     rep = experiments.rho_sum_experiment(max_p=4, max_q=3,
                                          m_range=range(1, 7))
     tally = rep["rows"][-1]
+    assert tally["assignments"] == 327  # a lost class or assignment shows
     _line(9, f"correlation-sum bound on all {tally['assignments']} "
           "admissible assignments, zero violations",
           rep["pass"] and tally["violations"] == 0)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -419,33 +421,77 @@ class TestRhoSumBound:
                 count += 1
         assert count > 10
 
+    def test_zero_cell_range(self):
+        # s == t leaves no cells: every sum is empty
+        for a in ({frozenset({0, 1}): 1}, {}):
+            rep = rho_sum_bound_verify(3, 2, a, [3], s=0.5, t=0.5)
+            assert rep["pass"]
+            assert rep["rows"][0]["count"] == 0
+            assert rep["rows"][0]["lhs"] == 0.0
+
+    def test_p_above_four_refused(self):
+        for a in ({}, {frozenset({0, 4}): 1}):
+            with pytest.raises(DomainError):
+                rho_sum_bound_verify(5, 3, a, [2])
+
     def test_repeated_call_is_bitwise_equal(self):
-        # the second pass reads the cached powers and contraction paths
+        # the second pass reads the cached powers and class sums
         for H in (0.4, 0.45):
             for p, q in [(3, 1), (3, 3), (4, 2)]:
                 for a in admissible_assignments(p, q, max_exponent=q):
                     first = rho_sum_bound_verify(p, q, a, [2, 4], H=H)
                     assert rho_sum_bound_verify(p, q, a, [2, 4], H=H) == first
         assert chaos._seq_power.cache_info().hits > 0
-        assert chaos._contraction_path.cache_info().hits > 0
+        assert chaos._class_sum.cache_info().hits > 0
+
+    def test_vertex_permutations_give_bitwise_equal_rows(self):
+        for a in admissible_assignments(4, 3):
+            want = rho_sum_bound_verify(4, 3, a, [1, 2, 3])["rows"]
+            for perm in itertools.permutations(range(4)):
+                moved = {frozenset(perm[i] for i in k): v
+                         for k, v in a.items()}
+                assert rho_sum_bound_verify(4, 3, moved, [1, 2, 3])[
+                    "rows"] == want, (a, perm)
 
     def test_brute_force_agreement(self):
-        # einsum contraction equals the literal nested sum on a tiny range
-        import itertools
-
-        H, m = 0.4, 2
-        a = {frozenset({0, 1}): 1, frozenset({1, 2}): 2}
-        rep = rho_sum_bound_verify(3, 3, a, [m], H=H)
+        # every assignment of the rho-sum command against the literal
+        # nested sum over all count^p index tuples, at 4 cells (m = 2) and
+        # at the 3 cells 2..4 of [0.25, 0.625] (m = 3)
+        H = 0.4
         total = 1.0 + 2.0 * chaos.rho_tail_bound(0, H)
-        cells = 4
-        lhs = 0.0
-        for k in itertools.product(range(cells), repeat=3):
-            term = 1.0
-            for key, e in a.items():
-                i, j = sorted(key)
-                term *= (abs(rho(abs(k[i] - k[j]), H)) / total) ** e
-            lhs += term
-        assert rep["rows"][0]["lhs"] == pytest.approx(lhs, rel=1e-12)
+        classes = set()
+        for p in (2, 3, 4):
+            for q in (1, 2, 3):
+                for a in admissible_assignments(p, q, max_exponent=q):
+                    classes.add(_pair_graph_class(a))
+                    for m, s, t, cells in ((2, 0.0, 1.0, 4),
+                                           (3, 0.25, 0.625, 3)):
+                        k = np.indices((cells,) * p).reshape(p, -1)
+                        terms = np.ones(k.shape[1])
+                        for key, e in a.items():
+                            i, j = sorted(key)
+                            terms *= (np.abs(rho(np.abs(k[i] - k[j]), H))
+                                      / total) ** e
+                        row = rho_sum_bound_verify(p, q, a, [m], s, t,
+                                                   H)["rows"][0]
+                        assert row["count"] == cells
+                        assert row["lhs"] == pytest.approx(
+                            terms.sum(), rel=1e-12, abs=0), (p, q, a, cells)
+        # 25 graphs and the empty one, among them K4 (p = 4, q = 3) and
+        # single pairs, which at p = 3 and 4 leave isolated vertices
+        assert len(classes) == 26
+        assert _pair_graph_class(
+            {frozenset(k): 1 for k in itertools.combinations(range(4), 2)}
+        ) in classes
+        assert _pair_graph_class({frozenset({0, 1}): 1}) in classes
+
+
+def _pair_graph_class(a):
+    """An assignment up to relabelling (isolated vertices dropped): the
+    least sorted edge list over the permutations of four labels."""
+    return min(tuple(sorted((min(perm[i] for i in k), max(perm[i] for i in k),
+                             v) for k, v in a.items()))
+               for perm in itertools.permutations(range(4)))
 
 
 class TestCovQPairs:

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import time
+import warnings
 
 import pytest
 
@@ -325,6 +326,19 @@ class TestRefusals:
         assert err.startswith("config error: ") and "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
         assert not (tmp_path / f"{argv[0]}.json").exists()
+
+    @pytest.mark.parametrize("hurst", ["-1", "0.2"])
+    def test_rho_sum_refuses_hurst_before_evaluating_rho(self, tmp_path,
+                                                         capsys, hurst):
+        # a warning (rho at a negative H divides by zero) would be an extra
+        # stderr line; escalated, it surfaces as an error here
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(tmp_path, "verify-third-order", "--which", "rho-sum",
+                       "--hurst", hurst) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert len(err.strip().splitlines()) == 1
 
     @pytest.mark.parametrize("argv", [["pvar", "--points", "6"],
                                       ["simulate", "--m", "15"],
