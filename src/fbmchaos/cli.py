@@ -1,14 +1,17 @@
 """Command-line front end.
 
-Each command's options, defaults and runner are declared once, in
-``COMMANDS``; ``fbmchaos <command> --help`` lists its flags.  An option
-resolves as explicit flag > ``--config`` file (key=value lines) > default.
+Each command's options and runner are declared once, in ``COMMANDS``;
+``fbmchaos <command> --help`` lists its flags.  An option resolves as
+explicit flag > ``--config`` file (key=value lines) > default.  Defaults
+live in the runner: an option passed on to an ``experiments`` runner
+defaults to None, which means unset and not passed.
 
 Every run writes a results JSON ({experiment, params, rows}) plus a
-manifest (config, library versions, seed) beside it; an optional CSV
-projection flattens the rows.  Results are deterministic for a given
-config: identical inputs give byte-identical results files (only the
-manifest carries a timestamp).
+manifest (the options as given, library versions, seed) beside it; the
+results' params record the values used.  An optional CSV projection
+flattens the rows.  Results are deterministic for a given config:
+identical inputs give byte-identical results files (only the manifest
+carries a timestamp).
 
 Exit codes: 0 success, 1 a verification invariant failed (the failing
 invariant is named on stderr), 2 the run was refused or could not finish:
@@ -86,7 +89,8 @@ def _config_value(key, kind, text):
 
 
 def _merge(args, options):
-    """Resolve each option: explicit flag > config file > built-in default."""
+    """Resolve each option: explicit flag > config file > its ``COMMANDS``
+    default, None for an option whose runner holds the default."""
     config = _read_config(args.config) if args.config else {}
     unknown = set(config) - set(options)
     if unknown:
@@ -152,19 +156,17 @@ def _emit(report, args, merged):
 # runners: (resolved options, parsed args) -> report
 
 
-def _experiment(name, **kwargs):
-    # looked up at call time, so a patched or traced experiment is the one run
-    return getattr(experiments, name)(**kwargs)
-
-
 # option -> keyword of the experiment functions, where the two differ
 _KEYWORDS = {"hurst": "H", "replicas": "N"}
 
 
-def _forward(name):
-    """The runner that passes every option on to ``experiments.<name>``."""
-    return lambda o, args: _experiment(
-        name, **{_KEYWORDS.get(key, key): val for key, val in o.items()})
+def _experiment(name, o, skip=()):
+    """``experiments.<name>`` called with every set option of ``o`` outside
+    ``skip``; an unset option leaves the experiment's default."""
+    # looked up at call time, so a patched or traced experiment is the one run
+    return getattr(experiments, name)(**{
+        _KEYWORDS.get(key, key): val for key, val in o.items()
+        if val is not None and key not in skip})
 
 
 def _resolve_threads(o):
@@ -172,7 +174,17 @@ def _resolve_threads(o):
     the manifest records the count the run used."""
     if o["threads"] is None:
         o["threads"] = experiments.default_threads()
-    return o
+
+
+def _forward(name, selector=None):
+    """The runner that passes the set options on to ``experiments.<name>``,
+    or, given a selector option, to ``experiments.<name[o[selector]]>``."""
+    def run(o, args):
+        if "threads" in o:
+            _resolve_threads(o)
+        return _experiment(name[o[selector]] if selector else name, o,
+                           skip=(selector,))
+    return run
 
 
 def _sampled(o):
@@ -208,24 +220,21 @@ def _lift(o, args):
     ]}
 
 
-# --which -> (experiment, default replicas or None if unsampled, default seed)
-_MOMENT = {"levy-area": ("levy_area_mc_experiment", 10000, 101),
-           "growth": ("moment_experiment", 1000, 202),
-           "covariance": ("covariance_table_experiment", None, 404)}
+# --which -> (experiment, whether it draws samples)
+_MOMENT = {"levy-area": ("levy_area_mc_experiment", True),
+           "growth": ("moment_experiment", True),
+           "covariance": ("covariance_table_experiment", False)}
 
 
 def _verify_moment(o, args):
-    name, replicas, seed = _MOMENT[o["which"]]
-    if replicas is None and (o["replicas"] is not None
-                             or o["threads"] not in (None, 1)):
+    name, sampled = _MOMENT[o["which"]]
+    if sampled:
+        _resolve_threads(o)
+    elif o["replicas"] is not None or o["threads"] not in (None, 1):
         raise DomainError(f"--which {o['which']} draws no samples: "
                           "--replicas and --threads do not apply")
-    kwargs = {"H": o["hurst"],
-              "seed": seed if o["seed"] is None else o["seed"]}
-    if replicas is not None:
-        kwargs.update(N=replicas if o["replicas"] is None else o["replicas"],
-                      threads=_resolve_threads(o)["threads"])
-    return _experiment(name, **kwargs)
+    return _experiment(name, o, skip=("which",) if sampled
+                       else ("which", "threads"))
 
 
 def _pvar(o, args):
@@ -260,12 +269,11 @@ _THREADS = (int, None, "worker threads (default: the usable cores); "
 COMMANDS = {
     "constants": (
         "limit-constant table",
-        {"tol": (float, 1e-6),
+        {"tol": (float, None),
          "identity": (bool, False,
                       "check the variance-identity assembly instead")},
-        lambda o, args: _experiment(
-            "constant_identity_experiment" if o["identity"]
-            else "constants_experiment", tol=o["tol"])),
+        _forward({False: "constants_experiment",
+                  True: "constant_identity_experiment"}, "identity")),
     "simulate": ("sample paths to CSV", _SIMULATE, _simulate),
     "lift": (
         "signature of one sampled path",
@@ -273,32 +281,30 @@ COMMANDS = {
         _lift),
     "verify-moment": (
         "second-moment and moment-growth checks",
-        {"which": (list(_MOMENT), "levy-area"), "hurst": (float, 0.4),
+        {"which": (list(_MOMENT), "levy-area"), "hurst": (float, None),
          "replicas": (int, None), "seed": (int, None), "threads": _THREADS},
         _verify_moment),
     "verify-fclt": (
         "Gaussian-limit marginal verification",
-        {"hurst": (float, 0.4), "m": (int, 10), "replicas": (int, 2000),
-         "n_sub": (int, 8), "seed": (int, 303), "threads": _THREADS},
-        lambda o, args: _forward("fclt_experiment")(_resolve_threads(o),
-                                                    args)),
+        {"hurst": (float, None), "m": (int, None), "replicas": (int, None),
+         "n_sub": (int, None), "seed": (int, None), "threads": _THREADS},
+        _forward("fclt_experiment")),
     "verify-third-order": (
         "order-3 scaling and correlation-sum bounds",
-        {"which": (["scaling", "rho-sum"], "scaling"), "hurst": (float, 0.4)},
-        lambda o, args: _experiment(
-            {"scaling": "third_order_experiment",
-             "rho-sum": "rho_sum_experiment"}[o["which"]], H=o["hurst"])),
+        {"which": (["scaling", "rho-sum"], "scaling"), "hurst": (float, None)},
+        _forward({"scaling": "third_order_experiment",
+                  "rho-sum": "rho_sum_experiment"}, "which")),
     "pvar": (
         "variation norms of a random grid function, with the sandwich check",
         {"p": (float, 2.0), "points": (int, 4), "seed": (int, 0)},
         _pvar),
     "young-check": (
         "Young-integration check suite",
-        {"seed": (int, 2024), "cases": (int, 100), "hurst": (float, 0.4)},
+        {"seed": (int, None), "cases": (int, None), "hurst": (float, None)},
         _forward("young_suite_experiment")),
     "rde-demo": (
         "differential-equation self-convergence demo",
-        {"hurst": (float, 0.5), "replicas": (int, 400), "seed": (int, 12)},
+        {"hurst": (float, None), "replicas": (int, None), "seed": (int, None)},
         _forward("rde_demo_experiment")),
 }
 

@@ -139,11 +139,11 @@ def _check_stderr_replicas(N):
 # series constants
 
 
-def constants_experiment(H_list=(0.35, 0.4, 0.45, 0.5), tol=1e-6):
+def constants_experiment(tol=1e-6):
     """Limit-constant table; the Brownian row doubles as a closed-form anchor."""
     rows = []
     ok = True
-    for H in H_list:
+    for H in (0.35, 0.4, 0.45, 0.5):
         sc = series_constants(H, tol=tol)
         row = {
             "H": H,
@@ -164,12 +164,12 @@ def constants_experiment(H_list=(0.35, 0.4, 0.45, 0.5), tol=1e-6):
     return _report("constants", {"tol": tol}, rows, ok)
 
 
-def constant_identity_experiment(H_list=(0.35, 0.4, 0.45), tol=1e-6):
+def constant_identity_experiment(tol=1e-6):
     """fclt_C^2 vs sigma2_tilde - sigma2/4, the two assemblies evaluated
     separately, within twice the series tolerance plus tail bound."""
     rows = []
     ok = True
-    for H in H_list:
+    for H in (0.35, 0.4, 0.45):
         sc = series_constants(H, tol=tol)
         lhs = sc.fclt_C ** 2
         rhs = sc.sigma2_tilde - sc.sigma2 / 4.0
@@ -187,11 +187,11 @@ def constant_identity_experiment(H_list=(0.35, 0.4, 0.45), tol=1e-6):
 # Monte Carlo vs quadrature
 
 
-def levy_area_mc_experiment(H=0.4, N=10000, n_sub=64, seed=101,
-                            threads=None):
+def levy_area_mc_experiment(H=0.4, N=10000, seed=101, threads=None):
     """E[(area over [0,1])^2] by simulation against the lag-0 qtilde entry
-    of cov_Q_pair at n_sub sub-steps (the geometric area the lift draws)."""
+    of cov_Q_pair at 64 sub-steps (the geometric area the lift draws)."""
     _check_stderr_replicas(N)
+    n_sub = 64
     spec = SimSpec(model=HurstModel(H, 2), m=1, refine=n_sub // 2, seed=seed)
 
     def worker(inc):
@@ -212,8 +212,7 @@ def levy_area_mc_experiment(H=0.4, N=10000, n_sub=64, seed=101,
                    [row], row["pass"])
 
 
-def moment_experiment(H=0.4, ps=(2, 4), m_range=range(4, 10), N=1000,
-                      n_sub=4, seed=202, threads=None, ratio_cap=3.0):
+def moment_experiment(H=0.4, N=1000, seed=202, threads=None):
     """Weighted-sum moment growth over dyadic levels.
 
     For each weight (constant, tanh of the first component) and p, tabulates
@@ -223,7 +222,7 @@ def moment_experiment(H=0.4, ps=(2, 4), m_range=range(4, 10), N=1000,
     exact second-moment oracle at matching sub-resolution.
     """
     _check_stderr_replicas(N)
-    m_range = list(m_range)
+    ps, m_range, n_sub, ratio_cap = (2, 4), list(range(4, 10)), 4, 3.0
     samples = {}
     for m in m_range:
         spec = SimSpec(model=HurstModel(H, 2), m=m, refine=n_sub, seed=seed)
@@ -273,8 +272,7 @@ def moment_experiment(H=0.4, ps=(2, 4), m_range=range(4, 10), N=1000,
     )
 
 
-def fclt_experiment(H=0.4, m=10, N=2000, n_sub=8, seed=303, threads=None,
-                    ks_alpha=0.01, conv_tol=0.02):
+def fclt_experiment(H=0.4, m=10, N=2000, n_sub=8, seed=303, threads=None):
     """Gaussian-limit marginal checks for the normalized antisymmetric sum.
 
     Variance matching is against the exact finite-sub-resolution variance
@@ -283,6 +281,7 @@ def fclt_experiment(H=0.4, m=10, N=2000, n_sub=8, seed=303, threads=None,
     via Kolmogorov-Smirnov on the standardized sample.
     """
     _check_stderr_replicas(N)
+    ks_alpha, conv_tol = 0.01, 0.02
     spec = SimSpec(model=HurstModel(H, 2), m=m, refine=n_sub, seed=seed)
 
     def worker(inc):
@@ -320,10 +319,11 @@ def fclt_experiment(H=0.4, m=10, N=2000, n_sub=8, seed=303, threads=None,
     )
 
 
-def covariance_table_experiment(H=0.4, triples=20, n_sub=4, seed=404,
-                                rel_tol=1e-8):
+def covariance_table_experiment(H=0.4, seed=404):
     """Closed-form order-2 pair covariances vs the pairing oracle on random
     (pair kind, cell i, cell j, level m <= 6) draws at matching resolution."""
+    HurstModel(H)  # refuses H outside (1/3, 1/2]
+    triples, n_sub, rel_tol = 20, 4, 1e-8
     rng = np.random.default_rng(seed)
     rows = []
     ok = True
@@ -354,12 +354,11 @@ def covariance_table_experiment(H=0.4, triples=20, n_sub=4, seed=404,
 # third-order scaling
 
 
-def third_order_experiment(H=0.4, m_range=range(4, 10), n_quad=24,
-                           max_lag=32, slope_tol=0.1):
+def third_order_experiment(H=0.4):
     """Per-pattern dyadic scaling of E[(K^m_{0,1})^2] and the lag-decay
     covariance bound with a per-pattern fitted constant."""
     HurstModel(H)  # refuses H outside (1/3, 1/2]
-    m_range = list(m_range)
+    m_range, n_quad, max_lag, slope_tol = list(range(4, 10)), 24, 32, 0.1
     target = -(6 * H - 1)
     rows = []
     ok = True
@@ -400,9 +399,10 @@ def third_order_experiment(H=0.4, m_range=range(4, 10), n_quad=24,
     )
 
 
-def rho_sum_experiment(max_p=4, max_q=3, m_range=range(1, 7), H=0.4):
+def rho_sum_experiment(H=0.4):
     """Exhaustive check of the correlation-sum bound over all admissible
-    exponent assignments up to the given sizes."""
+    exponent assignments with p <= 4 and row sums q <= 3, at m = 1..6."""
+    max_p, max_q, m_range = 4, 3, range(1, 7)
     cases = [(p, q, a) for p in range(2, max_p + 1) for q in range(1, max_q + 1)
              for a in chaos.admissible_assignments(p, q, max_exponent=q)]
     rows = [{"p": p, "q": q, "pass": False,
@@ -499,7 +499,7 @@ def young_suite_experiment(seed=2024, cases=100, H=0.4):
 DEFECT_REPLICAS = 8
 
 
-def rde_demo_experiment(H=0.5, N=400, m_range=(5, 6, 7, 8, 9), seed=12):
+def rde_demo_experiment(H=0.5, N=400, seed=12):
     """Step-halving self-convergence of the linear benchmark plus the
     forward/inverse Jacobian product defect.
 
@@ -507,7 +507,7 @@ def rde_demo_experiment(H=0.5, N=400, m_range=(5, 6, 7, 8, 9), seed=12):
     change in the terminal value under step halving; the Jacobian defect at
     the finest level must stay within 10x the finest halving RMS.
     """
-    m_range = list(m_range)
+    m_range = [5, 6, 7, 8, 9]
     m_max = m_range[-1]
     spec = SimSpec(model=HurstModel(H, 1), m=m_max, refine=1, seed=seed)
     inc_f = simulate_batch(spec, N)

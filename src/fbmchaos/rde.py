@@ -44,16 +44,16 @@ class CoefficientField:
         b:       (..., n)
         dsigma:  (..., n, d, n)     d sigma_{ia} / d y_k  at index [i, a, k]
         db:      (..., n, n)        d b_i / d y_k
-        d2sigma: (..., n, d, n, n)  second derivative, optional (taken as 0)
 
-    and must broadcast over the leading batch axes of y.
+    and must broadcast over the leading batch axes of y.  The level-3 term
+    and the Jacobian steps take sigma'' = 0, which holds for sigma affine
+    in y, such as ``linear_1d``.
     """
 
     sigma: callable
     b: callable
     dsigma: callable
     db: callable
-    d2sigma: callable = None
 
 
 def linear_1d():
@@ -75,9 +75,6 @@ def _step_Y(coeff, y, x, B2, B3, dt):
     if B3 is not None:
         # next Taylor term D(Dsigma_g[sigma_b])[sigma_a] . BBB^{abg}
         f3 = np.einsum("...igk,...kbj,...ja->...iabg", ds, ds, sig)
-        if coeff.d2sigma is not None:
-            d2 = coeff.d2sigma(y)
-            f3 = f3 + np.einsum("...igkj,...kb,...ja->...iabg", d2, sig, sig)
         dy += np.einsum("...iabg,...abg->...i", f3, B3)
     return y + dy
 
@@ -88,16 +85,11 @@ def _step_J_Jinv(coeff, y, J, K, x, B2, dt):
     # (A_b A_a)_{ik} and (A_a A_b)_{ik} with A_a = dsigma[:, a, :]
     AbAa = np.einsum("...ibl,...lak->...abik", ds, ds)
     AaAb = np.swapaxes(AbAa, -4, -3)
-    if coeff.d2sigma is not None:
-        sig = coeff.sigma(y)
-        DA = np.einsum("...ibkj,...ja->...abik", coeff.d2sigma(y), sig)
-    else:
-        DA = 0.0
     Jp = J + np.einsum("...iak,...kj,...a->...ij", ds, J, x)
-    Jp += np.einsum("...abik,...kj,...ab->...ij", AbAa + DA, J, B2)
+    Jp += np.einsum("...abik,...kj,...ab->...ij", AbAa, J, B2)
     Jp += dt * np.einsum("...ik,...kj->...ij", db_, J)
     Kp = K - np.einsum("...il,...lbk,...b->...ik", K, ds, x)
-    Kp += np.einsum("...il,...ablk,...ab->...ik", K, AaAb - DA, B2)
+    Kp += np.einsum("...il,...ablk,...ab->...ik", K, AaAb, B2)
     Kp -= dt * np.einsum("...il,...lk->...ik", K, db_)
     return Jp, Kp
 

@@ -33,21 +33,20 @@ def test_criterion_01_brownian_constants():
 
 
 def test_criterion_02_constant_identity():
-    rep = experiments.constant_identity_experiment(H_list=(0.35, 0.40, 0.45))
+    rep = experiments.constant_identity_experiment()
     _line(2, "fclt_C^2 = sigma2_tilde - sigma2/4 within 2x quadrature tol",
           rep["pass"])
 
 
 def test_criterion_03_levy_area_variance():
-    rep = experiments.levy_area_mc_experiment(H=0.4, N=10000, n_sub=64)
+    rep = experiments.levy_area_mc_experiment(H=0.4, N=10000)
     row = rep["rows"][0]
     _line(3, f"MC area second moment vs lag table (|z|={abs(row['z']):.2f} "
           "< 5)", rep["pass"])
 
 
 def test_criterion_04_moment_growth():
-    rep = experiments.moment_experiment(H=0.4, ps=(2, 4),
-                                        m_range=range(4, 10), N=1000)
+    rep = experiments.moment_experiment(H=0.4, N=1000)
     _line(4, "normalized p-th moments bounded across levels (ratio <= 3), "
           "p=2 constant-weight within 4 SE of oracle", rep["pass"])
 
@@ -59,13 +58,13 @@ def test_criterion_05_fclt_marginal():
 
 
 def test_criterion_06_covariance_closed_forms():
-    rep = experiments.covariance_table_experiment(H=0.4, triples=20)
+    rep = experiments.covariance_table_experiment(H=0.4)
     _line(6, "order-2 closed-form covariances match pairing oracle to "
           "1e-8 on 20 random triples", rep["pass"])
 
 
 def test_criterion_07_third_order_scaling():
-    rep = experiments.third_order_experiment(H=0.4, m_range=range(4, 10))
+    rep = experiments.third_order_experiment(H=0.4)
     slopes = {r["pattern"]: r["slope"] for r in rep["rows"]}
     _line(7, "order-3 dyadic slopes within 10% of -(6H-1) and lag-decay "
           f"bound holds (slopes {min(slopes.values()):.2f}.."
@@ -85,8 +84,7 @@ def test_criterion_08_young_integration_suite():
 
 
 def test_criterion_09_rho_sum_exhaustive():
-    rep = experiments.rho_sum_experiment(max_p=4, max_q=3,
-                                         m_range=range(1, 7))
+    rep = experiments.rho_sum_experiment()
     tally = rep["rows"][-1]
     assert tally["assignments"] == 327  # a lost class or assignment shows
     _line(9, f"correlation-sum bound on all {tally['assignments']} "

@@ -125,6 +125,17 @@ class TestConfigHandling:
         assert man["config"]["seed"] is None
         assert man["seed"] == 404
 
+    def test_manifest_records_options_as_given(self, tmp_path):
+        # an unset option is null in the manifest; the results' params hold
+        # the runner's default that the run used
+        assert run(tmp_path, "verify-fclt", "--m", "3", "--replicas",
+                   "20") == 0
+        man = json.loads((tmp_path / "verify-fclt.manifest.json").read_text())
+        rep = json.loads((tmp_path / "verify-fclt.json").read_text())
+        assert man["config"]["n_sub"] is None and rep["params"]["n_sub"] == 8
+        assert man["config"]["m"] == rep["params"]["m"] == 3
+        assert man["seed"] == rep["params"]["seed"] == 303
+
     @pytest.mark.parametrize("argv, threads", [
         (["verify-fclt", "--m", "3", "--replicas", "20"], None),
         (["verify-moment", "--which", "levy-area", "--replicas", "50"], None),
@@ -232,6 +243,25 @@ class TestOtherCommands:
         rep = json.loads((tmp_path / f"{command}.json").read_text())
         assert rep["params"] == defaults
 
+    @pytest.mark.parametrize("argv, runner", [
+        (["constants"], "constants_experiment"),
+        (["constants", "--identity"], "constant_identity_experiment"),
+        (["verify-moment", "--which", "covariance"],
+         "covariance_table_experiment"),
+        (["verify-third-order", "--which", "scaling"],
+         "third_order_experiment"),
+        (["young-check"], "young_suite_experiment"),
+        (["rde-demo"], "rde_demo_experiment"),
+    ])
+    def test_default_run_uses_the_runner_defaults(self, tmp_path, argv,
+                                                  runner):
+        # each default is stated once, in the runner's signature
+        from fbmchaos import experiments
+
+        assert run(tmp_path, *argv) == 0
+        rep = json.loads((tmp_path / f"{argv[0]}.json").read_text())
+        assert rep["params"] == getattr(experiments, runner)()["params"]
+
     def test_lift_levels(self, tmp_path):
         assert run(tmp_path, "lift", "--m", "3", "--level3") == 0
         rep = json.loads((tmp_path / "lift.json").read_text())
@@ -319,6 +349,8 @@ class TestRefusals:
         ["verify-fclt", "--replicas", "1"],
         ["verify-moment", "--which", "levy-area", "--replicas", "1"],
         ["young-check", "--cases", "0"],
+        ["verify-moment", "--which", "covariance", "--hurst", "-1"],
+        ["verify-moment", "--which", "covariance", "--hurst", "0.2"],
     ])
     def test_out_of_domain_options_exit_2(self, tmp_path, capsys, argv):
         assert run(tmp_path, *argv) == 2
