@@ -16,9 +16,9 @@ oracles come in two flavours: converged (the continuum iterated-integral
 covariances, built on rho and tilde_rho of gaussian.py) and
 finite-sub-step (matching the geometric lift at resolution n exactly, so
 Monte Carlo comparisons are unbiased).  Every hand-derived covariance
-formula is cross-checked in the tests against one brute-force pairing
-(Isserlis) oracle, which expands both orders' cells into Gaussian monomials
-with one builder, on the same discretization.
+formula is checked against one Wick contraction (wick_cov) of the cells'
+coefficient tensors over their sub-step increments, on the same
+discretization and at any degree.
 
 Each order has one per-lag table, vectorized over lags (cov_Q_pair,
 cov_K_lags), and a stationary sum over lags (exact_second_moment_Q,
@@ -36,7 +36,7 @@ import itertools
 
 import numpy as np
 
-from .errors import CapacityError, DomainError
+from .errors import DomainError
 from .gaussian import (_check_H, _lag_tables, _transposed, rho,
                        rho_tail_bound, tilde_rho)
 
@@ -48,20 +48,17 @@ __all__ = [
     "Q_PAIRS",
     "cov_Q_pair",
     "exact_cov_Q",
-    "brute_cov_Q",
+    "q_pair_cells",
+    "wick_cov",
     "third_order_sums",
     "cov_K_lags",
     "second_moment_K",
     "K_PATTERNS",
-    "isserlis_moment",
     "rho_sum_bound_verify",
     "tilde_rho_finite",
     "cross_hat_tilde_finite",
     "admissible_assignments",
 ]
-
-ISSERLIS_MAX_DEGREE = 12
-
 
 # ---------------------------------------------------------------------------
 # sum processes
@@ -366,113 +363,72 @@ def second_moment_K(H, m, pattern, s=0.0, t=1.0, n_quad=32):
 
 
 # ---------------------------------------------------------------------------
-# Isserlis brute-force oracle
+# Wick contraction
 
 
-def isserlis_moment(cov_matrix, monomial):
-    """E[prod_k X_{monomial[k]}] for centered jointly Gaussian X.
+def _area_kernel(n):
+    """M[k, l] = [k < l] + [k = l] / 2 over a cell's n sub-steps: dA^T M dB
+    is levy_areas' level-2 (geometric) area."""
+    return np.triu(np.ones((n, n)), 1) + 0.5 * np.eye(n)
 
-    Sum over perfect matchings of products of covariances; zero for odd
-    degree.  Degree capped at 12 (10395 pairings).
+
+def q_pair_cells(which, n):
+    """The two cells of the Q_PAIRS entry ``which`` for wick_cov, over n
+    sub-steps: qhat is (1/2) ones on components (a, b), qcheck (1/2) ones on
+    (a, a), qtilde the area kernel on (a, b); "cross" is qhat_qtilde."""
+    if which not in Q_PAIRS:
+        raise DomainError(f"unknown pair {which!r}")
+    half = np.full((n, n), 0.5)
+    cells = {"qhat": ((0, 1), half), "qcheck": ((0, 0), half),
+             "qtilde": ((0, 1), _area_kernel(n))}
+    kinds = {"cross": "qhat_qtilde"}.get(which, which).split("_")
+    return cells[kinds[0]], cells[kinds[-1]]
+
+
+def _matchings(slots, comps):
+    """Perfect matchings of ``slots`` that pair equal components, each a
+    list of (s, t) pairs with s < t."""
+    if not slots:
+        yield []
+    for pos in range(1, len(slots)):
+        if comps[slots[pos]] == comps[slots[0]]:
+            for tail in _matchings(slots[1:pos] + slots[pos + 1:], comps):
+                yield [(slots[0], slots[pos])] + tail
+
+
+def wick_cov(H, n, lag, left, right):
+    """Covariance of unit cells i and j = i + lag by Wick contraction.
+
+    A cell is (components, T), sum_k T[k_1..k_p] prod_s dB^{c_s}_{k_s} over
+    its n sub-step increments.  Each matching of both cells' slots that pairs
+    equal components and pairs some slot across (the rest make E[X] E[Y])
+    contracts T_i, T_j against S = n^{-2H} rho(l - k) within a cell and
+    G = n^{-2H} rho(lag n + l - k) across, each side reduced by its own pairs
+    first.  Any degree; an integer ``lag`` gives a float, an array an array.
     """
-    idx = tuple(monomial)
-    if len(idx) > ISSERLIS_MAX_DEGREE:
-        raise CapacityError(f"monomial degree {len(idx)} exceeds cap")
-    C = np.asarray(cov_matrix, dtype=float)
+    lags = np.asarray(lag, dtype=int)
+    step = np.arange(n) - np.arange(n)[:, None]  # l - k
+    S = float(n) ** (-2 * H) * rho(step, H)
+    G = float(n) ** (-2 * H) * rho(lags.reshape(-1, 1, 1) * n + step, H)
 
-    def rec(ids):
-        if not ids:
-            return 1.0
-        if len(ids) % 2:
-            return 0.0
-        head, rest = ids[0], ids[1:]
-        total = 0.0
-        for pos in range(len(rest)):
-            c = C[head, rest[pos]]
-            if c != 0.0:
-                total += c * rec(rest[:pos] + rest[pos + 1:])
-        return total
+    def reduce(T, own, keep):  # T against S on its own pairs
+        blocks = [x for st in own for x in (S, list(st))]
+        return np.einsum(T, list(range(T.ndim)), *blocks, list(keep))
 
-    return rec(idx)
-
-
-def _monomials(kind, base, n):
-    """One unit cell's element as Gaussian monomials in fine increments.
-
-    Variables are (component, global fine index); ``base`` is the cell's
-    first fine index.  Component 0 plays alpha, 1 beta and 2 a third
-    component that never repeats.  ``kind`` is an order-2 entry ("qhat",
-    "qcheck", "qtilde") or a K pattern.  The order-2 area is geometric (the
-    left-point area plus the half-product diagonal); the order-3 patterns
-    use the left-point area, as their lag tables do.  Returns a list of
-    (coeff, [var, ...]); qcheck carries a constant term (empty monomial).
-    """
-    A, B, C = ([(comp, base + k) for k in range(n)] for comp in range(3))
-    area = [(1.0, [A[p], B[k]]) for k in range(n) for p in range(k)]
-    if kind == "qhat":
-        return [(0.5, [a, b]) for a in A for b in B]
-    if kind == "qcheck":
-        return [(0.5, [a, a2]) for a in A for a2 in A] + [(-0.5, [])]
-    if kind == "qtilde":
-        return area + [(0.5, [A[k], B[k]]) for k in range(n)]
-    products = {"prod_abc": (A, B, C), "prod_aab": (A, A, B),
-                "prod_aaa": (A, A, A)}
-    if kind in products:
-        return [(1.0, list(v)) for v in itertools.product(*products[kind])]
-    if kind in ("area_cross", "area_own"):
-        last = C if kind == "area_cross" else A
-        return [(c, v + [x]) for c, v in area for x in last]
-    if kind == "l3_aab":
-        return [(0.5, [A[p], A[q], B[k]])
-                for k in range(n) for p in range(k) for q in range(k)]
-    if kind == "l3_abc":
-        return [(1.0, [A[p], B[k], C[l]])
-                for l in range(n) for k in range(l) for p in range(k)]
-    # B^{aba} = X - 2Z and B^{baa} = Y/2 - X + Z, with X = B^{ab}B^a,
-    # Y = (B^a)^2 B^b and Z = B^{aab}
-    parts = {"l3_aba": ((1.0, "area_own"), (-2.0, "l3_aab")),
-             "l3_baa": ((0.5, "prod_aab"), (-1.0, "area_own"),
-                        (1.0, "l3_aab"))}
-    if kind not in parts:
-        raise DomainError(f"unknown kind {kind!r}")
-    return [(w * c, v) for w, part in parts[kind]
-            for c, v in _monomials(part, base, n)]
-
-
-def _pairing_cov(H, n, lag, kind_i, kind_j):
-    """E[X_i Y_j] of two unit cells at signed offset lag = j - i, by pairing.
-
-    Each cell is expanded by ``_monomials`` into its n fine increments on the
-    mesh-1/n grid spanning both cells; the three components are independent
-    fBm copies.  Sums the Isserlis moment of every cross product of the two
-    expansions.
-    """
-    size = n * (abs(lag) + 1)
-    fine = (1.0 / n) ** (2 * H) * rho(
-        np.abs(np.arange(size)[:, None] - np.arange(size)[None, :]), H
-    )
-    C = np.kron(np.eye(3), fine)
-    total = 0.0
-    for ci, vi in _monomials(kind_i, max(0, -lag) * n, n):
-        for cj, vj in _monomials(kind_j, max(0, lag) * n, n):
-            flat = [comp * size + pos for comp, pos in vi + vj]
-            total += ci * cj * isserlis_moment(C, flat)
-    return total
-
-
-_Q_KINDS = {"cross": ("qhat", "qtilde"), "qhat_qcheck": ("qhat", "qcheck"),
-            "qtilde_qcheck": ("qtilde", "qcheck")}
-
-
-def brute_cov_Q(H, which, lag, n):
-    """Pairing-enumeration oracle for the order-2 pair covariances.
-
-    Unit cells, n fine sub-increments, geometric areas; matches
-    cov_Q_pair(..., n_sub=n) exactly for the area entries and the
-    n-independent closed forms for the rest.  Like cov_Q_pair it ignores the
-    sign of the lag.
-    """
-    return _pairing_cov(H, n, abs(lag), *_Q_KINDS.get(which, (which, which)))
+    (cx, X), (cy, Y) = left, right
+    p = len(cx)
+    total = np.zeros(len(G))
+    for pairs in _matchings(tuple(range(p + len(cy))), tuple(cx) + tuple(cy)):
+        cross = [(s, t - p) for s, t in pairs if s < p <= t]
+        if cross:
+            xs, ys = zip(*cross)
+            a = reduce(X, [st for st in pairs if st[1] < p], xs)
+            b = reduce(Y, [(s - p, t - p) for s, t in pairs if s >= p], ys)
+            a = np.broadcast_to(a, (len(G),) + a.shape)
+            for _ in xs:
+                a = np.einsum("lk...,lkj->l...j", a, G)
+            total += np.tensordot(a, b, b.ndim)
+    return total.reshape(lags.shape) if lags.ndim else float(total[0])
 
 
 # ---------------------------------------------------------------------------

@@ -247,12 +247,12 @@ def _pvar(o, args):
     vp = float(young.Vp(f, p))
     ctrl = float(young.controlled_pvar(f, p))
     bar = float(young.bar_Vp(f, p))
-    ok = tilde <= vp + 1e-12 and vp <= ctrl + 1e-12
+    ok = tilde <= vp + 1e-12 and vp <= ctrl + 1e-12 and vp <= bar + 1e-12
     return {"experiment": "pvar", "params": o, "pass": ok, "rows": [
         {"norm": "tilde_Vp", "value": tilde, "pass": True},
         {"norm": "Vp", "value": vp, "pass": vp >= tilde - 1e-12},
         {"norm": "pvar", "value": ctrl, "pass": ctrl >= vp - 1e-12},
-        {"norm": "bar_Vp", "value": bar, "pass": True},
+        {"norm": "bar_Vp", "value": bar, "pass": bar >= vp - 1e-12},
     ]}
 
 

@@ -320,7 +320,7 @@ def fclt_experiment(H=0.4, m=10, N=2000, n_sub=8, seed=303, threads=None):
 
 
 def covariance_table_experiment(H=0.4, seed=404):
-    """Closed-form order-2 pair covariances vs the pairing oracle on random
+    """Closed-form order-2 pair covariances vs chaos.wick_cov on random
     (pair kind, cell i, cell j, level m <= 6) draws at matching resolution."""
     HurstModel(H)  # refuses H outside (1/3, 1/2]
     triples, n_sub, rel_tol = 20, 4, 1e-8
@@ -333,14 +333,13 @@ def covariance_table_experiment(H=0.4, seed=404):
         i = int(rng.integers(1, 2 ** m + 1))
         j = int(rng.integers(1, 2 ** m + 1))
         exact = chaos.exact_cov_Q(H, m, which, i, j, n_sub=n_sub)
-        brute = (2.0 ** -m) ** (4 * H) * chaos.brute_cov_Q(
-            H, which, j - i, n_sub
-        )
-        err = abs(exact - brute)
-        passed = err <= rel_tol * max(abs(brute), 1.0e-12) + 1e-14
+        oracle = (2.0 ** -m) ** (4 * H) * chaos.wick_cov(
+            H, n_sub, j - i, *chaos.q_pair_cells(which, n_sub))
+        err = abs(exact - oracle)
+        passed = err <= rel_tol * max(abs(oracle), 1.0e-12) + 1e-14
         ok = ok and passed
         rows.append({"which": which, "m": m, "i": i, "j": j,
-                     "exact": exact, "oracle": brute, "abs_err": err,
+                     "exact": exact, "oracle": oracle, "abs_err": err,
                      "pass": passed})
     return _report(
         "covariance-table",

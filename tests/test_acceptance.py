@@ -59,7 +59,7 @@ def test_criterion_05_fclt_marginal():
 
 def test_criterion_06_covariance_closed_forms():
     rep = experiments.covariance_table_experiment(H=0.4)
-    _line(6, "order-2 closed-form covariances match pairing oracle to "
+    _line(6, "order-2 closed-form covariances match Wick contraction to "
           "1e-8 on 20 random triples", rep["pass"])
 
 

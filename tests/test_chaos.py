@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fbmchaos import chaos, gaussian
-from fbmchaos.errors import CapacityError, DomainError
+from fbmchaos.errors import DomainError
 from fbmchaos.fbm import SimSpec, simulate_batch
 from fbmchaos.gaussian import HurstModel, rho, series_constants, tilde_rho
 from fbmchaos.lift import level3_areas, levy_areas
@@ -14,7 +14,6 @@ from fbmchaos.chaos import (
     cov_K_lags,
     cross_hat_tilde_finite,
     exact_second_moment_Q,
-    isserlis_moment,
     normalization,
     q_processes,
     rho_sum_bound_verify,
@@ -22,11 +21,136 @@ from fbmchaos.chaos import (
     sum_process,
     third_order_sums,
     tilde_rho_finite,
+    wick_cov,
 )
 
 
-# Test-only oracles: the per-cell-pair view of cov_K_lags and the pairing
-# enumeration of the order-3 patterns.  No command needs them.
+# Test-only oracles: the per-cell-pair view of cov_K_lags, the exhaustive
+# Isserlis enumeration of both orders' cells (the oracle of
+# chaos.wick_cov at small n) and the order-3 cells as coefficient tensors
+# for wick_cov.  No command needs them.
+
+
+def isserlis_moment(cov_matrix, monomial):
+    """E[prod_k X_{monomial[k]}] for centered jointly Gaussian X.
+
+    Sum over perfect matchings of products of covariances; zero for odd
+    degree.
+    """
+    idx = tuple(monomial)
+    C = np.asarray(cov_matrix, dtype=float)
+
+    def rec(ids):
+        if not ids:
+            return 1.0
+        if len(ids) % 2:
+            return 0.0
+        head, rest = ids[0], ids[1:]
+        total = 0.0
+        for pos in range(len(rest)):
+            c = C[head, rest[pos]]
+            if c != 0.0:
+                total += c * rec(rest[:pos] + rest[pos + 1:])
+        return total
+
+    return rec(idx)
+
+
+def _monomials(kind, base, n):
+    """One unit cell's element as Gaussian monomials in fine increments.
+
+    Variables are (component, global fine index); ``base`` is the cell's
+    first fine index.  Component 0 plays alpha, 1 beta and 2 a third
+    component that never repeats.  ``kind`` is an order-2 entry ("qhat",
+    "qcheck", "qtilde") or a K pattern.  The order-2 area is geometric (the
+    left-point area plus the half-product diagonal); the order-3 patterns
+    use the left-point area, as their lag tables do.  Returns a list of
+    (coeff, [var, ...]); qcheck carries a constant term (empty monomial).
+    """
+    A, B, C = ([(comp, base + k) for k in range(n)] for comp in range(3))
+    area = [(1.0, [A[p], B[k]]) for k in range(n) for p in range(k)]
+    if kind == "qhat":
+        return [(0.5, [a, b]) for a in A for b in B]
+    if kind == "qcheck":
+        return [(0.5, [a, a2]) for a in A for a2 in A] + [(-0.5, [])]
+    if kind == "qtilde":
+        return area + [(0.5, [A[k], B[k]]) for k in range(n)]
+    products = {"prod_abc": (A, B, C), "prod_aab": (A, A, B),
+                "prod_aaa": (A, A, A)}
+    if kind in products:
+        return [(1.0, list(v)) for v in itertools.product(*products[kind])]
+    if kind in ("area_cross", "area_own"):
+        last = C if kind == "area_cross" else A
+        return [(c, v + [x]) for c, v in area for x in last]
+    if kind == "l3_aab":
+        return [(0.5, [A[p], A[q], B[k]])
+                for k in range(n) for p in range(k) for q in range(k)]
+    if kind == "l3_abc":
+        return [(1.0, [A[p], B[k], C[l]])
+                for l in range(n) for k in range(l) for p in range(k)]
+    # B^{aba} = X - 2Z and B^{baa} = Y/2 - X + Z, with X = B^{ab}B^a,
+    # Y = (B^a)^2 B^b and Z = B^{aab}
+    parts = {"l3_aba": ((1.0, "area_own"), (-2.0, "l3_aab")),
+             "l3_baa": ((0.5, "prod_aab"), (-1.0, "area_own"),
+                        (1.0, "l3_aab"))}
+    if kind not in parts:
+        raise DomainError(f"unknown kind {kind!r}")
+    return [(w * c, v) for w, part in parts[kind]
+            for c, v in _monomials(part, base, n)]
+
+
+def _pairing_cov(H, n, lag, kind_i, kind_j):
+    """E[X_i Y_j] of two unit cells at signed offset lag = j - i, by pairing.
+
+    Each cell is expanded by ``_monomials`` into its n fine increments on the
+    mesh-1/n grid spanning both cells; the three components are independent
+    fBm copies.  Monomials with the same variables are merged, then the
+    Isserlis moment of every cross product of the two expansions is summed.
+    """
+    size = n * (abs(lag) + 1)
+    fine = (1.0 / n) ** (2 * H) * rho(
+        np.abs(np.arange(size)[:, None] - np.arange(size)[None, :]), H
+    )
+    C = np.kron(np.eye(3), fine)
+
+    def merged(kind, base):
+        out = {}
+        for c, v in _monomials(kind, base, n):
+            key = tuple(sorted(comp * size + pos for comp, pos in v))
+            out[key] = out.get(key, 0.0) + c
+        return out.items()
+
+    total = 0.0
+    for vi, ci in merged(kind_i, max(0, -lag) * n):
+        for vj, cj in merged(kind_j, max(0, lag) * n):
+            total += ci * cj * isserlis_moment(C, vi + vj)
+    return total
+
+
+# the two cells of each chaos.Q_PAIRS entry, by _monomials kind
+Q_KINDS = {"qhat": ("qhat", "qhat"), "qcheck": ("qcheck", "qcheck"),
+           "qtilde": ("qtilde", "qtilde"), "cross": ("qhat", "qtilde"),
+           "qhat_qcheck": ("qhat", "qcheck"),
+           "qtilde_qcheck": ("qtilde", "qcheck")}
+
+
+def k_cell(pattern, n):
+    """One K pattern's unit cell as (components, coefficient tensor) over n
+    sub-steps: the left-point sums that _monomials expands, as indicator
+    tensors, combined as it combines them."""
+    x, y, z = np.ix_(*(np.arange(n),) * 3)
+    full = np.ones((n, n, n))
+    area = (x < y) * full  # [p < k] on the first two slots
+    aab = 0.5 * (x < z) * (y < z) * full  # l3_aab on (p, q, k)
+    cells = {"prod_abc": ((0, 1, 2), full), "prod_aab": ((0, 0, 1), full),
+             "prod_aaa": ((0, 0, 0), full), "area_cross": ((0, 1, 2), area),
+             "area_own": ((0, 1, 0), area),
+             "l3_abc": ((0, 1, 2), (x < y) * (y < z) * full),
+             "l3_aab": ((0, 0, 1), aab),
+             "l3_aba": ((0, 1, 0), area - 2.0 * aab.transpose(0, 2, 1)),
+             "l3_baa": ((0, 0, 1), 0.5 * full - area.transpose(0, 2, 1)
+                        + aab)}
+    return cells[pattern]
 
 
 def _cov_K_unit(H, pattern, offset, n):
@@ -57,7 +181,7 @@ def brute_cov_K(H, pattern, lag, n):
     cross products; a negative lag puts cell j before cell i.  O((n^3)^2)
     Isserlis calls of degree 6 — keep n small.
     """
-    return chaos._pairing_cov(H, n, lag, pattern, pattern)
+    return _pairing_cov(H, n, lag, pattern, pattern)
 
 
 def make_lift(H=0.4, d=2, m=4, refine=4, seed=1, with_l3=False, replica=0):
@@ -389,10 +513,6 @@ class TestIsserlis:
         C = np.array([[1.0, c], [c, 1.0]])
         assert isserlis_moment(C, [0, 0, 0, 1, 1, 1]) == pytest.approx(9 * c + 6 * c ** 3)
 
-    def test_degree_cap(self):
-        with pytest.raises(CapacityError):
-            isserlis_moment(np.eye(1), [0] * 14)
-
 
 class TestRhoSumBound:
     def test_inadmissible_rejected(self):
@@ -496,14 +616,14 @@ def _pair_graph_class(a):
 
 class TestCovQPairs:
     def test_brute_agreement(self):
-        from fbmchaos.chaos import Q_PAIRS, brute_cov_Q, cov_Q_pair
+        from fbmchaos.chaos import Q_PAIRS, cov_Q_pair
 
         n = 4
         for H in (0.4, 0.5):
             for which in Q_PAIRS:
                 for lag in (0, 1, 2):
                     hand = cov_Q_pair(H, which, lag, n_sub=n)
-                    brute = brute_cov_Q(H, which, lag, n)
+                    brute = _pairing_cov(H, n, lag, *Q_KINDS[which])
                     assert hand == pytest.approx(brute, abs=1e-13), (
                         H, which, lag)
 
@@ -534,6 +654,65 @@ class TestCovQPairs:
         for which in Q_PAIRS:
             assert cov_Q_pair(0.4, which, -2, n_sub=4) == pytest.approx(
                 cov_Q_pair(0.4, which, 2, n_sub=4), abs=1e-15)
+
+
+class TestWickContraction:
+    # chaos.wick_cov against the exhaustive enumeration, the hand-derived
+    # lag tables and the lift, each set within 1e-12 of its largest value
+
+    @staticmethod
+    def _close(got, want):
+        err = np.max(np.abs(np.asarray(got) - np.asarray(want)))
+        assert err <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_matches_isserlis_enumeration(self, n):
+        # pairs of two kinds are not even in the lag, so they fix its sign
+        lags = np.arange(-2, 3)
+        pairs = [(chaos.q_pair_cells(which, n), Q_KINDS[which])
+                 for which in chaos.Q_PAIRS]
+        for kinds in [(pattern,) * 2 for pattern in K_PATTERNS] + [
+                ("area_own", "l3_aab"), ("prod_aab", "l3_baa"),
+                ("l3_aba", "l3_baa"), ("area_cross", "l3_abc")]:
+            pairs.append(([k_cell(kind, n) for kind in kinds], kinds))
+        for cells, kinds in pairs:
+            self._close(wick_cov(0.4, n, lags, *cells),
+                        [_pairing_cov(0.4, n, lag, *kinds) for lag in lags])
+
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_matches_order2_tables(self, n):
+        lags = np.arange(64)
+        for H in (0.35, 0.4, 0.5):
+            for which in chaos.Q_PAIRS:
+                self._close(
+                    wick_cov(H, n, lags, *chaos.q_pair_cells(which, n)),
+                    chaos.cov_Q_pair(H, which, lags, n_sub=n))
+
+    def test_matches_order3_tables(self):
+        n, lags = 8, np.array([0, 1, 2, 5, 33, 511])
+        for pattern in K_PATTERNS:
+            for signed in (lags, -lags):
+                self._close(
+                    wick_cov(0.4, n, signed, *(k_cell(pattern, n),) * 2),
+                    cov_K_lags(0.4, pattern, signed, n, symmetrized=False))
+
+    def test_integer_lag_and_unknown_pair(self):
+        cells = chaos.q_pair_cells("qtilde", 4)
+        assert isinstance(wick_cov(0.4, 4, 3, *cells), float)
+        assert wick_cov(0.4, 4, [3], *cells).shape == (1,)
+        with pytest.raises(DomainError):
+            chaos.q_pair_cells("qbar", 4)
+
+    def test_area_kernel_is_the_lift(self):
+        # dA^T M dB is levy_areas' level-2 value, both orders of (a, b)
+        n = 6
+        inc = np.random.default_rng(6).normal(size=(50, 2, 1, n))
+        _, level2 = levy_areas(inc)
+        M = chaos._area_kernel(n)
+        for a, b in ((0, 1), (1, 0)):
+            got = np.einsum("rk,kl,rl->r", inc[:, a, 0], M, inc[:, b, 0])
+            np.testing.assert_allclose(got, level2[:, 0, a, b],
+                                       rtol=0, atol=1e-13)
 
 
 class TestOrder2LagTable:

@@ -442,7 +442,9 @@ class TestImport:
 # moved into the tests, and the single-path objects FbmPath, simulate,
 # RoughLift, IntervalSignature, lift2, lift3, chen_combine, RdeSolution and
 # solve (the array path simulate_batch -> levy_areas/level3_areas ->
-# chen_fold/taylor_steps replaced them): every one must still be exported
+# chen_fold/taylor_steps replaced them) and isserlis_moment (the exhaustive
+# enumeration moved into the tests as the oracle of chaos.wick_cov): every
+# one must still be exported
 KEPT_EXPORTS = [
     "CapacityError", "ConsistencyError", "DivergenceError", "DomainError",
     "FbmchaosError",
@@ -452,7 +454,7 @@ KEPT_EXPORTS = [
     "levy_areas", "level3_areas",
     "CoefficientField", "linear_1d", "taylor_steps",
     "K_PATTERNS", "Q_PAIRS", "admissible_assignments", "cov_K_lags",
-    "cov_Q_pair", "exact_cov_Q", "exact_second_moment_Q", "isserlis_moment",
+    "cov_Q_pair", "exact_cov_Q", "exact_second_moment_Q",
     "q_processes", "rho_sum_bound_verify", "second_moment_K",
     "third_order_sums",
     "GridFunction", "GridPartition", "Vp", "bar_Vp", "controlled_pvar",
