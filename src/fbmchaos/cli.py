@@ -6,10 +6,12 @@ explicit flag > ``--config`` file (key=value lines) > default.  Defaults
 live in the runner: an option passed on to an ``experiments`` runner
 defaults to None, which means unset and not passed.
 
-Every run writes a results JSON ({experiment, params, rows}) plus a
+Every run writes a results JSON ({experiment, params, rows, pass}) plus a
 manifest (the options as given, library versions, seed) beside it; the
-results' params record the values used.  An optional CSV projection
-flattens the rows.  Results are deterministic for a given config:
+results' params record the values used.  Every runner builds its results
+with ``experiments._report``: the run passes when each row that carries a
+``pass`` passes, and a row without one only reports.  An optional CSV
+projection flattens the rows.  Results are deterministic for a given config:
 identical inputs give byte-identical results files (only the manifest
 carries a timestamp).
 
@@ -200,13 +202,13 @@ def _simulate(o, args):
     np.cumsum(inc, axis=1, out=values[:, 1:])
     with open(os.path.join(args.out, "path.csv"), "w") as fh:
         dump_csv(spec.times, values, fh)
-    return {"experiment": "simulate", "params": o, "pass": True, "rows": [
+    return experiments._report("simulate", o, [
         {"component": c,
-         "terminal": float(values[c, -1]),
-         "increment_std": float(np.std(inc[c], ddof=1)),
+         "terminal": values[c, -1],
+         "increment_std": np.std(inc[c], ddof=1),
          "pass": True}
         for c in range(o["d"])
-    ]}
+    ])
 
 
 def _lift(o, args):
@@ -214,10 +216,10 @@ def _lift(o, args):
     cells = inc.reshape(o["d"], 2 ** spec.m, spec.refine)
     level3 = level3_areas(cells) if o["level3"] else None
     levels = [v for v in chen_fold(*levy_areas(cells), level3) if v is not None]
-    return {"experiment": "lift", "params": o, "pass": True, "rows": [
-        {"level": k, "values": v.tolist(), "pass": True}
+    return experiments._report("lift", o, [
+        {"level": k, "values": v, "pass": True}
         for k, v in enumerate(levels, 1)
-    ]}
+    ])
 
 
 # --which -> (experiment, whether it draws samples)
@@ -247,13 +249,12 @@ def _pvar(o, args):
     vp = float(young.Vp(f, p))
     ctrl = float(young.controlled_pvar(f, p))
     bar = float(young.bar_Vp(f, p))
-    ok = tilde <= vp + 1e-12 and vp <= ctrl + 1e-12 and vp <= bar + 1e-12
-    return {"experiment": "pvar", "params": o, "pass": ok, "rows": [
-        {"norm": "tilde_Vp", "value": tilde, "pass": True},
+    return experiments._report("pvar", o, [
+        {"norm": "tilde_Vp", "value": tilde},
         {"norm": "Vp", "value": vp, "pass": vp >= tilde - 1e-12},
         {"norm": "pvar", "value": ctrl, "pass": ctrl >= vp - 1e-12},
         {"norm": "bar_Vp", "value": bar, "pass": bar >= vp - 1e-12},
-    ]}
+    ])
 
 
 # ---------------------------------------------------------------------------

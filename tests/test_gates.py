@@ -1,12 +1,23 @@
 """Every gate can fail: each mutant, patched in for one test and never
-written into the package, makes the command that checks it exit 1."""
+written into the package, makes the command that checks it exit 1.  A
+report's verdict is the conjunction of the rows that carry a ``pass``."""
 
 import json
 
 import numpy as np
+import pytest
 
-from fbmchaos import chaos, cli, young
+from fbmchaos import chaos, cli, experiments, young
 from fbmchaos.gaussian import _lag_tables
+
+
+def test_verdict_is_conjunction_of_checking_rows():
+    def verdict(rows):
+        return experiments._report("rule", {}, rows)["pass"]
+
+    assert verdict([{"value": 1.0}])  # a row that only reports
+    assert verdict([{"value": 1.0}, {"pass": True}, {"pass": np.bool_(True)}])
+    assert not verdict([{"value": 1.0}, {"pass": True}, {"pass": False}])
 
 
 def _run(tmp_path, *argv):
@@ -50,7 +61,7 @@ def test_area_kernel_without_half_diagonal_fails(tmp_path, monkeypatch):
 
 def test_pvar_rows_pass_unmutated(tmp_path):
     code, rows = _run(tmp_path, "pvar")
-    assert code == 0 and all(r["pass"] for r in rows)
+    assert code == 0 and all(r.get("pass", True) for r in rows)
 
 
 def test_halved_bar_vp_fails(tmp_path, monkeypatch):
@@ -58,4 +69,37 @@ def test_halved_bar_vp_fails(tmp_path, monkeypatch):
     monkeypatch.setattr(young, "bar_Vp", lambda f, p: 0.5 * bar_Vp(f, p))
     code, rows = _run(tmp_path, "pvar")
     assert code == 1
-    assert [r["norm"] for r in rows if not r["pass"]] == ["bar_Vp"]
+    assert [r["norm"] for r in rows if not r.get("pass", True)] == ["bar_Vp"]
+
+
+def test_doubled_tilde_vp_fails(tmp_path, monkeypatch):
+    # the tilde_Vp row only reports; the Vp row checks tilde_Vp <= Vp
+    tilde_Vp = young.tilde_Vp
+    monkeypatch.setattr(young, "tilde_Vp", lambda f, p: 2.0 * tilde_Vp(f, p))
+    code, rows = _run(tmp_path, "pvar")
+    assert code == 1
+    assert [r["norm"] for r in rows if not r.get("pass", True)] == ["Vp"]
+
+
+def test_levy_area_oracle_at_lag_one_fails(tmp_path, monkeypatch):
+    cov_Q_pair = chaos.cov_Q_pair
+    monkeypatch.setattr(chaos, "cov_Q_pair", lambda H, which, lag, **kw:
+                        cov_Q_pair(H, which, lag + 1, **kw))
+    code, rows = _run(tmp_path, "verify-moment", "--which", "levy-area",
+                      "--replicas", "2000")
+    assert code == 1 and not rows[0]["pass"]
+
+
+# the mutant drives six patterns' level sums negative, so the log of the
+# slope fit warns and the slope reads NaN, which fails its row
+@pytest.mark.filterwarnings("ignore:invalid value encountered in log")
+def test_lag_grown_cov_k_tables_fail_the_slopes(tmp_path, monkeypatch):
+    # every table times 1 + l^2
+    cov_K_lags = chaos.cov_K_lags
+    monkeypatch.setattr(chaos, "cov_K_lags", lambda H, pattern, lags, **kw:
+                        cov_K_lags(H, pattern, lags, **kw)
+                        * (1.0 + np.asarray(lags, dtype=float) ** 2))
+    code, rows = _run(tmp_path, "verify-third-order", "--which", "scaling")
+    assert code == 1
+    assert [r["pattern"] for r in rows if not r["pass"]] == [
+        "prod_aab", "prod_aaa", "area_own", "l3_aab", "l3_aba", "l3_baa"]
