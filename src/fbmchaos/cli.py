@@ -205,8 +205,7 @@ def _simulate(o, args):
     return experiments._report("simulate", o, [
         {"component": c,
          "terminal": values[c, -1],
-         "increment_std": np.std(inc[c], ddof=1),
-         "pass": True}
+         "increment_std": np.std(inc[c], ddof=1)}
         for c in range(o["d"])
     ])
 
@@ -217,7 +216,7 @@ def _lift(o, args):
     level3 = level3_areas(cells) if o["level3"] else None
     levels = [v for v in chen_fold(*levy_areas(cells), level3) if v is not None]
     return experiments._report("lift", o, [
-        {"level": k, "values": v, "pass": True}
+        {"level": k, "values": v}
         for k, v in enumerate(levels, 1)
     ])
 
@@ -242,9 +241,7 @@ def _verify_moment(o, args):
 def _pvar(o, args):
     rng = np.random.default_rng(o["seed"])
     pts, p = o["points"], o["p"]
-    axes = tuple(np.linspace(0.0, 1.0, pts) for _ in range(2))
-    f = young.GridFunction(partition=young.GridPartition(axes=axes),
-                           values=rng.normal(size=(pts, pts)))
+    f = rng.normal(size=(pts, pts))
     tilde = float(young.tilde_Vp(f, p))
     vp = float(young.Vp(f, p))
     ctrl = float(young.controlled_pvar(f, p))

@@ -1,10 +1,13 @@
 """Multidimensional discrete Young integration and variation functionals.
 
-Grid-like partitions of boxes in [0,1]^N, rectangular increments, the three
-variation functionals (plain grid sum, sub-partition maximum, face-augmented
-sum), the controlled p-variation over rectangle dissections, left-point
-discrete Young integrals, and checkers for the inequalities that control
-them:
+A function on a grid-like partition of a box is given by its values at the
+grid points: an array with one axis per variable.  Every functional here
+depends on those values through their rectangular increments only, never
+on where the breakpoints lie, so none takes breakpoints.  The module holds
+the three variation functionals (plain grid sum, sub-partition maximum,
+face-augmented sum), the controlled p-variation over rectangle dissections,
+left-point discrete Young integrals, and checkers for the inequalities that
+control them:
 
   * the two-norm sandwich        V_p(f) <= ||f||_{p-var}
   * the Young-Towghi estimate    |int f dg| <= C Vbar_p(f) V_q(g), 1/p+1/q>1
@@ -24,7 +27,6 @@ values instead of asserting invented constants.
 
 import functools
 import itertools
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,8 +34,6 @@ from .errors import CapacityError, ConsistencyError, DomainError
 from .gaussian import cov_rect
 
 __all__ = [
-    "GridPartition",
-    "GridFunction",
     "tilde_Vp",
     "Vp",
     "controlled_pvar",
@@ -49,61 +49,12 @@ __all__ = [
 VP_MAX_OPERATIONS = 2 ** 20
 
 
-@dataclass(frozen=True, eq=False)
-class GridPartition:
-    """Product of per-axis breakpoint sequences inside [0,1]."""
-
-    axes: tuple
-
-    def __eq__(self, other):
-        if not isinstance(other, GridPartition):
-            return NotImplemented
-        return len(self.axes) == len(other.axes) and all(
-            np.array_equal(a, b) for a, b in zip(self.axes, other.axes)
-        )
-
-    def __post_init__(self):
-        axes = tuple(np.asarray(a, dtype=float) for a in self.axes)
-        object.__setattr__(self, "axes", axes)
-        for a in axes:
-            if a.ndim != 1 or a.shape[0] < 2:
-                raise DomainError("each axis needs at least 2 breakpoints")
-            if np.any(np.diff(a) <= 0):
-                raise DomainError("axis breakpoints must strictly increase")
-            if a[0] < 0 or a[-1] > 1:
-                raise DomainError("breakpoints must lie in [0,1]")
-
-    @property
-    def N(self):
-        return len(self.axes)
-
-    @property
-    def shape(self):
-        return tuple(a.shape[0] for a in self.axes)
-
-    @classmethod
-    def uniform(cls, n_points, N=1, lo=0.0, hi=1.0):
-        ax = np.linspace(lo, hi, n_points)
-        return cls(axes=(ax,) * N)
-
-
-@dataclass(frozen=True)
-class GridFunction:
-    """Values of a function at every node of a grid-like partition."""
-
-    partition: GridPartition
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", vals)
-        if vals.shape != self.partition.shape:
-            raise DomainError("value array shape must match the partition")
-
-    @classmethod
-    def sample(cls, partition, func):
-        grids = np.meshgrid(*partition.axes, indexing="ij")
-        return cls(partition=partition, values=np.asarray(func(*grids), dtype=float))
+def _grid(f):
+    """The values of a grid function as floats, one axis per variable."""
+    f = np.asarray(f, dtype=float)
+    if f.ndim < 1 or min(f.shape) < 2:
+        raise DomainError("each axis needs at least 2 breakpoints")
+    return f
 
 
 def _cell_increments(values):
@@ -115,11 +66,10 @@ def _cell_increments(values):
 
 def tilde_Vp(f, p):
     """(sum over grid cells of |rectangular increment|^p)^{1/p}."""
+    f = _grid(f)
     if p < 1:
         raise DomainError("p must be >= 1")
-    return float(
-        np.sum(np.abs(_cell_increments(f.values)) ** p) ** (1.0 / p)
-    )
+    return float(np.sum(np.abs(_cell_increments(f)) ** p) ** (1.0 / p))
 
 
 def _kept_breakpoints(n):
@@ -144,7 +94,7 @@ def Vp(f, p):
     enumerated.  That costs n_0^2 prod_{k>=1} 2^(n_k-2) (n_k-1) operations,
     refused with CapacityError above VP_MAX_OPERATIONS.
     """
-    return _vp(f.values, p)
+    return _vp(_grid(f), p)
 
 
 def _vp(values, p):
@@ -184,12 +134,13 @@ def _face_values(values, alive):
 def bar_Vp(f, p):
     """Sum of Vp over all coordinate faces through the base corner, plus
     the base corner value itself."""
-    N = f.partition.N
+    f = _grid(f)
+    N = f.ndim
     total = 0.0
     for r in range(1, N + 1):
         for alive in itertools.combinations(range(N), r):
-            total += _vp(_face_values(f.values, alive), p)
-    return float(total + abs(f.values[(0,) * N]))
+            total += _vp(_face_values(f, alive), p)
+    return float(total + abs(f[(0,) * N]))
 
 
 def _tilings_2d(n1, n2):
@@ -240,26 +191,27 @@ def controlled_pvar(f, p):
     2-D (up to 4 breakpoints per axis) every grid-aligned tiling is scored
     from one corner-difference table of all rectangle increments.
     """
+    f = _grid(f)
     if p < 1:
         raise DomainError("p must be >= 1")
-    if f.partition.N == 1:
+    if f.ndim == 1:
         return Vp(f, p)
-    if f.partition.N != 2 or max(f.partition.shape) > 4:
+    if f.ndim != 2 or max(f.shape) > 4:
         raise CapacityError("exact dissection enumeration needs N<=2, <=4 points/axis")
-    rows = f.values[None] - f.values[:, None]  # rows[i0, i1] = f[i1] - f[i0]
+    rows = f[None] - f[:, None]  # rows[i0, i1] = f[i1] - f[i0]
     rects = rows[:, :, None, :] - rows[:, :, :, None]  # [i0, i1, j0, j1]
     powers = np.append(np.abs(rects).ravel() ** p, 0.0)
-    scores = powers[_tiling_table(*f.partition.shape)].sum(axis=0)
+    scores = powers[_tiling_table(*f.shape)].sum(axis=0)
     return float(scores.max()) ** (1.0 / p)
 
 
 def discrete_young_integral(f, g):
     """Left-point sum of f against the rectangular increments of g."""
-    if f.partition != g.partition:
-        raise DomainError("integrand and integrator need the same partition")
-    N = f.partition.N
-    left = f.values[(slice(None, -1),) * N]
-    return float(np.sum(left * _cell_increments(g.values)))
+    f, g = _grid(f), _grid(g)
+    if f.shape != g.shape:
+        raise DomainError("integrand and integrator need the same grid shape")
+    left = f[(slice(None, -1),) * f.ndim]
+    return float(np.sum(left * _cell_increments(g)))
 
 
 def _vanishes_on_base_faces(values, tol=0.0):
@@ -278,8 +230,9 @@ def towghi_check(f, g, p, q):
     """
     if 1.0 / p + 1.0 / q <= 1.0:
         raise DomainError("need 1/p + 1/q > 1")
+    f = _grid(f)
     integral = discrete_young_integral(f, g)
-    sharp = _vanishes_on_base_faces(f.values)
+    sharp = _vanishes_on_base_faces(f)
     fnorm = Vp(f, p) if sharp else bar_Vp(f, p)
     gnorm = Vp(g, q)
     denom = fnorm * gnorm
@@ -310,11 +263,7 @@ def towghi_fuzz_report(seed, cases=100, points=4, p=1.9, q=1.9):
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(cases):
-        ax1 = np.sort(np.concatenate(([0.0, 1.0], rng.uniform(0, 1, points - 2))))
-        ax2 = np.sort(np.concatenate(([0.0, 1.0], rng.uniform(0, 1, points - 2))))
-        part = GridPartition(axes=(ax1, ax2))
-        f = GridFunction(partition=part, values=rng.normal(size=(points, points)))
-        g = GridFunction(partition=part, values=rng.normal(size=(points, points)))
+        f, g = rng.normal(size=(2, points, points))
         rep = towghi_check(f, g, p, q)
         if not rep["finite"]:
             raise ConsistencyError("nonzero Towghi integral, zero norm bound")
@@ -361,37 +310,16 @@ def iterated_A_bound(a_list, boxes, H):
     return out
 
 
-def product_pvar_check(f, g, p, q=None):
-    """Check the product rules for the sub-partition variation norm.
-
-    With disjoint variables (f and g on separate partitions) verifies
-    V_p(fg) <= V_p(f) V_p(g) exactly and reports the ratio.  With a shared
-    partition and q > p, reports the ratio V_q(fg) / (barV_p(f) barV_p(g)),
-    whose boundedness is the constant-free form of the general rule.
-    """
-    if f.partition != g.partition:
-        prod = GridFunction(
-            partition=GridPartition(axes=f.partition.axes + g.partition.axes),
-            values=np.multiply.outer(f.values, g.values),
-        )
-        lhs = Vp(prod, p)
-        rhs = Vp(f, p) * Vp(g, p)
-        return {
-            "kind": "disjoint",
-            "lhs": lhs,
-            "rhs": rhs,
-            "ratio": lhs / rhs if rhs else 0.0,
-            "pass": lhs <= rhs * (1 + 1e-10),
-        }
-    if q is None or not q > p:
-        raise DomainError("shared-variable form needs q > p")
-    prod = GridFunction(partition=f.partition, values=f.values * g.values)
-    lhs = Vp(prod, q)
-    denom = bar_Vp(f, p) * bar_Vp(g, p)
+def product_pvar_check(f, g, p):
+    """Check the product rule V_p(fg) <= V_p(f) V_p(g) for f and g of
+    disjoint variables, whose product is the outer product of their values,
+    and report the ratio."""
+    f, g = _grid(f), _grid(g)
+    lhs = Vp(np.multiply.outer(f, g), p)
+    rhs = Vp(f, p) * Vp(g, p)
     return {
-        "kind": "shared",
         "lhs": lhs,
-        "denominator": denom,
-        "ratio": lhs / denom if denom else 0.0,
-        "pass": np.isfinite(lhs / denom) if denom else lhs == 0.0,
+        "rhs": rhs,
+        "ratio": lhs / rhs if rhs else 0.0,
+        "pass": lhs <= rhs * (1 + 1e-10),
     }

@@ -442,9 +442,11 @@ class TestImport:
 # moved into the tests, and the single-path objects FbmPath, simulate,
 # RoughLift, IntervalSignature, lift2, lift3, chen_combine, RdeSolution and
 # solve (the array path simulate_batch -> levy_areas/level3_areas ->
-# chen_fold/taylor_steps replaced them) and isserlis_moment (the exhaustive
-# enumeration moved into the tests as the oracle of chaos.wick_cov): every
-# one must still be exported
+# chen_fold/taylor_steps replaced them), isserlis_moment (the exhaustive
+# enumeration moved into the tests as the oracle of chaos.wick_cov) and
+# GridPartition and GridFunction (no variation functional reads where the
+# breakpoints lie, so the Young layer takes value arrays): every one must
+# still be exported
 KEPT_EXPORTS = [
     "CapacityError", "ConsistencyError", "DivergenceError", "DomainError",
     "FbmchaosError",
@@ -457,7 +459,7 @@ KEPT_EXPORTS = [
     "cov_Q_pair", "exact_cov_Q", "exact_second_moment_Q",
     "q_processes", "rho_sum_bound_verify", "second_moment_K",
     "third_order_sums",
-    "GridFunction", "GridPartition", "Vp", "bar_Vp", "controlled_pvar",
+    "Vp", "bar_Vp", "controlled_pvar",
     "discrete_young_integral", "iterated_A", "iterated_A_bound",
     "product_pvar_check", "psi_path", "tilde_Vp", "towghi_check",
 ]

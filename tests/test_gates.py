@@ -5,7 +5,6 @@ report's verdict is the conjunction of the rows that carry a ``pass``."""
 import json
 
 import numpy as np
-import pytest
 
 from fbmchaos import chaos, cli, experiments, young
 from fbmchaos.gaussian import _lag_tables
@@ -90,16 +89,41 @@ def test_levy_area_oracle_at_lag_one_fails(tmp_path, monkeypatch):
     assert code == 1 and not rows[0]["pass"]
 
 
-# the mutant drives six patterns' level sums negative, so the log of the
-# slope fit warns and the slope reads NaN, which fails its row
-@pytest.mark.filterwarnings("ignore:invalid value encountered in log")
 def test_lag_grown_cov_k_tables_fail_the_slopes(tmp_path, monkeypatch):
-    # every table times 1 + l^2
+    # every table times 1 + l^2: six patterns' level sums turn negative, and
+    # a level sum with no log gives its row no slope, with no warning
     cov_K_lags = chaos.cov_K_lags
     monkeypatch.setattr(chaos, "cov_K_lags", lambda H, pattern, lags, **kw:
                         cov_K_lags(H, pattern, lags, **kw)
                         * (1.0 + np.asarray(lags, dtype=float) ** 2))
     code, rows = _run(tmp_path, "verify-third-order", "--which", "scaling")
     assert code == 1
-    assert [r["pattern"] for r in rows if not r["pass"]] == [
+    failing = [r for r in rows if not r["pass"]]
+    assert [r["pattern"] for r in failing] == [
         "prod_aab", "prod_aaa", "area_own", "l3_aab", "l3_aba", "l3_baa"]
+    assert all(r["slope"] is None and r["slope_pass"] is False
+               for r in failing)
+
+
+def _fclt(tmp_path):
+    return _run(tmp_path, "verify-fclt", "--m", "6", "--replicas", "200")
+
+
+def test_fclt_rows_pass_unmutated(tmp_path):
+    code, rows = _fclt(tmp_path)
+    assert code == 0 and all(r["pass"] for r in rows)
+
+
+def test_symmetric_q_fails_the_fclt(tmp_path, monkeypatch):
+    # q = qhat + qtilde in place of the antisymmetric qhat - qtilde
+    q_processes = chaos.q_processes
+
+    def symmetric(level1, level2, H):
+        out = q_processes(level1, level2, H)
+        return dict(out, q=out["qhat"] + out["qtilde"])
+
+    monkeypatch.setattr(chaos, "q_processes", symmetric)
+    code, rows = _fclt(tmp_path)
+    assert code == 1
+    assert [r["check"] for r in rows if not r["pass"]] == [
+        "variance", "ks-normality"]

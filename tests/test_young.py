@@ -9,8 +9,6 @@ from fbmchaos import young
 from fbmchaos.errors import CapacityError, ConsistencyError, DomainError
 from fbmchaos.gaussian import cov_rect
 from fbmchaos.young import (
-    GridFunction,
-    GridPartition,
     Vp,
     bar_Vp,
     controlled_pvar,
@@ -35,11 +33,10 @@ def rect_increment(f, box, fixed=None):
     axis -> breakpoint index.  The two maps must cover all axes exactly.
     """
     fixed = fixed or {}
-    N = f.partition.N
+    N = f.ndim
     if sorted(list(box) + list(fixed)) != list(range(N)):
         raise DomainError("box and fixed axes must partition the axis set")
-    vals = f.values
-    shape = f.partition.shape
+    shape = f.shape
     idx = [None] * N
     for ax, i in fixed.items():
         if not 0 <= i < shape[ax]:
@@ -49,19 +46,15 @@ def rect_increment(f, box, fixed=None):
         if not 0 <= i0 < i1 < shape[ax]:
             raise DomainError("box indices out of range")
         idx[ax] = np.array([i0, i1])
-    sub = vals[np.ix_(*idx)]
+    sub = f[np.ix_(*idx)]
     for ax in sorted(box):
         sub = np.diff(sub, axis=ax)
     return float(sub.reshape(()))
 
 
 def random_grid_function(rng, points=4, N=2):
-    axes = tuple(
-        np.sort(np.concatenate(([0.0, 1.0], rng.uniform(0, 1, points - 2))))
-        for _ in range(N)
-    )
-    part = GridPartition(axes=axes)
-    return GridFunction(partition=part, values=rng.normal(size=(points,) * N))
+    """Normal values at the points of an N-axis grid, points per axis."""
+    return rng.normal(size=(points,) * N)
 
 
 def vp_oracle(f, p):
@@ -70,9 +63,9 @@ def vp_oracle(f, p):
     for keep in itertools.product(*[
         [(0, *c, n - 1) for r in range(n - 1)
          for c in itertools.combinations(range(1, n - 1), r)]
-        for n in f.partition.shape
+        for n in f.shape
     ]):
-        sub = f.values[np.ix_(*keep)]
+        sub = f[np.ix_(*keep)]
         for ax in range(sub.ndim):
             sub = np.diff(sub, axis=ax)
         best = max(best, float(np.sum(np.abs(sub) ** p)))
@@ -82,7 +75,7 @@ def vp_oracle(f, p):
 def pvar_oracle_2d(f, p):
     """Exact 2-D controlled p-variation: every tiling, scored rectangle by
     rectangle through rect_increment."""
-    n1, n2 = f.partition.shape
+    n1, n2 = f.shape
     return max(
         sum(abs(rect_increment(f, {0: rows, 1: cols})) ** p
             for rows, cols in tiling)
@@ -90,41 +83,34 @@ def pvar_oracle_2d(f, p):
     ) ** (1.0 / p)
 
 
-def grid_function(rng, shape):
-    axes = tuple(
-        np.sort(np.concatenate(([0.0, 1.0], rng.uniform(0, 1, n - 2))))
-        for n in shape
-    )
-    return GridFunction(partition=GridPartition(axes=axes),
-                        values=rng.normal(size=shape))
+class TestGrid:
+    # every public function reads its grid values through one check
+    def test_zero_dim_refused(self):
+        for norm in (tilde_Vp, Vp, controlled_pvar, bar_Vp):
+            with pytest.raises(DomainError, match="at least 2 breakpoints"):
+                norm(1.0, 2.0)
+        with pytest.raises(DomainError, match="at least 2 breakpoints"):
+            discrete_young_integral(1.0, 1.0)
 
-
-class TestTypes:
-    def test_partition_validation(self):
-        with pytest.raises(DomainError):
-            GridPartition(axes=(np.array([0.0]),))
-        with pytest.raises(DomainError):
-            GridPartition(axes=(np.array([0.0, 0.5, 0.5, 1.0]),))
-        with pytest.raises(DomainError):
-            GridPartition(axes=(np.array([-0.1, 1.0]),))
-
-    def test_grid_function_shape(self):
-        P = GridPartition.uniform(3, 2)
-        with pytest.raises(DomainError):
-            GridFunction(partition=P, values=np.zeros((3, 4)))
+    def test_one_point_axis_refused(self):
+        for f in (np.zeros(1), np.zeros((3, 1)), np.zeros((0, 3))):
+            for norm in (tilde_Vp, Vp, controlled_pvar, bar_Vp):
+                with pytest.raises(DomainError,
+                                   match="at least 2 breakpoints"):
+                    norm(f, 2.0)
+        with pytest.raises(DomainError, match="at least 2 breakpoints"):
+            product_pvar_check(np.zeros(3), np.zeros(1), 2.0)
 
 
 class TestRectIncrement:
     def test_one_dimensional_difference(self):
-        P = GridPartition.uniform(5, 1)
-        f = GridFunction(partition=P, values=np.array([0.0, 1.0, 3.0, 6.0, 10.0]))
+        f = np.array([0.0, 1.0, 3.0, 6.0, 10.0])
         assert rect_increment(f, {0: (1, 3)}) == pytest.approx(5.0)
 
     def test_product_factorizes(self):
         rng = np.random.default_rng(0)
-        P = GridPartition.uniform(4, 2)
         a, b = rng.normal(size=4), rng.normal(size=4)
-        f = GridFunction(partition=P, values=np.outer(a, b))
+        f = np.outer(a, b)
         v = rect_increment(f, {0: (0, 2), 1: (1, 3)})
         assert v == pytest.approx((a[2] - a[0]) * (b[3] - b[1]))
 
@@ -143,7 +129,7 @@ class TestRectIncrement:
         rng = np.random.default_rng(2)
         f = random_grid_function(rng)
         v = rect_increment(f, {1: (0, 2)}, fixed={0: 1})
-        assert v == pytest.approx(f.values[1, 2] - f.values[1, 0])
+        assert v == pytest.approx(f[1, 2] - f[1, 0])
 
     def test_bad_axes_rejected(self):
         rng = np.random.default_rng(3)
@@ -156,17 +142,15 @@ class TestRectIncrement:
 
 class TestVariationFunctionals:
     def test_monotone_1d_vp_is_one(self):
-        P = GridPartition(axes=(np.array([0.0, 0.2, 0.5, 0.7, 1.0]),))
-        f = GridFunction(partition=P, values=np.array([0.0, 0.1, 0.4, 0.8, 1.0]))
+        f = np.array([0.0, 0.1, 0.4, 0.8, 1.0])
         for p in (1.0, 2.0, 3.5):
             assert float(Vp(f, p)) == pytest.approx(1.0)
 
     def test_brownian_covariance_v1_is_one(self):
         # exhaustive sub-partition enumeration of min(s,t) on uniform grids
         for n in (3, 4, 5, 6):
-            P = GridPartition.uniform(n, 2)
-            f = GridFunction.sample(P, lambda s, t: np.minimum(s, t))
-            v = Vp(f, 1.0)
+            s = np.linspace(0.0, 1.0, n)
+            v = Vp(np.minimum.outer(s, s), 1.0)
             assert float(v) == pytest.approx(1.0, abs=1e-12)
 
     def test_vp_at_least_tilde(self):
@@ -183,10 +167,8 @@ class TestVariationFunctionals:
             assert float(Vp(f, 2.5)) <= float(Vp(f, 1.5)) + 1e-12
 
     def test_capacity_gate(self):
-        P = GridPartition.uniform(13, 2)
-        f = GridFunction(partition=P, values=np.zeros((13, 13)))
         with pytest.raises(CapacityError):
-            Vp(f, 2.0)
+            Vp(np.zeros((13, 13)), 2.0)
 
     def test_bar_vp_dominates_vp(self):
         rng = np.random.default_rng(7)
@@ -195,21 +177,17 @@ class TestVariationFunctionals:
             assert float(bar_Vp(f, 2.0)) >= float(Vp(f, 2.0)) - 1e-12
 
     def test_bar_vp_1d_closed_form(self):
-        P = GridPartition.uniform(4, 1)
-        f = GridFunction(partition=P, values=np.array([0.5, 1.0, -1.0, 2.0]))
+        f = np.array([0.5, 1.0, -1.0, 2.0])
         assert float(bar_Vp(f, 2.0)) == pytest.approx(float(Vp(f, 2.0)) + 0.5)
 
     def test_bar_vp_zero(self):
-        P = GridPartition.uniform(4, 2)
-        f = GridFunction(partition=P, values=np.zeros((4, 4)))
-        assert float(bar_Vp(f, 1.5)) == 0.0
+        assert float(bar_Vp(np.zeros((4, 4)), 1.5)) == 0.0
 
 
 class TestControlledPvar:
     def test_1d_equals_vp(self):
         rng = np.random.default_rng(8)
-        P = GridPartition.uniform(5, 1)
-        f = GridFunction(partition=P, values=rng.normal(size=5))
+        f = rng.normal(size=5)
         assert float(controlled_pvar(f, 1.7)) == pytest.approx(vp_oracle(f, 1.7))
 
     def test_1d_recurrence_matches_subpartition_enumeration(self):
@@ -219,8 +197,7 @@ class TestControlledPvar:
         for _ in range(40):
             points = int(rng.integers(2, 13))
             p = float(rng.uniform(1, 4))
-            f = GridFunction(partition=GridPartition.uniform(points, 1),
-                             values=rng.normal(size=points))
+            f = rng.normal(size=points)
             got = controlled_pvar(f, p)
             assert float(got) == pytest.approx(vp_oracle(f, p), rel=1e-13)
 
@@ -230,10 +207,9 @@ class TestControlledPvar:
         import time
 
         values = np.cumsum(np.random.default_rng(12).uniform(0, 1, 64))
-        f = GridFunction(partition=GridPartition.uniform(64, 1), values=values)
         for norm in (controlled_pvar, Vp):
             start = time.perf_counter()
-            got = float(norm(f, 2.3))
+            got = float(norm(values, 2.3))
             assert time.perf_counter() - start < 0.5
             assert got == pytest.approx(values[-1] - values[0], rel=1e-12)
 
@@ -254,21 +230,13 @@ class TestControlledPvar:
             whole = float(controlled_pvar(f, p)) ** p
             parts = 0.0
             for cols in ((0, 1), (1, 2)):
-                keep = np.asarray(cols)
-                sub = GridFunction(
-                    partition=GridPartition(
-                        axes=(f.partition.axes[0], f.partition.axes[1][keep])
-                    ),
-                    values=f.values[:, keep],
-                )
+                sub = f[:, np.asarray(cols)]
                 parts += float(controlled_pvar(sub, p)) ** p
             assert parts <= whole + 1e-10
 
     def test_capacity(self):
-        P = GridPartition.uniform(5, 2)
-        f = GridFunction(partition=P, values=np.zeros((5, 5)))
         with pytest.raises(CapacityError):
-            controlled_pvar(f, 2.0)
+            controlled_pvar(np.zeros((5, 5)), 2.0)
 
 
 class TestExactEngineAgainstEnumeration:
@@ -277,14 +245,14 @@ class TestExactEngineAgainstEnumeration:
         shapes = [(int(rng.integers(2, 13)),) for _ in range(40)]
         shapes += [tuple(rng.integers(2, 6, size=2)) for _ in range(40)]
         for shape in shapes:
-            f = grid_function(rng, shape)
+            f = rng.normal(size=shape)
             p = float(rng.uniform(1, 4))
             assert Vp(f, p) == pytest.approx(vp_oracle(f, p), rel=1e-13)
 
     def test_controlled_pvar_matches_tiling_enumeration(self):
         rng = np.random.default_rng(31)
         for _ in range(40):
-            f = grid_function(rng, tuple(rng.integers(2, 5, size=2)))
+            f = rng.normal(size=tuple(rng.integers(2, 5, size=2)))
             p = float(rng.uniform(1, 4))
             assert controlled_pvar(f, p) == pytest.approx(
                 pvar_oracle_2d(f, p), rel=1e-13)
@@ -307,13 +275,9 @@ class TestExactEngineAgainstEnumeration:
         @hyp.given(shape=st.lists(st.integers(2, 4), min_size=1, max_size=2),
                    p=st.floats(min_value=1, max_value=4), data=st.data())
         def check(shape, p, data):
-            f = GridFunction(
-                partition=GridPartition(
-                    axes=tuple(np.linspace(0, 1, n) for n in shape)),
-                values=np.array(data.draw(st.lists(
-                    values, min_size=int(np.prod(shape)),
-                    max_size=int(np.prod(shape))))).reshape(shape),
-            )
+            f = np.array(data.draw(st.lists(
+                values, min_size=int(np.prod(shape)),
+                max_size=int(np.prod(shape))))).reshape(shape)
             assert Vp(f, p) == pytest.approx(vp_oracle(f, p), rel=1e-13)
             if len(shape) == 2:
                 assert controlled_pvar(f, p) == pytest.approx(
@@ -326,42 +290,36 @@ class TestYoungIntegral:
     def test_constant_integrand_telescopes(self):
         rng = np.random.default_rng(11)
         g = random_grid_function(rng)
-        one = GridFunction(partition=g.partition, values=np.ones(g.partition.shape))
-        v = discrete_young_integral(one, g)
+        v = discrete_young_integral(np.ones(g.shape), g)
         assert v == pytest.approx(rect_increment(g, {0: (0, 3), 1: (0, 3)}), abs=1e-12)
 
     def test_zero_integrand(self):
         rng = np.random.default_rng(12)
         g = random_grid_function(rng)
-        zero = GridFunction(partition=g.partition, values=np.zeros(g.partition.shape))
-        assert discrete_young_integral(zero, g) == 0.0
+        assert discrete_young_integral(np.zeros(g.shape), g) == 0.0
 
     def test_refinement_limit_quarter(self):
         errs = []
         for n in (16, 64, 256):
-            P = GridPartition.uniform(n + 1, 2)
-            f = GridFunction.sample(P, lambda u, v: u * v)
+            s = np.linspace(0.0, 1.0, n + 1)
+            f = np.outer(s, s)
             errs.append(abs(discrete_young_integral(f, f) - 0.25))
         assert errs[0] > errs[1] > errs[2]
         assert errs[2] < 5e-3
 
     def test_separable_integrator_factorizes(self):
         rng = np.random.default_rng(13)
-        P1 = GridPartition.uniform(5, 1)
         a, b = rng.normal(size=5), rng.normal(size=5)
-        fa = GridFunction(partition=P1, values=a)
-        fb = GridFunction(partition=P1, values=b)
-        P2 = GridPartition(axes=P1.axes * 2)
-        f2 = GridFunction(partition=P2, values=np.outer(a, b))
-        g2 = GridFunction(partition=P2, values=np.outer(a, b))
-        prod = discrete_young_integral(fa, fa) * discrete_young_integral(fb, fb)
-        assert discrete_young_integral(f2, g2) == pytest.approx(prod, abs=1e-12)
+        f2 = np.outer(a, b)
+        prod = discrete_young_integral(a, a) * discrete_young_integral(b, b)
+        assert discrete_young_integral(f2, f2) == pytest.approx(prod, abs=1e-12)
 
-    def test_partition_mismatch(self):
+    def test_shape_mismatch(self):
         rng = np.random.default_rng(14)
-        f, g = random_grid_function(rng), random_grid_function(rng)
-        with pytest.raises(DomainError):
-            discrete_young_integral(f, g)
+        f = random_grid_function(rng)
+        for g in (rng.normal(size=(4, 3)), rng.normal(size=4)):
+            with pytest.raises(DomainError, match="same grid shape"):
+                discrete_young_integral(f, g)
 
 
 class TestTowghi:
@@ -372,23 +330,16 @@ class TestTowghi:
             towghi_check(f, f, 2.0, 2.0)
 
     def test_zero_integrator_note(self):
-        P = GridPartition.uniform(3, 2)
-        z = GridFunction(partition=P, values=np.zeros((3, 3)))
+        z = np.zeros((3, 3))
         rep = towghi_check(z, z, 1.9, 1.9)
         assert rep["finite"] and rep["bound_kind"] == "degenerate"
 
     def test_sharp_bound_for_vanishing_f(self):
         rng = np.random.default_rng(16)
         f = random_grid_function(rng)
-        vals = f.values.copy()
-        vals[0, :] = 0.0
-        vals[:, 0] = 0.0
-        rep = towghi_check(
-            GridFunction(partition=f.partition, values=vals),
-            GridFunction(partition=f.partition, values=rng.normal(size=(4, 4))),
-            1.9,
-            1.9,
-        )
+        f[0, :] = 0.0
+        f[:, 0] = 0.0
+        rep = towghi_check(f, rng.normal(size=(4, 4)), 1.9, 1.9)
         # sharp-variant norm never exceeds the face-augmented one
         assert rep["bound_kind"] == "V_p"
 
@@ -456,17 +407,5 @@ class TestProductAndZeta:
     def test_one_factor_constant(self):
         rng = np.random.default_rng(21)
         f = random_grid_function(rng, N=1)
-        one = GridFunction(
-            partition=GridPartition.uniform(3, 1), values=np.ones(3)
-        )
-        rep = product_pvar_check(f, one, 2.0)
+        rep = product_pvar_check(f, np.ones(3), 2.0)
         assert rep["lhs"] == pytest.approx(0.0, abs=1e-12)
-
-    def test_shared_form_ratio_finite(self):
-        rng = np.random.default_rng(22)
-        f = random_grid_function(rng, N=2, points=3)
-        g = GridFunction(partition=f.partition, values=rng.normal(size=(3, 3)))
-        rep = product_pvar_check(f, g, 1.5, 2.5)
-        assert rep["pass"] and np.isfinite(rep["ratio"])
-        with pytest.raises(DomainError):
-            product_pvar_check(f, g, 1.5, 1.5)
