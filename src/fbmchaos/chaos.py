@@ -33,6 +33,7 @@ offset -lag reads the transposed tables.
 
 import functools
 import itertools
+import math
 
 import numpy as np
 
@@ -200,9 +201,13 @@ def _cell_range(m, s, t):
 
 
 def _lag_weighted_sum(count, per_lag):
+    """Sum of per_lag[|i - j|] over the count x count cell pairs, which
+    weighs lag 0 by count and lag k >= 1 by 2 (count - k).  The sum of the
+    weighted terms is correctly rounded (``math.fsum``), so it is the same
+    float in any summation order and on any BLAS kernel."""
     lags = np.arange(count)
     mult = np.where(lags == 0, count, 2.0 * (count - lags))
-    return float(np.dot(mult, per_lag))
+    return math.fsum(mult * per_lag)
 
 
 def exact_second_moment_Q(H, m, which, s=0.0, t=1.0, n_sub=None):

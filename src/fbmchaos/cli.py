@@ -239,9 +239,10 @@ def _verify_moment(o, args):
 
 
 def _pvar(o, args):
-    rng = np.random.default_rng(o["seed"])
     pts, p = o["points"], o["p"]
-    f = rng.normal(size=(pts, pts))
+    if pts < 2:  # before the draw, which refuses a negative size its own way
+        raise DomainError(f"points must be >= 2, got {pts}")
+    f = np.random.default_rng(o["seed"]).normal(size=(pts, pts))
     tilde = float(young.tilde_Vp(f, p))
     vp = float(young.Vp(f, p))
     ctrl = float(young.controlled_pvar(f, p))

@@ -6,7 +6,9 @@ when every row that carries a ``pass`` passes; a row without one only
 reports.  Monte Carlo runners draw replicas from counter-based
 per-replica streams and reduce chunk results in a fixed order, so the
 numbers are identical for any --threads setting and any chunking.  By
-default they run on every usable core.  Chunks are sized in bytes: the
+default they run on every usable core, but streams shorter than
+PARALLEL_STREAM_POINTS points run on one worker, which a second thread
+would only slow down.  Chunks are sized in bytes: the
 sampler's working set summed over all threads stays within
 CHUNK_BUDGET_BYTES, at most MAX_CHUNK replicas per chunk.  The sampler's
 spectrum is computed in the calling thread before any worker starts, so
@@ -17,6 +19,7 @@ tolerance of its check; Monte Carlo rows are compared with exact lag tables,
 and the series constants are closed-form up to their stated tail bound.
 """
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 
@@ -79,9 +82,24 @@ def _mean_se(x):
     return float(np.mean(x)), float(np.std(x, ddof=1) / np.sqrt(len(x)))
 
 
+def _ls_slope(x, y):
+    """Least-squares slope of ``y`` on ``x``, as np.polyfit(x, y, 1)[0]
+    gives it, from correctly rounded sums (``math.fsum``) instead of a
+    LAPACK solve, so it is the same float on any BLAS kernel."""
+    xc = np.asarray(x, dtype=float) - math.fsum(x) / len(x)
+    yc = np.asarray(y, dtype=float) - math.fsum(y) / len(y)
+    return math.fsum(xc * yc) / math.fsum(xc * xc)
+
+
 # In-flight sampler bytes over all threads, and replicas per chunk at most.
 CHUNK_BUDGET_BYTES = 2 ** 25
 MAX_CHUNK = 250
+# A stream shorter than this is a few microseconds of native work between
+# interpreter steps, and each step hands the interpreter lock to the other
+# thread: a second thread then adds waiting, not throughput.  Measured per
+# replica, two threads against one took 1.1-1.5x the time at 64-128 points,
+# the same at 256, and 0.5-0.65x from 512 points up.
+PARALLEL_STREAM_POINTS = 512
 
 
 def default_threads():
@@ -94,9 +112,12 @@ def default_threads():
 
 def _chunk_plan(d, size, threads):
     """(workers, replicas per chunk) keeping the sampler's working set over
-    all workers within CHUNK_BUDGET_BYTES whenever one replica fits in it."""
+    all workers within CHUNK_BUDGET_BYTES whenever one replica fits in it.
+    Streams of fewer than PARALLEL_STREAM_POINTS points get one worker."""
     per_replica = _replica_bytes(d, size)
     workers = max(1, min(threads, CHUNK_BUDGET_BYTES // per_replica))
+    if size < PARALLEL_STREAM_POINTS:
+        workers = 1
     chunk = CHUNK_BUDGET_BYTES // (workers * per_replica)
     return workers, max(1, min(MAX_CHUNK, chunk))
 
@@ -127,14 +148,13 @@ def _chunked_replicas(spec, n_replicas, worker, chunk=None, threads=None):
         )
         return worker(simulate_batch(sub, count))
 
-    workers = min(workers, len(starts))
-    if workers > 1:
-        # one spectrum for all threads: warm its cache before they start
-        _root_spectrum(spec.model.H, spec.size)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run, starts))
-    else:
-        parts = [run(s) for s in starts]
+    # one spectrum for all threads: warm its cache before they start
+    _root_spectrum(spec.model.H, spec.size)
+    # a single worker runs in a pool thread too: on the calling thread its
+    # buffers would grow the main malloc arena on top of the arenas that
+    # earlier pool threads left grown (about 10 MiB more peak RSS)
+    with ThreadPoolExecutor(max_workers=min(workers, len(starts))) as pool:
+        parts = list(pool.map(run, starts))
     return np.concatenate(parts, axis=0)
 
 
@@ -445,7 +465,7 @@ def young_suite_experiment(seed=2024, cases=100, H=0.4):
             a_list.append(rng.uniform(-2, 2) * np.cos(rng.uniform(0, 7) * grid))
             h_list.append(young.psi_path(s, t, H, grid))
             boxes.append((s, t))
-        vals = young.iterated_A(a_list, h_list, grid)
+        vals = young.iterated_A(a_list, h_list)
         bound_ok = bound_ok and (
             np.max(np.abs(vals)) <= young.iterated_A_bound(a_list, boxes, H)
         )
@@ -487,9 +507,8 @@ def rde_demo_experiment(H=0.5, N=400, seed=12):
         ends[m] = Y[:, -1, 0]
     pairs = list(zip(m_range[:-1], m_range[1:]))
     rms = [float(np.sqrt(np.mean((ends[a] - ends[b]) ** 2))) for a, b in pairs]
-    slope = float(-np.polyfit(
-        np.array([a for a, _ in pairs]) * np.log(2.0), np.log(rms), 1
-    )[0])
+    slope = -_ls_slope(np.array([a for a, _ in pairs]) * np.log(2.0),
+                       np.log(rms))
 
     inc = inc_all[:DEFECT_REPLICAS, ..., None]
     _, J, Jinv = taylor_steps(linear_1d(), np.array([1.0]), 2.0 ** -m_max,

@@ -17,8 +17,9 @@ bytes (MAX_WORKING_BYTES).
 
 Components use independent, reproducible counter-based Philox streams
 keyed directly by (seed, replica, component), so any replica of a batch can
-be drawn again on its own.  A call keeps one Philox generator and sets its
-state to each stream's key with counter 0 and an empty buffer, which is
+be drawn again on its own.  A call keeps one Philox generator and one state
+dict, rewrites the dict's replica-and-component key word for each stream
+and sets the generator to it: counter 0 and an empty buffer, which is
 bitwise the stream of ``Generator(Philox(key=...))`` without the entropy
 seeding that constructor performs before the key replaces it.
 """
@@ -125,34 +126,39 @@ def _transform(z, H, scale=1.0):
     Applies the real symmetric square root of the circulant embedding, so the
     first ``size`` outputs have covariance scale^2 * Toeplitz(rho(0..size-1)).
     Rows are transformed independently: the result for one row does not
-    depend on the others in the batch.
+    depend on the others in the batch.  The inverse transform is written
+    into ``z``, whose normals are spent by then, and the result is a view
+    of it: a call holds two arrays of the batch's size, not three.
     """
     size = z.shape[-1] // 2
     spectrum = np.fft.rfft(z)
     spectrum *= scale * _root_spectrum(H, size)
-    return np.fft.irfft(spectrum, n=2 * size)[..., :size]
+    return np.fft.irfft(spectrum, n=2 * size, out=z)[..., :size]
 
 
-def _stream_state(seed, replica, component):
-    """Philox state at the start of one (seed, replica, component) stream.
+def _stream_state(seed):
+    """Philox state at the start of a stream of ``seed``, key word 1 unset.
 
     The 128-bit Philox key is (seed, replica * 2^16 + component): distinct
     triples in the ranges SimSpec enforces get distinct keys, so streams are
     collision-free and independent of execution order.  Counter 0 and an
     empty buffer are what ``Philox(key=...)`` starts from.  The key is a
     uint64 array: numpy reads a list holding a word >= 2^63 as float64,
-    which rounds it (seed 2^64 - 1 would become seed 0).
+    which rounds it (seed 2^64 - 1 would become seed 0).  Setting a
+    generator's state copies the dict's arrays, so one dict serves every
+    stream of a call: rewriting word 1 of its key moves it to the next.
     """
     zero = np.zeros(4, dtype=np.uint64)
-    word = (int(replica) << _COMPONENT_BITS) | component
-    key = np.array([int(seed), word], dtype=np.uint64)
+    key = np.array([int(seed), 0], dtype=np.uint64)
     return {"bit_generator": "Philox", "state": {"counter": zero, "key": key},
             "buffer": zero, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
 
 def _replica_bytes(d, size):
-    """Sampler working set of one replica: per stream, 2*size normals, a
-    size+1 complex spectrum and 2*size outputs."""
+    """Sampler working set of one replica, an upper bound: per stream,
+    2*size normals, a size+1 complex spectrum and 2*size outputs.  The
+    outputs overwrite the normals (``_transform``), so the third term is
+    room for what a chunk's worker then allocates from them."""
     return d * (8 * 2 * size + 16 * (size + 1) + 8 * 2 * size)
 
 
@@ -178,9 +184,12 @@ def simulate_batch(spec, n_replicas):
     z = np.empty((n_replicas, d, 2 * size))
     bits = np.random.Philox(0)  # every stream below replaces this state
     normals = np.random.Generator(bits)
+    state = _stream_state(spec.seed)
+    key = state["state"]["key"]
     for r in range(n_replicas):
         for comp in range(d):
-            bits.state = _stream_state(spec.seed, spec.replica + r, comp)
+            key[1] = (int(spec.replica + r) << _COMPONENT_BITS) | comp
+            bits.state = state
             normals.standard_normal(out=z[r, comp])
     return _transform(z, spec.model.H, scale=spec.mesh ** spec.model.H)
 

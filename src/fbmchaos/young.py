@@ -281,20 +281,20 @@ def psi_path(s, t, H, grid):
     return out
 
 
-def iterated_A(a_list, h_list, grid):
+def iterated_A(a_list, h_list):
     """Nested left-point integrals A_{a_1..a_r}[h_1..h_r] on a shared grid.
 
     a_list holds the integrand factors sampled at the breakpoints, h_list
-    the integrators; returns the running value at every breakpoint.
+    the integrators, all 1-D arrays of one length; returns the running
+    value at every breakpoint.  Where the breakpoints lie does not enter.
     """
-    grid = np.asarray(grid, dtype=float)
     if len(a_list) != len(h_list) or not a_list:
         raise DomainError("need matching non-empty integrand/integrator lists")
-    acc = np.ones_like(grid)
+    acc = np.ones_like(np.asarray(a_list[0], dtype=float))
     for a, h in zip(a_list, h_list):
         a = np.asarray(a, dtype=float)
         h = np.asarray(h, dtype=float)
-        if a.shape != grid.shape or h.shape != grid.shape:
+        if a.ndim != 1 or a.shape != acc.shape or h.shape != acc.shape:
             raise DomainError("all factors must live on the common grid")
         steps = acc[:-1] * a[:-1] * np.diff(h)
         acc = np.concatenate(([0.0], np.cumsum(steps)))

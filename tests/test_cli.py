@@ -65,7 +65,16 @@ class TestDeterminism:
         rb = (tmp_path / "b" / "verify-moment.json").read_bytes()
         assert ra == rb
 
-    def test_thread_count_invariance(self, tmp_path):
+    def test_thread_count_invariance(self, tmp_path, monkeypatch):
+        from fbmchaos import experiments
+        pools = []  # worker count of every replica pool the runs open
+
+        def counted(max_workers):
+            pools.append(max_workers)
+            return pool(max_workers=max_workers)
+
+        pool = experiments.ThreadPoolExecutor
+        monkeypatch.setattr(experiments, "ThreadPoolExecutor", counted)
         run(tmp_path / "a", "verify-moment", "--which", "levy-area",
             "--replicas", "500", "--threads", "1")
         run(tmp_path / "b", "verify-moment", "--which", "levy-area",
@@ -73,6 +82,9 @@ class TestDeterminism:
         ra = (tmp_path / "a" / "verify-moment.json").read_bytes()
         rb = (tmp_path / "b" / "verify-moment.json").read_bytes()
         assert ra == rb
+        # 64-point streams run on one worker whatever --threads asks, so
+        # this pair checks the chunking; the fclt runs check the threads
+        assert pools == [1, 1]
         # an 8,192-point grid: 40 replicas make one to three chunks
         fclt = ["verify-fclt", "--m", "6", "--n-sub", "128",
                 "--replicas", "40"]
@@ -83,6 +95,7 @@ class TestDeterminism:
             results.add((tmp_path / f"fclt{i}" / "verify-fclt.json")
                         .read_bytes())
         assert len(results) == 1
+        assert pools[2:5] == [1, 2, 3]
 
 
     @pytest.mark.parametrize("threads", ["1", "2"])
@@ -106,6 +119,40 @@ class TestDeterminism:
             csv_bytes = (tmp_path / "path.csv").read_bytes()
             assert hashlib.sha256(csv_bytes).hexdigest() == \
                 golden["path_csv_sha256"]
+
+    def test_golden_rows_do_not_depend_on_the_blas_kernel(self, tmp_path):
+        # OpenBLAS picks its kernels by OPENBLAS_CORETYPE, else by the CPU;
+        # kernels round a dot product each their own way.  A BLAS that
+        # ignores the variable makes this pass trivially.
+        import fbmchaos
+
+        argvs = {label: golden["argv"] for label, golden
+                 in {**GOLDEN, **UNSAMPLED_GOLDEN}.items()}
+        script = (
+            "import json, sys\n"
+            "from fbmchaos import cli\n"
+            "argvs, out = json.loads(sys.argv[1]), sys.argv[2]\n"
+            "rows = {}\n"
+            "for label, argv in argvs.items():\n"
+            "    cli.main(argv + ['--out', f'{out}/{label}'])\n"
+            "    with open(f'{out}/{label}/{argv[0]}.json') as f:\n"
+            "        rows[label] = json.load(f)['rows']\n"
+            "with open(f'{out}/rows.json', 'w') as f:\n"
+            "    json.dump(rows, f)\n")
+        src = os.path.dirname(os.path.dirname(fbmchaos.__file__))
+        env = {k: v for k, v in os.environ.items()
+               if k != "OPENBLAS_CORETYPE"}
+        results = {}
+        for kernel in ("", "Haswell", "Sandybridge", "Nehalem"):
+            out = tmp_path / (kernel or "cpu")
+            subprocess.run(
+                [sys.executable, "-c", script, json.dumps(argvs), str(out)],
+                env=dict(env, PYTHONPATH=src,
+                         **({"OPENBLAS_CORETYPE": kernel} if kernel else {})),
+                capture_output=True, check=True, timeout=300)
+            results[kernel] = json.loads((out / "rows.json").read_text())
+        for kernel in ("Haswell", "Sandybridge", "Nehalem"):
+            assert results[kernel] == results[""], kernel
 
 
 class TestConfigHandling:
@@ -351,6 +398,8 @@ class TestRefusals:
         ["young-check", "--cases", "0"],
         ["verify-moment", "--which", "covariance", "--hurst", "-1"],
         ["verify-moment", "--which", "covariance", "--hurst", "0.2"],
+        ["pvar", "--points", "-1"],
+        ["pvar", "--points", "1"],
     ])
     def test_out_of_domain_options_exit_2(self, tmp_path, capsys, argv):
         assert run(tmp_path, *argv) == 2

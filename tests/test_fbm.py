@@ -1,5 +1,6 @@
 import io
 import sys
+import threading
 import time
 
 import numpy as np
@@ -287,6 +288,12 @@ class TestChunkPlan:
         assert 1 <= chunk <= experiments.MAX_CHUNK
         assert workers * chunk * per_replica <= experiments.CHUNK_BUDGET_BYTES
 
+    def test_short_streams_get_one_worker(self):
+        # two threads asked for: a second thread slows 64-point streams
+        # down and speeds 8,192-point streams up
+        assert experiments._chunk_plan(2, 64, 2)[0] == 1
+        assert experiments._chunk_plan(2, 2 ** 13, 2)[0] == 2
+
     def test_default_threads_is_the_usable_core_count(self, monkeypatch):
         assert experiments.default_threads() >= 1
         monkeypatch.delattr(experiments.os, "sched_getaffinity",
@@ -299,23 +306,30 @@ class TestChunkPlan:
     def test_one_spectrum_for_all_threads(self, monkeypatch):
         # more workers than cores, a short switch interval and a rho that
         # yields the interpreter lock: without the warm-up a second thread
-        # misses the spectrum cache while the first computes it
-        calls = []
+        # misses the spectrum cache while the first computes it.  Streams
+        # of 512 points, the shortest that get more than one worker.
+        calls, idents = [], set()
 
         def counted(k, H):
             calls.append(H)
             time.sleep(0.01)
             return rho(k, H)
 
+        def worker(inc):
+            idents.add(threading.get_ident())
+            time.sleep(0.01)  # every pool thread gets a chunk
+            return inc
+
+        sp = spec(m=9, seed=4)
+        assert sp.size == experiments.PARALLEL_STREAM_POINTS
         fbm._root_spectrum.cache_clear()
         monkeypatch.setattr(fbm, "rho", counted)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            out = _chunked_replicas(spec(m=5, seed=4), 24, lambda inc: inc,
-                                    chunk=3, threads=4)
+            out = _chunked_replicas(sp, 24, worker, chunk=3, threads=4)
         finally:
             sys.setswitchinterval(interval)
+        assert len(idents) > 1
         assert len(calls) == 1
-        assert out.tobytes() == simulate_batch(spec(m=5, seed=4),
-                                               24).tobytes()
+        assert out.tobytes() == simulate_batch(sp, 24).tobytes()

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from fbmchaos import lift
 from fbmchaos.fbm import SimSpec, simulate_batch
 from fbmchaos.gaussian import HurstModel, tilde_rho
 from fbmchaos.lift import chen_fold, level3_areas, levy_areas
@@ -211,7 +214,7 @@ class TestRefinementGap:
 class TestBatchInvariance:
     # replica chunks of any size must give bitwise the rows of one batch,
     # whatever memory layout the chunking leaves behind
-    @pytest.mark.parametrize("cells, n", [(1024, 8), (512, 4)])
+    @pytest.mark.parametrize("cells, n", [(1024, 8), (512, 4), (1, 64)])
     def test_rows_bitwise_equal_in_any_batching(self, cells, n):
         inc = np.random.default_rng(8).standard_normal((40, 2, cells, n))
         whole = levy_areas(inc)
@@ -221,3 +224,30 @@ class TestBatchInvariance:
             for k in range(2):
                 joined = np.concatenate([p[k] for p in parts])
                 assert joined.tobytes() == whole[k].tobytes()
+
+    def test_both_schedules_give_the_same_bits(self):
+        # 64 cells of 64 sub-steps take the in-place loop over sub-steps;
+        # the same cells as 64 one-cell replicas take the vectorized one
+        inc = np.random.default_rng(9).standard_normal((2, 64, 64))
+        many = levy_areas(inc)
+        few = levy_areas(np.moveaxis(inc, 1, 0)[:, :, None, :])
+        for k in range(2):
+            assert few[k][:, 0].tobytes() == many[k].tobytes()
+
+    def test_large_d_few_cells_stay_within_the_product_budget(
+            self, monkeypatch):
+        # 64 components in one cell of 512 sub-steps: the vectorized
+        # schedule's (n, d, d, cells) product would take 16 MiB, so the
+        # in-place loop runs, with the same bits
+        inc = np.random.default_rng(10).standard_normal((64, 1, 512))
+        tracemalloc.start()
+        try:
+            looped = levy_areas(inc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * inc.nbytes
+        monkeypatch.setattr(lift, "_PRODUCT_BYTES", 2 ** 30)
+        vectorized = levy_areas(inc)
+        for k in range(2):
+            assert looped[k].tobytes() == vectorized[k].tobytes()

@@ -367,7 +367,7 @@ class TestComposeAndIteratedA:
     def test_single_level_telescoping(self):
         H, grid = 0.45, np.linspace(0, 1, 33)
         s, t = 0.25, 0.625
-        vals = iterated_A([np.ones_like(grid)], [psi_path(s, t, H, grid)], grid)
+        vals = iterated_A([np.ones_like(grid)], [psi_path(s, t, H, grid)])
         assert vals[-1] == pytest.approx(cov_rect(((s, t), (0.0, 1.0)), H))
 
     def test_zero_integrand(self):
@@ -375,9 +375,15 @@ class TestComposeAndIteratedA:
         vals = iterated_A(
             [np.zeros_like(grid), np.ones_like(grid)],
             [psi_path(0, 1, 0.4, grid)] * 2,
-            grid,
         )
         assert np.all(vals == 0.0)
+
+    def test_factors_of_other_lengths_are_refused(self):
+        grid = np.linspace(0, 1, 9)
+        with pytest.raises(DomainError, match="common grid"):
+            iterated_A([np.ones(9), np.ones(8)], [grid, grid])
+        with pytest.raises(DomainError, match="non-empty"):
+            iterated_A([], [])
 
     def test_bound_fuzz(self):
         H = 0.4
@@ -391,7 +397,7 @@ class TestComposeAndIteratedA:
                 a_list.append(rng.uniform(-2, 2) * np.cos(rng.uniform(0, 7) * grid))
                 h_list.append(psi_path(s, t, H, grid))
                 boxes.append((s, t))
-            vals = iterated_A(a_list, h_list, grid)
+            vals = iterated_A(a_list, h_list)
             assert np.max(np.abs(vals)) <= iterated_A_bound(a_list, boxes, H)
 
 
