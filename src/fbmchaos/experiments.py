@@ -158,6 +158,14 @@ def _chunked_replicas(spec, n_replicas, worker, chunk=None, threads=None):
     return np.concatenate(parts, axis=0)
 
 
+def _coarse_increments(inc, cells, n_sub):
+    """(N, d, cells, n_sub) sub-step increments of a coarser grid from fine
+    increments (N, d, size): each sums size / (cells * n_sub) consecutive
+    fine increments, so the coarse path is the fine path at fewer points."""
+    N, d, size = inc.shape
+    return inc.reshape(N, d, cells, n_sub, size // (cells * n_sub)).sum(axis=4)
+
+
 def _check_stderr_replicas(N):
     # a runner reporting a standard error (ddof = 1) needs two replicas
     if N < 2:
@@ -234,32 +242,37 @@ def levy_area_mc_experiment(H=0.4, N=10000, seed=101, threads=None):
 
 
 def moment_experiment(H=0.4, N=1000, seed=202, threads=None):
-    """Weighted-sum moment growth over dyadic levels.
+    """Weighted-sum moment growth over dyadic levels, all on one path.
 
-    For each weight (constant, tanh of the first component) and p, tabulates
-    the normalized p-th moment of the weighted area sum across levels; the
-    estimate-bound shape demands the ratio to the coarsest level stays
-    bounded (cap 3x).  The constant-weight p=2 column is compared to the
-    exact second-moment oracle at matching sub-resolution.
+    Each replica draws one path, at the finest level; every coarser level
+    m takes its sub-steps as block sums of the fine increments, so all
+    levels are functionals of the same path, as in the paper, and each is
+    exact in law.  For each weight (constant, tanh of the first component)
+    and p, tabulates the normalized p-th moment of the weighted area sum
+    across levels; the estimate-bound shape demands the ratio to the
+    coarsest level stays bounded (cap 3x).  The constant-weight p=2 column
+    is compared to the exact second-moment oracle at matching
+    sub-resolution.
     """
     _check_stderr_replicas(N)
     ps, m_range, n_sub, ratio_cap = (2, 4), list(range(4, 10)), 4, 3.0
-    samples = {}
-    for m in m_range:
-        spec = SimSpec(model=HurstModel(H, 2), m=m, refine=n_sub, seed=seed)
+    spec = SimSpec(model=HurstModel(H, 2), m=m_range[-1], refine=n_sub,
+                   seed=seed)
 
-        def worker(inc, m=m):
-            shaped = inc.reshape(inc.shape[0], 2, 2 ** m, n_sub)
-            l1, l2 = levy_areas(shaped)
+    def worker(inc):
+        sums = np.empty((inc.shape[0], len(m_range), 2))
+        for k, m in enumerate(m_range):
+            l1, l2 = levy_areas(_coarse_increments(inc, 2 ** m, n_sub))
             areas = chaos.q_processes(l1, l2, H)["qtilde"][..., 0, 1]
             left = np.zeros_like(l1[..., 0])  # B^0 at each cell's left point
             np.cumsum(l1[:, :-1, 0], axis=1, out=left[:, 1:])
-            return np.stack([chaos.sum_process(areas),
-                             chaos.sum_process(areas, weights=np.tanh(left))],
-                            axis=1)
+            sums[:, k, 0] = chaos.sum_process(areas)
+            sums[:, k, 1] = chaos.sum_process(areas, weights=np.tanh(left))
+        return sums
 
-        sums = _chunked_replicas(spec, N, worker, threads=threads)
-        samples[m] = sums * chaos.normalization(m, H, 2)
+    sums = _chunked_replicas(spec, N, worker, threads=threads)
+    samples = {m: sums[:, k] * chaos.normalization(m, H, 2)
+               for k, m in enumerate(m_range)}
 
     rows = []
     base = {}
@@ -379,9 +392,8 @@ def third_order_experiment(H=0.4):
         ]
         # a second moment is positive: a level sum that is not (a wrong
         # lag table) has no log, so its row reports no slope and fails
-        slope = float(np.polyfit(
-            np.array(m_range) * np.log(2.0), np.log(vals), 1
-        )[0]) if min(vals) > 0 else None
+        slope = _ls_slope(np.array(m_range) * np.log(2.0),
+                          np.log(vals)) if min(vals) > 0 else None
         # C_fit is fitted where decay > 0; where decay vanishes (every lag
         # >= 1 at H = 1/2) the covariance must vanish to round-off
         per_lag = np.abs(table[:max_lag + 1])
@@ -405,7 +417,12 @@ def third_order_experiment(H=0.4):
 
 def rho_sum_experiment(H=0.4):
     """Exhaustive check of the correlation-sum bound over all admissible
-    exponent assignments with p <= 4 and row sums q <= 3, at m = 1..6."""
+    exponent assignments with p <= 4 and row sums q <= 3, at m = 1..6.
+
+    The bound holds for a wrong class sum too, so an exact anchor row
+    checks the complete graph K4, the one class summed row by row, against
+    the literal sum over all count^4 index tuples at a few cells.
+    """
     max_p, max_q, m_range = 4, 3, range(1, 7)
     cases = [(p, q, a) for p in range(2, max_p + 1) for q in range(1, max_q + 1)
              for a in chaos.admissible_assignments(p, q, max_exponent=q)]
@@ -413,8 +430,21 @@ def rho_sum_experiment(H=0.4):
              "assignment": {str(sorted(k)): v for k, v in a.items()}}
             for p, q, a in cases
             if not chaos.rho_sum_bound_verify(p, q, a, m_range, H=H)["pass"]]
-    rows.append({"assignments": len(cases), "violations": len(rows),
-                 "pass": not rows})
+    violations = len(rows)
+    count, rel_tol = 8, 1e-12
+    seq = chaos._seq_power(H, count, 1)
+    k = np.indices((count,) * 4).reshape(4, -1)
+    terms = np.prod([seq[k[i], k[j]] for i in range(4)
+                     for j in range(i + 1, 4)], axis=0)
+    exact = math.fsum(terms)
+    class_sum = chaos._class_sum(H, count, 4, (1,) * 6)
+    rel_err = abs(class_sum - exact) / exact
+    rows.append({"check": "k4-anchor", "count": count,
+                 "class_sum": class_sum, "brute_force": exact,
+                 "rel_err": rel_err, "tol": rel_tol,
+                 "pass": rel_err <= rel_tol})
+    rows.append({"assignments": len(cases), "violations": violations,
+                 "pass": not violations})
     return _report("rho-sum-bound", {"max_p": max_p, "max_q": max_q,
                                      "m_range": list(m_range), "H": H}, rows)
 
@@ -496,11 +526,9 @@ def rde_demo_experiment(H=0.5, N=400, seed=12):
     # DEFECT_REPLICAS the Jacobian defect
     inc_all = simulate_batch(spec, max(N, DEFECT_REPLICAS))
     inc_f = inc_all[:N]
-    size = 2 ** m_max
     ends = {}
     for m in m_range:
-        n = 2 ** m
-        inc = inc_f.reshape(N, 1, n, size // n).sum(axis=3)[..., None]
+        inc = _coarse_increments(inc_f, 2 ** m, 1)
         l1, l2 = levy_areas(inc)
         l3 = level3_areas(inc)
         Y = taylor_steps(linear_1d(), np.array([1.0]), 2.0 ** -m, l1, l2, l3)

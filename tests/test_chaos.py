@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from fbmchaos import chaos, gaussian
+from fbmchaos import chaos, cli, experiments, gaussian
 from fbmchaos.errors import DomainError
 from fbmchaos.fbm import SimSpec, simulate_batch
 from fbmchaos.gaussian import HurstModel, rho, series_constants, tilde_rho
@@ -265,6 +265,46 @@ class TestWeightedSums:
         for r in range(N):
             one = sum_process(cells[r], [0.5, 1.0], weights=w[r])
             np.testing.assert_array_equal(batch[r], one)
+
+
+class TestGrowthLevelsShareOnePath:
+    """verify-moment --which growth takes every level from one fine path."""
+
+    def test_level_totals_equal_the_finest(self, monkeypatch):
+        # each level's cells tile [0, 1], so their level-1 total is B_1
+        totals = []
+
+        def recording(inc):
+            l1, l2 = levy_areas(inc)
+            totals.append(l1.sum(axis=-2))
+            return l1, l2
+
+        monkeypatch.setattr(experiments, "levy_areas", recording)
+        experiments.moment_experiment(N=20, threads=1)
+        assert len(totals) == 6  # one chunk, levels m = 4..9
+        for total in totals[:-1]:
+            np.testing.assert_allclose(total, totals[-1], rtol=0, atol=1e-13)
+        assert np.abs(totals[-1]).min() > 1e-6  # not trivially zero
+
+    def test_rows_do_not_depend_on_the_thread_count(self, tmp_path,
+                                                    monkeypatch):
+        pools = []
+
+        def counted(max_workers):
+            pools.append(max_workers)
+            return pool(max_workers=max_workers)
+
+        pool = experiments.ThreadPoolExecutor
+        monkeypatch.setattr(experiments, "ThreadPoolExecutor", counted)
+        results = set()
+        for threads in ("1", "2", "3"):
+            out = tmp_path / threads
+            cli.main(["verify-moment", "--which", "growth", "--replicas",
+                      "300", "--threads", threads, "--out", str(out)])
+            results.add((out / "verify-moment.json").read_bytes())
+        assert len(results) == 1
+        # 2,048-point streams: every thread runs a chunk
+        assert pools == [1, 2, 3]
 
 
 class TestQProcesses:

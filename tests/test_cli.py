@@ -14,10 +14,12 @@ from fbmchaos import cli
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 # rows of the sampled commands at reduced sizes, recorded before their
-# workers moved onto the batched sum-process path (chaos.sum_process)
+# workers moved onto the batched sum-process path (chaos.sum_process); the
+# growth rows again when its levels came to share one path per replica
 GOLDEN = json.loads((ROOT / "tests" / "data" / "sampled_rows_golden.json")
                     .read_text())
 # commands without --threads: simulate (with its path.csv), lift, rde-demo
+# and the unsampled verify-third-order --which scaling
 UNSAMPLED_GOLDEN = json.loads(
     (ROOT / "tests" / "data" / "unsampled_rows_golden.json").read_text())
 

@@ -127,3 +127,42 @@ def test_symmetric_q_fails_the_fclt(tmp_path, monkeypatch):
     assert code == 1
     assert [r["check"] for r in rows if not r["pass"]] == [
         "variance", "ks-normality"]
+
+
+def test_sliced_coarse_levels_fail_the_growth_z_rows(tmp_path, monkeypatch):
+    # each coarse sub-step the first fine increment of its block, not their
+    # sum: m = 9 has blocks of one and keeps its rows.  Unmutated, every
+    # row passes (criterion 4)
+    def sliced(inc, cells, n_sub):
+        N, d, size = inc.shape
+        return inc.reshape(N, d, cells, n_sub, size // (cells * n_sub))[
+            ..., 0]
+
+    monkeypatch.setattr(experiments, "_coarse_increments", sliced)
+    code, rows = _run(tmp_path, "verify-moment", "--which", "growth")
+    assert code == 1
+    z = {r["m"]: r["z"] for r in rows if "z" in r}
+    assert all(z[m] < -4.0 for m in range(4, 9))
+    assert abs(z[9]) < 4.0
+    # the coarsest level loses most: the later rows that only have the
+    # ratio cap exceed it
+    assert all(r["ratio_to_first"] > 3.0 for r in rows
+               if r["m"] > 4 and "z" not in r)
+
+
+def test_k4_sum_without_its_cd_factor_fails_the_anchor(tmp_path,
+                                                       monkeypatch):
+    # A_cd (pair {2, 3}, listed first) replaced by ones: the bound holds
+    # for this sum too, so only the anchor row can see it; unmutated, every
+    # row passes (criterion 9)
+    class_sum = chaos._class_sum
+
+    def without_cd(H, count, v, exponents):
+        if v == 4 and exponents[0]:
+            exponents = (0,) + exponents[1:]
+        return class_sum(H, count, v, exponents)
+
+    monkeypatch.setattr(chaos, "_class_sum", without_cd)
+    code, rows = _run(tmp_path, "verify-third-order", "--which", "rho-sum")
+    assert code == 1
+    assert [r.get("check") for r in rows if not r["pass"]] == ["k4-anchor"]
