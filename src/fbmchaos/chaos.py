@@ -21,14 +21,17 @@ coefficient tensors over their sub-step increments, on the same
 discretization and at any degree.
 
 Each order has one per-lag table, vectorized over lags (cov_Q_pair,
-cov_K_lags), and a stationary sum over lags (exact_second_moment_Q,
-second_moment_K); order 2 also has a dyadic-scaled cell pair
-(exact_cov_Q).  Increment stationarity makes the covariances functions of
-the lag only, turning the 2^m x 2^m double sums into single sums over
-lags.  Every finite-resolution table reads the lag-table engine of
-gaussian.py on the unit lattice (cells of width 1 at integer offsets),
-reducing its prefix and sub-cell covariance tables over the lag axis;
-offset -lag reads the transposed tables.
+cov_K_lags, which gives several patterns from one sweep of the lag
+tables); order 2 also has a stationary sum over lags
+(exact_second_moment_Q) and a dyadic-scaled cell pair (exact_cov_Q), while
+the order-3 sums over lags are taken by their one caller,
+experiments.third_order_experiment, from one table for every level.
+Increment stationarity makes the covariances functions of the lag only,
+turning the 2^m x 2^m double sums into single sums over lags.  Every
+finite-resolution table reads the lag-table engine of gaussian.py on the
+unit lattice (cells of width 1 at integer offsets), reducing its prefix
+and sub-cell covariance tables over the lag axis; offset -lag reads the
+transposed tables.
 """
 
 import functools
@@ -53,7 +56,6 @@ __all__ = [
     "wick_cov",
     "third_order_sums",
     "cov_K_lags",
-    "second_moment_K",
     "K_PATTERNS",
     "rho_sum_bound_verify",
     "tilde_rho_finite",
@@ -292,79 +294,85 @@ def _cross_Y_Z(t):
     return 0.5 * np.einsum("lj,lj->l", t["si"] + 2.0 * t["pi"] ** 2, hi)
 
 
-def _cov_K_tables(pattern, tb, tt):
+def _cov_K_tables(pattern, tb, tt, term):
     """One table pattern per lag: tb holds cell i against cell j at offset
-    +lag, tt the mirrored pair (offset -lag)."""
+    +lag, tt the mirrored pair (offset -lag).  ``term(f, tables)`` is
+    f(tables) for the shared terms, formed once per chunk and orientation."""
     r, F, g = tb["r"], tb["F"], tb["g"]
+    if pattern.startswith("prod_"):
+        # triple increment products: E[K_i K_j] = a rho^3 + b rho
+        a, b = {"prod_abc": (1.0, 0.0), "prod_aab": (2.0, 1.0),
+                "prod_aaa": (6.0, 9.0)}[pattern]
+        return a * r ** 3 + b * r
     if pattern == "area_cross":
         return r * np.einsum("lkj,lkj->l", F, g)
     if pattern == "area_own":
-        return _cov_area_own(tb)
+        return term(_cov_area_own, tb)
     if pattern == "l3_abc":
         # double discrete Young sum over k < l, k' < l' of F g g
         acc = np.cumsum(np.cumsum(F * g, axis=1), axis=2)
         return np.einsum("lkj,lkj->l", acc[:, :-1, :-1], g[:, 1:, 1:])
     if pattern == "l3_aab":
-        return _cov_l3_aab(tb)
+        return term(_cov_l3_aab, tb)
     if pattern == "l3_aba":
         # B^{aba} = X - 2 Z with X = B^{ab}B^a, Z = B^{aab}
         return (
-            _cov_area_own(tb)
-            - 2.0 * _cross_X_Z(tb)
-            - 2.0 * _cross_X_Z(tt)
-            + 4.0 * _cov_l3_aab(tb)
+            term(_cov_area_own, tb)
+            - 2.0 * term(_cross_X_Z, tb)
+            - 2.0 * term(_cross_X_Z, tt)
+            + 4.0 * term(_cov_l3_aab, tb)
         )
     # l3_baa: B^{baa} = Y/2 - X + Z with Y = (B^a)^2 B^b
     yy = 2.0 * r ** 3 + r
     return (
         0.25 * yy
-        - 0.5 * _cross_Y_X(tb)
-        - 0.5 * _cross_Y_X(tt)
-        + 0.5 * _cross_Y_Z(tb)
-        + 0.5 * _cross_Y_Z(tt)
-        + _cov_area_own(tb)
-        - _cross_X_Z(tb)
-        - _cross_X_Z(tt)
-        + _cov_l3_aab(tb)
+        - 0.5 * term(_cross_Y_X, tb)
+        - 0.5 * term(_cross_Y_X, tt)
+        + 0.5 * term(_cross_Y_Z, tb)
+        + 0.5 * term(_cross_Y_Z, tt)
+        + term(_cov_area_own, tb)
+        - term(_cross_X_Z, tb)
+        - term(_cross_X_Z, tt)
+        + term(_cov_l3_aab, tb)
     )
 
 
 def cov_K_lags(H, pattern, lags, n_quad=32, symmetrized=True):
     """Unit-lattice pattern covariances per signed lag, vectorized.
 
-    With ``symmetrized`` the value at lag l is (c(l) + c(-l)) / 2, which is
-    what enters stationary double sums.  The product patterns are closed
-    forms in rho; the others read the lag tables, with c(-l) taken from the
-    transposed tables of |l|.
+    ``pattern`` is a name of K_PATTERNS, which gives one value per lag, or
+    a tuple of names, which gives a (patterns, lags) array from one sweep
+    of the lag tables.  With ``symmetrized`` the
+    value at lag l is (c(l) + c(-l)) / 2, which is what enters stationary
+    double sums.  The product patterns are closed forms in the tables'
+    rho(|l|), which is even in l; the others read the lag tables, with c(-l)
+    taken from the transposed tables of |l|.
     """
-    if pattern not in K_PATTERNS:
+    names = (pattern,) if isinstance(pattern, str) else tuple(pattern)
+    if not names or not set(names) <= set(K_PATTERNS):
         raise DomainError(f"unknown pattern {pattern!r}")
     lags = np.atleast_1d(np.asarray(lags)).astype(int)
-    if pattern.startswith("prod_"):
-        # triple increment products: E[K_i K_j] = a rho^3 + b rho
-        a, b = {"prod_abc": (1.0, 0.0), "prod_aab": (2.0, 1.0),
-                "prod_aaa": (6.0, 9.0)}[pattern]
-        r = rho(np.abs(lags), H)
-        return a * r ** 3 + b * r
 
     def per_chunk(t):
         tt = _transposed(t)
-        return np.stack([_cov_K_tables(pattern, t, tt),
-                         _cov_K_tables(pattern, tt, t)])
+        shared = {}
+
+        def term(f, tb):
+            key = (f, tb is tt)
+            if key not in shared:
+                shared[key] = f(tb)
+            return shared[key]
+
+        return np.array([[_cov_K_tables(name, tb, tm, term) for name in names]
+                         for tb, tm in ((t, tt), (tt, t))])
 
     plus, minus = np.concatenate(
-        [per_chunk(t) for t in _lag_tables(H, np.abs(lags), n_quad)], axis=1)
+        [per_chunk(t) for t in _lag_tables(H, np.abs(lags), n_quad)], axis=2)
     if symmetrized:
-        return np.where(lags == 0, plus, 0.5 * (plus + minus))
-    return np.where(lags < 0, minus, plus)
-
-
-def second_moment_K(H, m, pattern, s=0.0, t=1.0, n_quad=32):
-    """E[(K^m_{s,t})^2] by lag-stationary summation of pair covariances."""
-    i0, i1 = _cell_range(m, s, t)
-    count = i1 - i0
-    per = cov_K_lags(H, pattern, np.arange(count), n_quad=n_quad)
-    return (2.0 ** -m) ** (6 * H) * _lag_weighted_sum(count, per)
+        out = np.where(lags == 0, plus, 0.5 * (plus + minus))
+    else:
+        out = np.where(lags < 0, minus, plus)
+    return out[0] if isinstance(pattern, str) else out
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +440,9 @@ def wick_cov(H, n, lag, left, right):
             a = np.broadcast_to(a, (len(G),) + a.shape)
             for _ in xs:
                 a = np.einsum("lk...,lkj->l...j", a, G)
-            total += np.tensordot(a, b, b.ndim)
+            # a fixed-order reduction: BLAS kernels (tensordot, dot) each
+            # round a dot product their own way
+            total += (a * b).reshape(len(G), -1).sum(axis=1)
     return total.reshape(lags.shape) if lags.ndim else float(total[0])
 
 
@@ -470,6 +480,17 @@ def _class_sum(H, count, v, exponents):
     return float(out.sum())
 
 
+@functools.lru_cache(maxsize=16)
+def _relabellings(verts):
+    """The pair keys of each relabelling pm of the vertex set ``verts``, in
+    the order of _class_sum's exponent tuples: pair {pm[v-2], pm[v-1]}
+    first, so the least tuple, the class, has that pair absent whenever
+    some pair is."""
+    pairs = list(itertools.combinations(range(len(verts)), 2))[::-1]
+    return tuple(tuple(frozenset((pm[i], pm[j])) for i, j in pairs)
+                 for pm in itertools.permutations(sorted(verts)))
+
+
 def rho_sum_bound_verify(p, q, assignment, m_range, s=0.0, t=1.0, H=0.4):
     """Exhaustively check the multiple-sum bound for one exponent assignment.
 
@@ -495,13 +516,11 @@ def rho_sum_bound_verify(p, q, assignment, m_range, s=0.0, t=1.0, H=0.4):
             raise DomainError(f"row sum at index {i} exceeds q={q}")
     N = sum(a.values())
     exponent = p - int(np.ceil(N / q)) if N else p
-    # the class: the least exponent tuple over relabellings pm of the
-    # touched vertices, listing pair {v-2, v-1} first, so it is absent
-    # whenever some pair is
-    verts = set().union(*a)
-    exponents = min(tuple(a.get(frozenset((pm[i], pm[j])), 0) for i, j in
-                          itertools.combinations(range(len(verts)), 2))[::-1]
-                    for pm in itertools.permutations(verts))
+    # the class: the least exponent tuple over relabellings of the
+    # touched vertices
+    verts = frozenset().union(*a)
+    exponents = min(tuple(map(a.get, keys, itertools.repeat(0)))
+                    for keys in _relabellings(verts))
     rows = []
     for m in m_range:
         i0, i1 = _cell_range(m, s, t)
@@ -516,9 +535,14 @@ def rho_sum_bound_verify(p, q, assignment, m_range, s=0.0, t=1.0, H=0.4):
 
 
 def admissible_assignments(p, q, max_exponent=3):
-    """All exponent assignments on pairs of {0..p-1} with row sums <= q."""
-    pairs = [frozenset(c) for c in itertools.combinations(range(p), 2)]
-    every = ({k: v for k, v in zip(pairs, combo) if v} for combo in
-             itertools.product(range(max_exponent + 1), repeat=len(pairs)))
-    return [a for a in every if all(
-        sum(v for k, v in a.items() if i in k) <= q for i in range(p))]
+    """All exponent assignments on pairs of {0..p-1} with row sums <= q, in
+    the lexicographic order of their exponent tuples over the pairs."""
+    pairs = list(itertools.combinations(range(p), 2))
+    grid = np.array(list(itertools.product(range(max_exponent + 1),
+                                           repeat=len(pairs))), dtype=int)
+    # row sums: the grid against the pair-vertex incidence matrix
+    incidence = np.array([[i in pair for i in range(p)] for pair in pairs],
+                         dtype=int).reshape(len(pairs), p)
+    keep = grid[(grid @ incidence <= q).all(axis=1)].tolist()
+    keys = [frozenset(pair) for pair in pairs]
+    return [{k: v for k, v in zip(keys, combo) if v} for combo in keep]

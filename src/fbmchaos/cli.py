@@ -25,6 +25,7 @@ Code 2 prints one line on stderr and no traceback.
 import argparse
 import csv
 import datetime
+import functools
 import io
 import json
 import os
@@ -33,7 +34,7 @@ from importlib import metadata
 
 import numpy as np
 
-from . import experiments, young
+from . import __version__, experiments, young
 from .errors import (
     CapacityError,
     ConsistencyError,
@@ -48,14 +49,17 @@ from .lift import chen_fold, level3_areas, levy_areas
 OUT_ENV = "FBMCHAOS_OUT"
 
 
+@functools.cache
 def _versions():
-    out = {"python": sys.version.split()[0], "numpy": np.__version__}
-    for dist in ("scipy", "fbmchaos"):
-        try:
-            out[dist] = metadata.version(dist)
-        except metadata.PackageNotFoundError:
-            out[dist] = "unknown"
-    return out
+    """Library versions for the manifest, read once per process: the scipy
+    lookup scans sys.path.  fbmchaos reports its own ``__version__``, which
+    a source checkout has too, where no installed distribution is found."""
+    try:
+        scipy = metadata.version("scipy")
+    except metadata.PackageNotFoundError:
+        scipy = "unknown"
+    return {"python": sys.version.split()[0], "numpy": np.__version__,
+            "scipy": scipy, "fbmchaos": __version__}
 
 
 def _read_config(path):
@@ -134,7 +138,7 @@ def _emit(report, args, merged):
             fh.write(_rows_csv(report["rows"]))
     manifest = {
         "config": dict(merged, command=args.command),
-        "versions": _versions(),
+        "versions": dict(_versions()),
         # a runner may resolve the seed itself (verify-moment's per-which one)
         "seed": report["params"].get("seed", merged.get("seed")),
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
@@ -308,7 +312,10 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser():
+    """The parser of every command, built on first use and kept for the
+    process: parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="fbmchaos",
         description="Rough-path simulation and verification experiments "

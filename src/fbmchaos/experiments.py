@@ -381,10 +381,11 @@ def third_order_experiment(H=0.4):
     rows = []
     decay = sum(np.abs(rho(np.arange(max_lag + 1), H)) ** k for k in (1, 2, 3))
     lags = np.arange(max(2 ** max(m_range), max_lag + 1))
-    for pattern in chaos.K_PATTERNS:
-        # one lag table serves every level, as second_moment_K would sum
-        # its first 2^m lags, and the decay check its first max_lag + 1
-        table = chaos.cov_K_lags(H, pattern, lags, n_quad=n_quad)
+    # one sweep of the lag tables serves every pattern, and each pattern's
+    # table every level, whose stationary sum reads its first 2^m lags,
+    # and the decay check, which reads its first max_lag + 1
+    tables = chaos.cov_K_lags(H, chaos.K_PATTERNS, lags, n_quad=n_quad)
+    for pattern, table in zip(chaos.K_PATTERNS, tables):
         vals = [
             (2.0 ** -m) ** (6 * H)
             * chaos._lag_weighted_sum(2 ** m, table[:2 ** m])

@@ -231,6 +231,25 @@ def _binom(a):  # C(a, j) for j = 0..J, any real a
     return np.concatenate([[1.0], np.cumprod((a - j) / (j + 1))])
 
 
+@functools.lru_cache(maxsize=2)
+def _quadrature_tables(J):
+    """The H-free half of ``_tilde_rho_coeffs`` at expansion length J: the
+    bincount index j + l of each moment, the tensor Gauss-Legendre weights
+    of J/2 + 1 nodes and the power tables (y-u)^j and p_j, j = 0..J, over
+    its nodes; read-only, as every H shares them."""
+    x, w = np.polynomial.legendre.leggauss(J // 2 + 1)
+    u, y = np.repeat(0.5 * (x + 1), len(x)), np.tile(0.5 * (x + 1), len(x))
+    wt = 0.25 * np.outer(w, w).ravel()
+    j = np.arange(J + 1)[:, None]
+    d = (y - u) ** j
+    p = y ** j - d + (-u) ** j
+    p[:2] = 0.0
+    index = (j + j.T).ravel()
+    for table in (index, wt, d, p):
+        table.flags.writeable = False
+    return index, wt, d, p
+
+
 @functools.lru_cache(maxsize=16)
 def _tilde_rho_coeffs(H):
     """c_0..c_J with tilde_rho(i) = i^{4H-2} sum_n c_n i^{-n} at lags i >= 2.
@@ -242,18 +261,14 @@ def _tilde_rho_coeffs(H):
     0: those terms cancel exactly) and dens = H(2H-1) i^{2H-2} sum_l
     C(2H-2,l) i^{-l} (y-u)^l.  So c_n is H(2H-1)/2 times the moment of
     sum_{j+l=n} C(2H,j) C(2H-2,l) p_j (y-u)^l, of total degree n, which the
-    tensor Gauss-Legendre rule of J/2 + 1 nodes integrates exactly.
+    tensor Gauss-Legendre rule of J/2 + 1 nodes integrates exactly.  The
+    rule and its power tables do not depend on H: ``_quadrature_tables``
+    builds them once per J, and only the binomial weights are formed per H.
     """
-    x, w = np.polynomial.legendre.leggauss(_J // 2 + 1)
-    u, y = np.repeat(0.5 * (x + 1), len(x)), np.tile(0.5 * (x + 1), len(x))
-    wt = 0.25 * np.outer(w, w).ravel()
-    j = np.arange(_J + 1)[:, None]
-    d = (y - u) ** j
-    p = y ** j - d + (-u) ** j
-    p[:2] = 0.0
+    index, wt, d, p = _quadrature_tables(_J)
     moments = (_binom(2 * H)[:, None] * p * wt) @ (
         _binom(2 * H - 2)[:, None] * d).T               # [j, l]
-    c = 0.5 * H * (2 * H - 1) * np.bincount((j + j.T).ravel(),
+    c = 0.5 * H * (2 * H - 1) * np.bincount(index,
                                             weights=moments.ravel())[:_J + 1]
     c.flags.writeable = False
     return c

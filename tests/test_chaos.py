@@ -17,7 +17,6 @@ from fbmchaos.chaos import (
     normalization,
     q_processes,
     rho_sum_bound_verify,
-    second_moment_K,
     sum_process,
     third_order_sums,
     tilde_rho_finite,
@@ -25,10 +24,11 @@ from fbmchaos.chaos import (
 )
 
 
-# Test-only oracles: the per-cell-pair view of cov_K_lags, the exhaustive
-# Isserlis enumeration of both orders' cells (the oracle of
-# chaos.wick_cov at small n) and the order-3 cells as coefficient tensors
-# for wick_cov.  No command needs them.
+# Test-only oracles: the per-cell-pair view of cov_K_lags and its
+# stationary sum over lags, the exhaustive Isserlis enumeration of both
+# orders' cells (the oracle of chaos.wick_cov at small n), the order-3
+# cells as coefficient tensors for wick_cov and the itertools enumeration
+# of admissible exponent assignments.  No command needs them.
 
 
 def isserlis_moment(cov_matrix, monomial):
@@ -171,6 +171,24 @@ def exact_cov_K(H, m, pattern, i, j, n_quad=32):
         raise DomainError("cell indices out of range")
     scale = (2.0 ** -m) ** (6 * H)
     return scale * _cov_K_unit(H, pattern, j - i, n_quad)
+
+
+def second_moment_K(H, m, pattern, s=0.0, t=1.0, n_quad=32):
+    """E[(K^m_{s,t})^2] by lag-stationary summation of pair covariances."""
+    i0, i1 = chaos._cell_range(m, s, t)
+    count = i1 - i0
+    per = cov_K_lags(H, pattern, np.arange(count), n_quad=n_quad)
+    return (2.0 ** -m) ** (6 * H) * chaos._lag_weighted_sum(count, per)
+
+
+def itertools_assignments(p, q, max_exponent=3):
+    """admissible_assignments as one dict per itertools.product tuple,
+    filtered row by row: the enumeration the array filter replaced."""
+    pairs = [frozenset(c) for c in itertools.combinations(range(p), 2)]
+    every = ({k: v for k, v in zip(pairs, combo) if v} for combo in
+             itertools.product(range(max_exponent + 1), repeat=len(pairs)))
+    return [a for a in every if all(
+        sum(v for k, v in a.items() if i in k) <= q for i in range(p))]
 
 
 def brute_cov_K(H, pattern, lag, n):
@@ -604,6 +622,15 @@ class TestRhoSumBound:
         assert chaos._seq_power.cache_info().hits > 0
         assert chaos._class_sum.cache_info().hits > 0
 
+    def test_assignments_match_the_itertools_enumeration(self):
+        # the same dicts in the same order, with Python int exponents
+        for p in range(1, 5):
+            for q in range(1, 4):
+                for top in range(4):
+                    got = admissible_assignments(p, q, max_exponent=top)
+                    assert got == itertools_assignments(p, q, top), (p, q, top)
+                    assert all(type(v) is int for a in got for v in a.values())
+
     def test_vertex_permutations_give_bitwise_equal_rows(self):
         for a in admissible_assignments(4, 3):
             want = rho_sum_bound_verify(4, 3, a, [1, 2, 3])["rows"]
@@ -823,6 +850,36 @@ class TestLagTableEngine:
             assert c == pytest.approx(one, rel=1e-13, abs=0)
             want = one if lag == 0 else 0.5 * (one + mirror)
             assert cs == pytest.approx(want, rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("n", [4, 8, 24])
+    @pytest.mark.parametrize("symmetrized", [True, False])
+    def test_pattern_tuple_is_the_stack_of_single_calls(self, n, symmetrized):
+        # one sweep for all patterns gives every table bit for bit; at
+        # n = 24 the 104-lag chunks split these lags in two
+        H, lags = 0.4, np.arange(-3, 120)
+        for patterns in (K_PATTERNS, ("l3_baa", "prod_aab", "area_own")):
+            stacked = cov_K_lags(H, patterns, lags, n, symmetrized=symmetrized)
+            np.testing.assert_array_equal(stacked, np.stack([
+                cov_K_lags(H, pattern, lags, n, symmetrized=symmetrized)
+                for pattern in patterns]))
+
+    def test_unknown_or_no_pattern_refused(self):
+        for pattern in ("septic", ("area_own", "septic"), ()):
+            with pytest.raises(DomainError):
+                cov_K_lags(0.4, pattern, [0, 1], 4)
+
+    def test_scaling_sweeps_the_lag_tables_once(self, tmp_path, monkeypatch):
+        sweeps = []
+
+        def counted(*args):
+            sweeps.append(args)
+            return lag_tables(*args)
+
+        lag_tables = chaos._lag_tables
+        monkeypatch.setattr(chaos, "_lag_tables", counted)
+        assert cli.main(["verify-third-order", "--which", "scaling",
+                         "--out", str(tmp_path)]) == 0
+        assert len(sweeps) == 1
 
     @pytest.mark.parametrize("fn", [tilde_rho_finite, cross_hat_tilde_finite])
     def test_order2_chunking_is_bitwise_invisible(self, fn):

@@ -414,6 +414,27 @@ class TestTildeRho:
         assert c[0] == 0.0 and c[1] == 0.0
         assert c[2] == pytest.approx((H * (2 * H - 1)) ** 2 / 4, rel=1e-13)
 
+    def test_rule_is_built_once_per_expansion_length(self, monkeypatch):
+        # the H-free rule and power tables: one read-only cache entry per
+        # J, which every H shares
+        gaussian._quadrature_tables.cache_clear()
+        gaussian._tilde_rho_coeffs.cache_clear()
+        try:
+            for H in (0.35, 0.4, 0.45):
+                gaussian._tilde_rho_coeffs(H)
+            info = gaussian._quadrature_tables.cache_info()
+            assert (info.currsize, info.misses) == (1, 1)
+            monkeypatch.setattr(gaussian, "_J", 12)
+            gaussian._tilde_rho_coeffs.cache_clear()
+            for H in (0.35, 0.4):
+                assert len(gaussian._tilde_rho_coeffs(H)) == 13
+            info = gaussian._quadrature_tables.cache_info()
+            assert (info.currsize, info.misses) == (2, 2)
+            assert not any(table.flags.writeable
+                           for table in gaussian._quadrature_tables(12))
+        finally:
+            gaussian._tilde_rho_coeffs.cache_clear()
+
     @pytest.mark.parametrize("H", HS)
     def test_scalar_and_vector_calls_agree(self, H):
         lags = np.arange(6)
