@@ -21,17 +21,16 @@ coefficient tensors over their sub-step increments, on the same
 discretization and at any degree.
 
 Each order has one per-lag table, vectorized over lags (cov_Q_pair,
-cov_K_lags, which gives several patterns from one sweep of the lag
-tables); order 2 also has a stationary sum over lags
-(exact_second_moment_Q) and a dyadic-scaled cell pair (exact_cov_Q), while
-the order-3 sums over lags are taken by their one caller,
-experiments.third_order_experiment, from one table for every level.
-Increment stationarity makes the covariances functions of the lag only,
-turning the 2^m x 2^m double sums into single sums over lags.  Every
-finite-resolution table reads the lag-table engine of gaussian.py on the
-unit lattice (cells of width 1 at integer offsets), reducing its prefix
-and sub-cell covariance tables over the lag axis; offset -lag reads the
-transposed tables.
+cov_K_lags); order 2 also has a stationary sum over lags
+(exact_second_moment_Q), while the order-3 sums over lags are taken by
+their one caller, experiments.third_order_experiment, from one table for
+every level.  Increment stationarity makes the covariances functions of
+the lag only, turning the 2^m x 2^m double sums into single sums over
+lags.  Every finite-resolution entry, the order-2 areas (qtilde, cross)
+and the order-3 patterns alike, is a named pattern of one evaluator over
+the lag tables of gaussian.py on the unit lattice (cells of width 1 at
+integer offsets), and one sweep of those tables gives every pattern a
+caller asks for; offset -lag reads the transposed tables.
 """
 
 import functools
@@ -51,15 +50,12 @@ __all__ = [
     "exact_second_moment_Q",
     "Q_PAIRS",
     "cov_Q_pair",
-    "exact_cov_Q",
     "q_pair_cells",
     "wick_cov",
     "third_order_sums",
     "cov_K_lags",
     "K_PATTERNS",
     "rho_sum_bound_verify",
-    "tilde_rho_finite",
-    "cross_hat_tilde_finite",
     "admissible_assignments",
 ]
 
@@ -123,36 +119,6 @@ def q_processes(level1, level2, H):
             "qtilde": qtilde, "q": qhat - qtilde}
 
 
-def tilde_rho_finite(lags, H, n):
-    """E[Btilde_i Btilde_j] of geometric unit-cell areas at resolution n.
-
-    Four-corner-average (tensor trapezoid) double sum of the prefix
-    covariance against the cell measure: exact for the lift convention at
-    any n, converging to tilde_rho(lag) as n grows.  Vectorized over lags.
-    """
-    def per_chunk(t):
-        P = t["P"]
-        corner = 0.25 * (P[:, :-1, :-1] + P[:, 1:, :-1]
-                         + P[:, :-1, 1:] + P[:, 1:, 1:])
-        return np.sum(corner * t["g"], axis=(1, 2))
-
-    return np.concatenate([per_chunk(t) for t in _lag_tables(H, lags, n)])
-
-
-def cross_hat_tilde_finite(lags, H, n):
-    """E[Qhat-cell_i Qtilde-cell_j] / Delta^{4H} at resolution n, per lag.
-
-    (1/2) sum_k (R(cell_i x prefix_k) + R(cell_i x sub_k)/2) R(cell_i x sub_k)
-    on unit cells; equals rho(lag)^2/4 in the limit (exactly, for every n,
-    when H = 1/2).
-    """
-    def per_chunk(t):
-        hi = t["g"].sum(axis=1)  # R(cell_i x sub_l) by additivity
-        return 0.5 * np.sum((t["pi"] + 0.5 * hi) * hi, axis=1)
-
-    return np.concatenate([per_chunk(t) for t in _lag_tables(H, lags, n)])
-
-
 Q_PAIRS = ("qhat", "qcheck", "qtilde", "cross", "qhat_qcheck", "qtilde_qcheck")
 
 
@@ -168,8 +134,8 @@ def cov_Q_pair(H, which, lag, n_sub=None):
 
     with tilde_rho from gaussian.tilde_rho, which answers every lag.  With
     ``n_sub`` the area entries (qtilde, cross) are the finite-resolution
-    geometric values of tilde_rho_finite and cross_hat_tilde_finite, so
-    Monte Carlo on a lift with n_sub sub-steps is matched without
+    geometric values, the "qtilde" and "cross" patterns of the lag tables,
+    so Monte Carlo on a lift with n_sub sub-steps is matched without
     discretization bias.  ``lag`` is an integer or an integer array, sign
     ignored; an integer gives a float, evaluated on a 0-d array as rho
     evaluates it.  The dyadic scale (2^{-m})^{4H} is the caller's business.
@@ -180,20 +146,12 @@ def cov_Q_pair(H, which, lag, n_sub=None):
     elif which == "qtilde" and n_sub is None:
         out = tilde_rho(lags, H)
     elif which in ("qtilde", "cross"):
-        finite = tilde_rho_finite if which == "qtilde" else cross_hat_tilde_finite
-        out = finite(lags, H, n_sub).reshape(lags.shape)
+        out = _lag_covs(H, (which,), lags, n_sub)[0].reshape(lags.shape)
     elif which in ("qhat_qcheck", "qtilde_qcheck"):
         out = np.zeros(lags.shape)
     else:
         raise DomainError(f"unknown pair {which!r}")
     return out if lags.ndim else float(out)
-
-
-def exact_cov_Q(H, m, which, i, j, n_sub=None):
-    """E[X_cell_i Y_cell_j] for the order-2 family at dyadic level m."""
-    if not (1 <= i <= 2 ** m and 1 <= j <= 2 ** m):
-        raise DomainError("cell indices out of range")
-    return (2.0 ** -m) ** (4 * H) * cov_Q_pair(H, which, j - i, n_sub=n_sub)
 
 
 def _cell_range(m, s, t):
@@ -223,12 +181,13 @@ def exact_second_moment_Q(H, m, which, s=0.0, t=1.0, n_sub=None):
     i0, i1 = _cell_range(m, s, t)
     count = i1 - i0
     lags = np.arange(count)
-    if which == "q":
-        per = (cov_Q_pair(H, "qtilde", lags, n_sub)
-               + cov_Q_pair(H, "qhat", lags, n_sub)
-               - 2.0 * cov_Q_pair(H, "cross", lags, n_sub))
-    else:
+    if which != "q":
         per = cov_Q_pair(H, which, lags, n_sub)
+    else:  # with n_sub, both area entries from one sweep of the lag tables
+        areas = ("qtilde", "cross")
+        qtilde, cross = ([cov_Q_pair(H, w, lags) for w in areas]
+                         if n_sub is None else _lag_covs(H, areas, lags, n_sub))
+        per = qtilde + cov_Q_pair(H, "qhat", lags, n_sub) - 2.0 * cross
     return (2.0 ** -m) ** (4 * H) * _lag_weighted_sum(count, per)
 
 
@@ -262,7 +221,7 @@ def _cov_area_own(t):
     g = t["g"]
     return (t["r"] * np.einsum("lkj,lkj->l", t["F"], g)
             + np.einsum("lk,lj,lkj->l", t["pj"], t["pi"], g)
-            + np.einsum("lk,lj,lkj->l", t["qi"], t["qj"], g))
+            + np.einsum("lk,lj,lkj->l", t["q"], t["q"], g))
 
 
 def _cov_l3_aab(t):
@@ -274,31 +233,44 @@ def _cov_l3_aab(t):
 
 def _cross_X_Z(t):
     # X = (B^{ab}B^a) on cell i, Z = B^{aab} on cell j:
-    # E[X_i Z_j] = sum_{kl} (1/2)(qi_k sj_l + 2 F_kl pi_l) g_kl
+    # E[X_i Z_j] = sum_{kl} (1/2)(q_k s_l + 2 F_kl pi_l) g_kl
     F, g = t["F"], t["g"]
-    return (0.5 * np.einsum("lk,lj,lkj->l", t["qi"], t["si"], g)
+    return (0.5 * np.einsum("lk,lj,lkj->l", t["q"], t["si"], g)
             + np.einsum("lkj,lj,lkj->l", F, t["pi"], g))
 
 
 def _cross_Y_X(t):
     # Y = (B^a)^2 B^b on cell i, X = (B^{ab}B^a) on cell j:
-    # E[Y_i X_j] = sum_l (qj_l + 2 pi_l r) hi_l,  hi_l = R(cell_i x sub_l)
+    # E[Y_i X_j] = sum_l (q_l + 2 pi_l r) hi_l,  hi_l = R(cell_i x sub_l)
     hi = t["g"].sum(axis=1)  # R(cell_i x sub_l) by additivity
-    return np.einsum("lj,lj->l", t["qj"] + 2.0 * t["pi"] * t["r"][:, None], hi)
+    return np.einsum("lj,lj->l", t["q"] + 2.0 * t["pi"] * t["r"][:, None], hi)
 
 
 def _cross_Y_Z(t):
     # Y = (B^a)^2 B^b on cell i, Z = B^{aab} on cell j:
-    # E[Y_i Z_j] = (1/2) sum_l (sj_l + 2 pi_l^2) hi_l
+    # E[Y_i Z_j] = (1/2) sum_l (s_l + 2 pi_l^2) hi_l
     hi = t["g"].sum(axis=1)
     return 0.5 * np.einsum("lj,lj->l", t["si"] + 2.0 * t["pi"] ** 2, hi)
 
 
-def _cov_K_tables(pattern, tb, tt, term):
+def _cov_tables(pattern, tb, tt, term):
     """One table pattern per lag: tb holds cell i against cell j at offset
     +lag, tt the mirrored pair (offset -lag).  ``term(f, tables)`` is
-    f(tables) for the shared terms, formed once per chunk and orientation."""
+    f(tables) for the shared terms, formed once per chunk and orientation.
+    The patterns are K_PATTERNS and the order-2 area entries of cov_Q_pair."""
     r, F, g = tb["r"], tb["F"], tb["g"]
+    if pattern == "qtilde":
+        # E[Btilde_i Btilde_j] of geometric areas: the four-corner average
+        # (tensor trapezoid) of the prefix covariance against the cell
+        # measure, exact at any n and tending to tilde_rho(lag)
+        P = tb["P"]  # F = P[:, :-1, :-1]
+        corner = 0.25 * (F + P[:, 1:, :-1] + P[:, :-1, 1:] + P[:, 1:, 1:])
+        return np.sum(corner * g, axis=(1, 2))
+    if pattern == "cross":
+        # E[Qhat_i Qtilde_j] = (1/2) sum_l (pi_l + hi_l/2) hi_l, tending to
+        # rho(lag)^2/4 (equal to it at every n when H = 1/2)
+        hi = g.sum(axis=1)  # R(cell_i x sub_l) by additivity
+        return 0.5 * np.sum((tb["pi"] + 0.5 * hi) * hi, axis=1)
     if pattern.startswith("prod_"):
         # triple increment products: E[K_i K_j] = a rho^3 + b rho
         a, b = {"prod_abc": (1.0, 0.0), "prod_aab": (2.0, 1.0),
@@ -337,21 +309,13 @@ def _cov_K_tables(pattern, tb, tt, term):
     )
 
 
-def cov_K_lags(H, pattern, lags, n_quad=32, symmetrized=True):
-    """Unit-lattice pattern covariances per signed lag, vectorized.
-
-    ``pattern`` is a name of K_PATTERNS, which gives one value per lag, or
-    a tuple of names, which gives a (patterns, lags) array from one sweep
-    of the lag tables.  With ``symmetrized`` the
-    value at lag l is (c(l) + c(-l)) / 2, which is what enters stationary
-    double sums.  The product patterns are closed forms in the tables'
-    rho(|l|), which is even in l; the others read the lag tables, with c(-l)
-    taken from the transposed tables of |l|.
-    """
-    names = (pattern,) if isinstance(pattern, str) else tuple(pattern)
-    if not names or not set(names) <= set(K_PATTERNS):
-        raise DomainError(f"unknown pattern {pattern!r}")
-    lags = np.atleast_1d(np.asarray(lags)).astype(int)
+def _lag_covs(H, names, lags, n, symmetrized=False):
+    """The _cov_tables patterns ``names`` per signed lag at resolution n, a
+    (names, lags) array from one sweep of the lag tables.  c(-l) reads the
+    transposed tables of |l|, evaluated only when a negative lag or
+    ``symmetrized`` ((c(l) + c(-l)) / 2 at l != 0) asks for them."""
+    lags = np.asarray(lags).astype(int).ravel()
+    mirrored = symmetrized or bool(np.any(lags < 0))
 
     def per_chunk(t):
         tt = _transposed(t)
@@ -363,15 +327,31 @@ def cov_K_lags(H, pattern, lags, n_quad=32, symmetrized=True):
                 shared[key] = f(tb)
             return shared[key]
 
-        return np.array([[_cov_K_tables(name, tb, tm, term) for name in names]
-                         for tb, tm in ((t, tt), (tt, t))])
+        sides = ((t, tt), (tt, t)) if mirrored else ((t, tt),)
+        return np.array([[_cov_tables(name, tb, tm, term) for name in names]
+                         for tb, tm in sides])
 
-    plus, minus = np.concatenate(
-        [per_chunk(t) for t in _lag_tables(H, np.abs(lags), n_quad)], axis=2)
+    tables = np.concatenate(
+        [per_chunk(t) for t in _lag_tables(H, np.abs(lags), n)], axis=2)
+    plus, minus = tables[0], tables[-1]
     if symmetrized:
-        out = np.where(lags == 0, plus, 0.5 * (plus + minus))
-    else:
-        out = np.where(lags < 0, minus, plus)
+        return np.where(lags == 0, plus, 0.5 * (plus + minus))
+    return np.where(lags < 0, minus, plus)
+
+
+def cov_K_lags(H, pattern, lags, n_quad=32, symmetrized=True):
+    """Unit-lattice pattern covariances per signed lag, vectorized.
+
+    ``pattern`` is a name of K_PATTERNS, which gives one value per lag, or
+    a tuple of names, which gives a (patterns, lags) array from one sweep
+    of the lag tables.  With ``symmetrized`` the value at lag l is
+    (c(l) + c(-l)) / 2, which is what enters stationary double sums.  The
+    product patterns are closed forms in the tables' rho(|l|), even in l.
+    """
+    names = (pattern,) if isinstance(pattern, str) else tuple(pattern)
+    if not names or not set(names) <= set(K_PATTERNS):
+        raise DomainError(f"unknown pattern {pattern!r}")
+    out = _lag_covs(H, names, lags, n_quad, symmetrized)
     return out[0] if isinstance(pattern, str) else out
 
 

@@ -354,9 +354,10 @@ def covariance_table_experiment(H=0.4, seed=404):
         m = int(rng.integers(1, 7))
         i = int(rng.integers(1, 2 ** m + 1))
         j = int(rng.integers(1, 2 ** m + 1))
-        exact = chaos.exact_cov_Q(H, m, which, i, j, n_sub=n_sub)
-        oracle = (2.0 ** -m) ** (4 * H) * chaos.wick_cov(
-            H, n_sub, j - i, *chaos.q_pair_cells(which, n_sub))
+        scale = (2.0 ** -m) ** (4 * H)
+        exact = scale * chaos.cov_Q_pair(H, which, j - i, n_sub=n_sub)
+        oracle = scale * chaos.wick_cov(H, n_sub, j - i,
+                                        *chaos.q_pair_cells(which, n_sub))
         err = abs(exact - oracle)
         tol = rel_tol * max(abs(oracle), 1.0e-12) + 1e-14
         rows.append({"which": which, "m": m, "i": i, "j": j,

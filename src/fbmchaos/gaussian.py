@@ -21,8 +21,8 @@ processes built in chaos.py; their series are summed term by term to lag
 One lag-table engine, ``_lag_tables``, serves every second moment computed
 on sub-cell grids: for a vector of lags it builds, in chunks of bounded
 size, the prefix and sub-cell covariance tables of the unit cells [0,1] and
-[lag,lag+1].  Every finite-resolution cell-pair covariance in chaos.py
-reduces these tables over the lag axis.
+[lag,lag+1].  Every finite-resolution cell-pair covariance in chaos.py is
+a named pattern over these tables, and each call reads them in one sweep.
 
 Valid Hurst range is 1/3 < H <= 1/2.  H = 1/2 is the Brownian anchor where
 everything has an elementary closed form (rho(k) = 0 for k >= 1,
@@ -152,7 +152,7 @@ def _lag_tables(H, lags, n):
       pj  (L, n)        prefix_i x cell_j  R([0,u_k] x [lag,lag+1]) = P[:, k, n]
       pi  (L, n)        cell_i x prefix_j  R([0,1] x [lag,v_l]) = P[:, n, l]
       si  (L, n)        prefix variances u_k^{2H}, the same in both cells
-      qi  (L, n)        prefix_i x cell_i  R([0,u_k] x [0,1]); qj alike in j
+      q   (L, n)        prefix x own cell  R([0,u_k] x [0,1]), the same in both
       r   (L,)          cell_i x cell_j    rho(lag)
     No (L, n+1, n+1) array exceeds 2^16 entries (512 KiB), or one lag's
     (n+1)^2 when that is larger, and fewer than ten are alive at once: under
@@ -171,14 +171,13 @@ def _lag_tables(H, lags, n):
                  for x in (u[:-1] ** (2 * H), cov(u[:-1], 1.0, H)))
         yield {"P": P, "F": P[:, :-1, :-1], "g": g,
                "si": si, "pj": P[:, :-1, -1], "pi": P[:, -1, :-1],
-               "qi": q, "qj": q, "r": rho(lg, H)}
+               "q": q, "r": rho(lg, H)}
 
 
 def _transposed(t):
     """Tables of the mirrored pair at offset -lag: cells i and j swap roles."""
     return dict(t, P=t["P"].transpose(0, 2, 1), F=t["F"].transpose(0, 2, 1),
-                g=t["g"].transpose(0, 2, 1), pi=t["pj"], pj=t["pi"],
-                qi=t["qj"], qj=t["qi"])
+                g=t["g"].transpose(0, 2, 1), pi=t["pj"], pj=t["pi"])
 
 
 def tilde_rho(lags, H):

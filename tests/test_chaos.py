@@ -12,14 +12,13 @@ from fbmchaos.chaos import (
     K_PATTERNS,
     admissible_assignments,
     cov_K_lags,
-    cross_hat_tilde_finite,
+    cov_Q_pair,
     exact_second_moment_Q,
     normalization,
     q_processes,
     rho_sum_bound_verify,
     sum_process,
     third_order_sums,
-    tilde_rho_finite,
     wick_cov,
 )
 
@@ -368,25 +367,26 @@ class TestFiniteResolutionOracles:
     def test_brownian_area_autocovariance(self):
         # piecewise-linear areas at H = 1/2: Var = 1/2 - 1/(4n), lags vanish
         for n in (2, 8, 32):
-            v = tilde_rho_finite(np.arange(3), 0.5, n)
+            v = cov_Q_pair(0.5, "qtilde", np.arange(3), n_sub=n)
             assert v[0] == pytest.approx(0.5 - 1 / (4 * n), abs=1e-13)
             np.testing.assert_allclose(v[1:], 0.0, atol=1e-13)
 
     def test_converges_to_series_value(self):
         H = 0.4
         for lag in (0, 1, 2):
-            coarse = tilde_rho_finite([lag], H, 64)[0]
-            fine = tilde_rho_finite([lag], H, 512)[0]
+            coarse = cov_Q_pair(H, "qtilde", [lag], n_sub=64)[0]
+            fine = cov_Q_pair(H, "qtilde", [lag], n_sub=512)[0]
             lim = float(tilde_rho(lag, H))
             assert abs(fine - lim) < abs(coarse - lim) + 1e-12
 
     def test_brownian_cross_is_quarter(self):
         for n in (2, 16):
-            assert cross_hat_tilde_finite([0], 0.5, n)[0] == pytest.approx(0.25, abs=1e-13)
+            assert cov_Q_pair(0.5, "cross", [0], n_sub=n)[0] == \
+                pytest.approx(0.25, abs=1e-13)
 
     def test_cross_converges_to_quarter_rho_sq(self):
         H = 0.4
-        v = cross_hat_tilde_finite([0, 1, 2], H, 512)
+        v = cov_Q_pair(H, "cross", [0, 1, 2], n_sub=512)
         lim = 0.25 * rho(np.arange(3), H) ** 2
         np.testing.assert_allclose(v, lim, atol=2e-4)
 
@@ -702,17 +702,13 @@ class TestCovQPairs:
             for lag in (0, 3):
                 assert cov_Q_pair(0.4, which, lag, n_sub=3) == 0.0
 
-    def test_exact_cov_scaling_and_validation(self):
-        from fbmchaos.chaos import cov_Q_pair, exact_cov_Q
-
-        H, m = 0.4, 3
-        got = exact_cov_Q(H, m, "qtilde", 2, 5, n_sub=4)
-        want = (2.0 ** -m) ** (4 * H) * cov_Q_pair(H, "qtilde", 3, n_sub=4)
-        assert got == pytest.approx(want, rel=1e-14)
-        with pytest.raises(DomainError):
-            exact_cov_Q(H, m, "qtilde", 0, 1)
-        with pytest.raises(DomainError):
-            exact_cov_Q(H, m, "qtilde", 1, 2 ** m + 1)
+    @pytest.mark.parametrize("n_sub", [None, 4])
+    def test_lag_arrays_keep_their_shape(self, n_sub):
+        lags = np.array([[0, -1, 2], [3, 4, -5]])
+        for which in chaos.Q_PAIRS:
+            np.testing.assert_array_equal(
+                cov_Q_pair(0.4, which, lags, n_sub),
+                cov_Q_pair(0.4, which, lags.ravel(), n_sub).reshape(2, 3))
 
     def test_lag_symmetry(self):
         from fbmchaos.chaos import Q_PAIRS, cov_Q_pair
@@ -789,7 +785,8 @@ class TestOrder2LagTable:
         cells = range(1, 2 ** m + 1)
 
         def double_sum(which):
-            return sum(chaos.exact_cov_Q(H, m, which, i, j, n_sub=n_sub)
+            return sum((2.0 ** -m) ** (4 * H)
+                       * cov_Q_pair(H, which, j - i, n_sub=n_sub)
                        for i in cells for j in cells)
 
         for which in chaos.Q_PAIRS:
@@ -868,7 +865,8 @@ class TestLagTableEngine:
             with pytest.raises(DomainError):
                 cov_K_lags(0.4, pattern, [0, 1], 4)
 
-    def test_scaling_sweeps_the_lag_tables_once(self, tmp_path, monkeypatch):
+    @staticmethod
+    def count_sweeps(monkeypatch):
         sweeps = []
 
         def counted(*args):
@@ -877,15 +875,27 @@ class TestLagTableEngine:
 
         lag_tables = chaos._lag_tables
         monkeypatch.setattr(chaos, "_lag_tables", counted)
+        return sweeps
+
+    def test_scaling_sweeps_the_lag_tables_once(self, tmp_path, monkeypatch):
+        sweeps = self.count_sweeps(monkeypatch)
         assert cli.main(["verify-third-order", "--which", "scaling",
                          "--out", str(tmp_path)]) == 0
         assert len(sweeps) == 1
 
-    @pytest.mark.parametrize("fn", [tilde_rho_finite, cross_hat_tilde_finite])
-    def test_order2_chunking_is_bitwise_invisible(self, fn):
+    def test_q_second_moment_sweeps_the_lag_tables_once(self, monkeypatch):
+        # qtilde and cross are two patterns of one sweep
+        sweeps = self.count_sweeps(monkeypatch)
+        exact_second_moment_Q(0.4, 6, "q", n_sub=8)
+        assert len(sweeps) == 1
+
+    @pytest.mark.parametrize("which", ["qtilde", "cross"])
+    def test_order2_chunking_is_bitwise_invisible(self, which):
         lags = np.abs(self.lags())
         half = len(lags) // 2
-        whole = fn(lags, 0.4, self.n)
-        split = np.concatenate([fn(lags[:half], 0.4, self.n),
-                                fn(lags[half:], 0.4, self.n)])
-        np.testing.assert_array_equal(whole, split)
+
+        def fn(lags):
+            return cov_Q_pair(0.4, which, lags, n_sub=self.n)
+
+        np.testing.assert_array_equal(
+            fn(lags), np.concatenate([fn(lags[:half]), fn(lags[half:])]))

@@ -514,7 +514,9 @@ class TestImport:
 # GridPartition and GridFunction (no variation functional reads where the
 # breakpoints lie, so the Young layer takes value arrays) and
 # second_moment_K (no command calls it; it moved into the tests as the
-# order-3 oracle of their scaling checks): every one must still be exported
+# order-3 oracle of their scaling checks) and exact_cov_Q (the dyadic
+# scaling of one cov_Q_pair entry; its one caller scales the entry
+# itself): every one must still be exported
 KEPT_EXPORTS = [
     "CapacityError", "ConsistencyError", "DivergenceError", "DomainError",
     "FbmchaosError",
@@ -524,7 +526,7 @@ KEPT_EXPORTS = [
     "levy_areas", "level3_areas",
     "CoefficientField", "linear_1d", "taylor_steps",
     "K_PATTERNS", "Q_PAIRS", "admissible_assignments", "cov_K_lags",
-    "cov_Q_pair", "exact_cov_Q", "exact_second_moment_Q",
+    "cov_Q_pair", "exact_second_moment_Q",
     "q_processes", "rho_sum_bound_verify", "third_order_sums",
     "Vp", "bar_Vp", "controlled_pvar",
     "discrete_young_integral", "iterated_A", "iterated_A_bound",

@@ -2,12 +2,12 @@
 written into the package, makes the command that checks it exit 1.  A
 report's verdict is the conjunction of the rows that carry a ``pass``."""
 
+import dataclasses
 import json
 
 import numpy as np
 
 from fbmchaos import chaos, cli, experiments, young
-from fbmchaos.gaussian import _lag_tables
 
 
 def test_verdict_is_conjunction_of_checking_rows():
@@ -37,12 +37,16 @@ def test_covariance_rows_pass_unmutated(tmp_path):
 
 
 def test_area_table_without_corner_average_fails(tmp_path, monkeypatch):
-    # production mutant: the left-point sum of F g, no four-corner average
-    def left_point(lags, H, n):
-        return np.concatenate([np.sum(t["F"] * t["g"], axis=(1, 2))
-                               for t in _lag_tables(H, lags, n)])
+    # production mutant: the qtilde lag-table pattern as the left-point sum
+    # of F g, no four-corner average
+    cov_tables = chaos._cov_tables
 
-    monkeypatch.setattr(chaos, "tilde_rho_finite", left_point)
+    def left_point(pattern, tb, tt, term):
+        if pattern == "qtilde":
+            return np.sum(tb["F"] * tb["g"], axis=(1, 2))
+        return cov_tables(pattern, tb, tt, term)
+
+    monkeypatch.setattr(chaos, "_cov_tables", left_point)
     code, rows = _covariance(tmp_path)
     assert code == 1
     assert [r["which"] for r in rows if not r["pass"]] == ["qtilde"] * 5
@@ -114,6 +118,19 @@ def test_fclt_rows_pass_unmutated(tmp_path):
     assert code == 0 and all(r["pass"] for r in rows)
 
 
+def test_converged_area_at_lag_one_fails_the_limit_row(tmp_path,
+                                                       monkeypatch):
+    # the converged (no n_sub) oracle entries read one lag out; the
+    # finite-resolution variance oracle keeps its own entries
+    cov_Q_pair = chaos.cov_Q_pair
+    monkeypatch.setattr(chaos, "cov_Q_pair", lambda H, which, lag, n_sub=None:
+                        cov_Q_pair(H, which, lag + (n_sub is None), n_sub))
+    code, rows = _fclt(tmp_path)
+    assert code == 1
+    assert [r["check"] for r in rows if not r["pass"]] == [
+        "converged-vs-limit"]
+
+
 def test_symmetric_q_fails_the_fclt(tmp_path, monkeypatch):
     # q = qhat + qtilde in place of the antisymmetric qhat - qtilde
     q_processes = chaos.q_processes
@@ -166,3 +183,62 @@ def test_k4_sum_without_its_cd_factor_fails_the_anchor(tmp_path,
     code, rows = _run(tmp_path, "verify-third-order", "--which", "rho-sum")
     assert code == 1
     assert [r.get("check") for r in rows if not r["pass"]] == ["k4-anchor"]
+
+
+def _failing(rows, key):
+    return [r[key] for r in rows if not r.get("pass", True)]
+
+
+def test_squared_fclt_constant_fails_the_brownian_anchor(tmp_path,
+                                                         monkeypatch):
+    # fclt_C reported as its square (C^2 = 1/4 at H = 1/2); the other H
+    # rows only report
+    constants = experiments.series_constants
+
+    def squared(H, tol=1e-6):
+        sc = constants(H, tol)
+        return dataclasses.replace(sc, fclt_C=sc.fclt_C ** 2)
+
+    monkeypatch.setattr(experiments, "series_constants", squared)
+    code, rows = _run(tmp_path, "constants")
+    assert code == 1
+    assert _failing(rows, "H") == [0.5]
+
+
+def _young(tmp_path):
+    return _run(tmp_path, "young-check", "--cases", "100")
+
+
+def test_young_rows_pass_unmutated(tmp_path):
+    code, rows = _young(tmp_path)
+    assert code == 0 and not _failing(rows, "check")
+
+
+def test_halved_controlled_pvar_fails_the_sandwich(tmp_path, monkeypatch):
+    controlled_pvar = young.controlled_pvar
+    monkeypatch.setattr(young, "controlled_pvar",
+                        lambda f, p: 0.5 * controlled_pvar(f, p))
+    code, rows = _young(tmp_path)
+    assert code == 1
+    assert _failing(rows, "check") == ["fv-sandwich"]
+
+
+def test_halved_path_vp_fails_the_product_rule(tmp_path, monkeypatch):
+    # V_p of 1-D values halved: the sandwich reads 2-D values only
+    Vp = young.Vp
+    monkeypatch.setattr(young, "Vp", lambda f, p:
+                        (0.5 if np.ndim(f) == 1 else 1.0) * Vp(f, p))
+    code, rows = _young(tmp_path)
+    assert code == 1
+    assert _failing(rows, "check") == ["product-rule"]
+
+
+def test_box_factor_at_4h_fails_the_iterated_bound(tmp_path, monkeypatch):
+    # (t - s)^{4H} in place of (t - s)^{2H}; the bound is loose by a factor
+    # of three at these cases, so dropping its 3^r would not show
+    bound = young.iterated_A_bound
+    monkeypatch.setattr(young, "iterated_A_bound", lambda a_list, boxes, H:
+                        bound(a_list, boxes, 2 * H))
+    code, rows = _young(tmp_path)
+    assert code == 1
+    assert _failing(rows, "check") == ["iterated-bound"]
