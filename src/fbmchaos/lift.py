@@ -1,4 +1,5 @@
-"""Level-2 / level-3 iterated integrals of simulated paths per dyadic cell.
+"""Level-2 / level-3 iterated integrals of simulated paths per dyadic cell,
+from one sub-step loop for levels 1-3.
 
 Level 2 uses the compensated Riemann sums over the sub-steps of each cell
 
@@ -39,11 +40,6 @@ __all__ = [
     "chen_fold",
 ]
 
-# Bytes the vectorized level-2 schedule may hold in its (n, d, d, ...,
-# cells) product; larger products take the in-place loop, whose
-# temporaries are d times smaller than the increments.
-_PRODUCT_BYTES = 2 ** 23
-
 
 def _substep_major(inc):
     """(n, d, ..., cells) contiguous copy of (..., d, cells, n) increments:
@@ -59,6 +55,38 @@ def _cells_first(levels, k):
         np.moveaxis(levels, tuple(range(k)), tuple(range(-k, 0))))
 
 
+def _running_levels(inc, with_level3):
+    """(level1, level2, level3 or None) of sub-step increments (..., d,
+    cells, n), shaped (d, ..., cells), (d, d, ..., cells) and (d, d, d, ...,
+    cells), one sub-step at a time; level 3 moves first, so that it reads
+    levels 1 and 2 before they move on."""
+    x = _substep_major(inc)
+    d = x.shape[1]
+    level1 = np.zeros(x.shape[1:])  # running B_{s, u_k}
+    level2 = np.zeros((d,) + level1.shape)
+    level3 = np.zeros((d,) + level2.shape) if with_level3 else None
+    coef, half = np.empty_like(level1), np.empty_like(level1)
+    outer = np.empty_like(level2)
+    prod = np.empty_like(level3) if with_level3 else None
+    for step in x:
+        if with_level3:
+            # (B^{ab} + (B^a / 2 + dB^a / 6) dB^b) dB^c
+            np.divide(step, 6.0, out=coef)
+            np.multiply(level1, 0.5, out=half)
+            coef += half
+            np.multiply(coef[:, None], step[None], out=outer)
+            outer += level2
+            np.multiply(outer[:, :, None], step[None, None], out=prod)
+            level3 += prod
+        # level 2 moves on by (B^a + dB^a / 2) dB^b, level 1 by dB
+        np.multiply(step, 0.5, out=coef)
+        coef += level1
+        np.multiply(coef[:, None], step[None], out=outer)
+        level2 += outer
+        level1 += step
+    return level1, level2, level3
+
+
 def levy_areas(inc):
     """Per-cell level-1 and level-2 arrays from sub-step increments.
 
@@ -68,72 +96,19 @@ def levy_areas(inc):
     half-product (1/2) sum_k dB^a_k dB^b_k  within cell i.  The diagonal is
     re-stated as (level1^a)^2 / 2 (to which it already telescopes) so the
     rule holds bitwise.
-
-    Two schedules give the same bits.  By default each sub-step updates
-    preallocated running sums in place.  With more sub-steps than cells,
-    where one sub-step is too little work for a vector operation, and a
-    product of all sub-steps within _PRODUCT_BYTES, the running level 1 is
-    still advanced one sub-step at a time, and the products of all
-    sub-steps are then formed at once and summed over the leading sub-step
-    axis, which numpy reduces row after row in order.
     """
-    x = _substep_major(inc)
-    n, d = x.shape[:2]
-    cells = x.shape[-1]
-    level1 = np.zeros(x.shape[1:])  # running B_{s, u_k}, (d, ..., cells)
-    if n > cells and 8 * d * x.size <= _PRODUCT_BYTES:
-        mid = np.empty_like(x)
-        mid[0] = 0.0
-        for k in range(1, n):
-            np.add(mid[k - 1], x[k - 1], out=mid[k])
-        np.add(mid[-1], x[-1], out=level1)
-        mid += 0.5 * x
-        # both factors are C-contiguous, so their product is too, and its
-        # leading axis is reduced row after row in order
-        level2 = (mid[:, :, None] * x[:, None]).sum(axis=0)
-    else:
-        level2 = np.zeros((d,) + level1.shape)
-        mid, prod = np.empty_like(level1), np.empty_like(level2)
-        for step in x:
-            np.multiply(step, 0.5, out=mid)
-            mid += level1
-            np.multiply(mid[:, None], step[None], out=prod)
-            level2 += prod
-            level1 += step
+    level1, level2, _ = _running_levels(inc, False)
     level1 = _cells_first(level1, 1)
     level2 = _cells_first(level2, 2)
-    ii = np.arange(d)
+    ii = np.arange(level1.shape[-1])
     level2[..., ii, ii] = 0.5 * level1 ** 2
     return level1, level2
 
 
 def level3_areas(inc):
     """Per-cell level-3 arrays (..., cells, d, d, d) by the compensated sum,
-    one sub-step at a time on running level-1 and level-2 sums, which move
-    on as in ``levy_areas``."""
-    x = _substep_major(inc)
-    d = x.shape[1]
-    level1 = np.zeros(x.shape[1:])
-    level2 = np.zeros((d,) + level1.shape)
-    level3 = np.zeros((d,) + level2.shape)
-    coef, half = np.empty_like(level1), np.empty_like(level1)
-    outer, prod = np.empty_like(level2), np.empty_like(level3)
-    for step in x:
-        # (B^{ab} + (B^a / 2 + dB^a / 6) dB^b) dB^c
-        np.divide(step, 6.0, out=coef)
-        np.multiply(level1, 0.5, out=half)
-        coef += half
-        np.multiply(coef[:, None], step[None], out=outer)
-        outer += level2
-        np.multiply(outer[:, :, None], step[None, None], out=prod)
-        level3 += prod
-        # level 2 moves on by (B^a + dB^a / 2) dB^b, level 1 by dB
-        np.multiply(step, 0.5, out=coef)
-        coef += level1
-        np.multiply(coef[:, None], step[None], out=outer)
-        level2 += outer
-        level1 += step
-    return _cells_first(level3, 3)
+    on the running levels 1 and 2 of ``levy_areas``."""
+    return _cells_first(_running_levels(inc, True)[2], 3)
 
 
 def chen_fold(level1, level2, level3=None):

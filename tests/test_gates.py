@@ -7,7 +7,7 @@ import json
 
 import numpy as np
 
-from fbmchaos import chaos, cli, experiments, young
+from fbmchaos import chaos, cli, experiments, rde, young
 
 
 def test_verdict_is_conjunction_of_checking_rows():
@@ -242,3 +242,25 @@ def test_box_factor_at_4h_fails_the_iterated_bound(tmp_path, monkeypatch):
     code, rows = _young(tmp_path)
     assert code == 1
     assert _failing(rows, "check") == ["iterated-bound"]
+
+
+def _rde(tmp_path):
+    return _run(tmp_path, "rde-demo")
+
+
+def test_rde_rows_pass_unmutated(tmp_path):
+    code, rows = _rde(tmp_path)
+    assert code == 0 and not _failing(rows, "check")
+
+
+def test_jacobian_steps_without_level_two_fail_the_defect(tmp_path,
+                                                          monkeypatch):
+    # J and its inverse stepped with zero Levy areas: at seed 12 the defect
+    # reads about 0.67 against a bound of about 0.006; the state steps, and
+    # so the order row, keep level 2
+    step = rde._step_J_Jinv
+    monkeypatch.setattr(rde, "_step_J_Jinv", lambda coeff, y, J, K, x, B2, dt:
+                        step(coeff, y, J, K, x, 0 * B2, dt))
+    code, rows = _rde(tmp_path)
+    assert code == 1
+    assert _failing(rows, "check") == ["jacobian"]

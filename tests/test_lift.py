@@ -3,7 +3,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fbmchaos import lift
 from fbmchaos.fbm import SimSpec, simulate_batch
 from fbmchaos.gaussian import HurstModel, tilde_rho
 from fbmchaos.lift import chen_fold, level3_areas, levy_areas
@@ -225,29 +224,30 @@ class TestBatchInvariance:
                 joined = np.concatenate([p[k] for p in parts])
                 assert joined.tobytes() == whole[k].tobytes()
 
-    def test_both_schedules_give_the_same_bits(self):
-        # 64 cells of 64 sub-steps take the in-place loop over sub-steps;
-        # the same cells as 64 one-cell replicas take the vectorized one
+    def test_cells_as_replicas_give_the_same_bits(self):
+        # 64 cells of 64 sub-steps in one replica, and the same cells as 64
+        # one-cell replicas, which leave a different memory layout
         inc = np.random.default_rng(9).standard_normal((2, 64, 64))
         many = levy_areas(inc)
         few = levy_areas(np.moveaxis(inc, 1, 0)[:, :, None, :])
         for k in range(2):
             assert few[k][:, 0].tobytes() == many[k].tobytes()
 
-    def test_large_d_few_cells_stay_within_the_product_budget(
-            self, monkeypatch):
-        # 64 components in one cell of 512 sub-steps: the vectorized
-        # schedule's (n, d, d, cells) product would take 16 MiB, so the
-        # in-place loop runs, with the same bits
-        inc = np.random.default_rng(10).standard_normal((64, 1, 512))
+    @pytest.mark.parametrize("shape, factor", [
+        # 64 components in one cell of 512 sub-steps: the running level 2
+        # is d times smaller than the increments
+        pytest.param((64, 1, 512), 8, id="d64"),
+        # the levy-area command's chunk of 250 one-cell replicas of 64
+        # sub-steps: no temporary as large as all sub-steps' products
+        pytest.param((250, 2, 1, 64), 2, id="levy-area-chunk"),
+    ])
+    def test_peak_memory_stays_within_a_multiple_of_the_increments(
+            self, shape, factor):
+        inc = np.random.default_rng(10).standard_normal(shape)
         tracemalloc.start()
         try:
-            looped = levy_areas(inc)
+            levy_areas(inc)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8 * inc.nbytes
-        monkeypatch.setattr(lift, "_PRODUCT_BYTES", 2 ** 30)
-        vectorized = levy_areas(inc)
-        for k in range(2):
-            assert looped[k].tobytes() == vectorized[k].tobytes()
+        assert peak < factor * inc.nbytes

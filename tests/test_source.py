@@ -3,7 +3,9 @@
 No ``assert``: a check raises one of the package's errors, and ``python -O``
 would drop an assert.  Every cache has a bound: ``functools.lru_cache``
 takes an integer ``maxsize``, and the unbounded ``functools.cache`` sits
-only on functions without parameters, which hold one entry.
+only on functions without parameters, which hold one entry.  The lift
+makes no contraction that numpy may hand to BLAS, whose kernels round each
+their own way: its bits must not depend on the host.
 """
 
 import ast
@@ -56,9 +58,31 @@ def _violations(source):
     return sorted(out)
 
 
+BLAS_CALLS = {f"{mod}.{name}" for mod in ("np", "numpy") for name in
+              ("dot", "matmul", "tensordot", "einsum", "inner", "vdot",
+               "linalg")}
+
+
+def _blas_contractions(source):
+    """(line, what) for each ``@``, np.dot, np.matmul, np.tensordot,
+    np.einsum, np.inner, np.vdot or np.linalg use in ``source``."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, (ast.BinOp, ast.AugAssign))
+                and isinstance(node.op, ast.MatMult)):
+            out.append((node.lineno, "@"))
+        if isinstance(node, ast.Attribute) and _dotted(node) in BLAS_CALLS:
+            out.append((node.lineno, _dotted(node)))
+    return sorted(out)
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_module_keeps_the_source_rules(path):
     assert _violations(path.read_text()) == []
+
+
+def test_lift_makes_no_blas_contraction():
+    assert _blas_contractions((SRC / "lift.py").read_text()) == []
 
 
 def test_rules_catch_their_breaches():
@@ -95,3 +119,22 @@ def e(x):
     assert x
 """
     assert [line for line, _ in _violations(bad)] == [5, 8, 11, 14, 17]
+    assert _blas_contractions(good) == []
+    elementwise = """
+import numpy as np
+
+a = np.multiply(b[:, None], c[None]).sum(axis=0) + np.linalg_free(b)
+"""
+    assert _blas_contractions(elementwise) == []
+    blas = """
+import numpy
+import numpy as np
+
+a = b @ c
+a @= c
+d = np.dot(a, b) + np.einsum("ij,jk", a, b) + numpy.vdot(a, b)
+e = np.linalg.solve(a, b) + np.tensordot(a, b, 1)
+f = np.inner(a, b) + np.matmul(a, b)
+"""
+    assert [line for line, _ in _blas_contractions(blas)] == [
+        5, 6, 7, 7, 7, 8, 8, 9, 9]
