@@ -26,11 +26,13 @@ cov_K_lags); order 2 also has a stationary sum over lags
 their one caller, experiments.third_order_experiment, from one table for
 every level.  Increment stationarity makes the covariances functions of
 the lag only, turning the 2^m x 2^m double sums into single sums over
-lags.  Every finite-resolution entry, the order-2 areas (qtilde, cross)
-and the order-3 patterns alike, is a named pattern of one evaluator over
-the lag tables of gaussian.py on the unit lattice (cells of width 1 at
-integer offsets), and one sweep of those tables gives every pattern a
-caller asks for; offset -lag reads the transposed tables.
+lags.  Every finite-resolution entry, the order-2 area qtilde and the
+order-3 patterns alike, is a named pattern of one evaluator over the lag
+tables of gaussian.py on the unit lattice (cells of width 1 at integer
+offsets), and one sweep of those tables gives every pattern a caller asks
+for.  A pattern is one cell functional taken at two cells, so c(-l) = c(l)
+and a lag's sign is ignored; the hat/tilde cross is rho^2/4 at every
+resolution and needs no table.
 """
 
 import functools
@@ -133,20 +135,21 @@ def cov_Q_pair(H, which, lag, n_sub=None):
         qtilde: tilde_rho(l)          cross:  (1/4) rho(l)^2
 
     with tilde_rho from gaussian.tilde_rho, which answers every lag.  With
-    ``n_sub`` the area entries (qtilde, cross) are the finite-resolution
-    geometric values, the "qtilde" and "cross" patterns of the lag tables,
-    so Monte Carlo on a lift with n_sub sub-steps is matched without
-    discretization bias.  ``lag`` is an integer or an integer array, sign
-    ignored; an integer gives a float, evaluated on a 0-d array as rho
-    evaluates it.  The dyadic scale (2^{-m})^{4H} is the caller's business.
+    ``n_sub`` qtilde is the finite-resolution geometric value, the "qtilde"
+    pattern of the lag tables, so Monte Carlo on a lift with n_sub
+    sub-steps is matched without discretization bias.  cross is rho^2/4 at
+    every n_sub: the area kernel M has M + M^T = ones, so with
+    h_k = R(cell_i x sub_k), E[Qhat_i Qtilde_j] = h^T M h / 2 = (sum h)^2 / 4.
+    ``lag`` is an integer or an integer array, sign ignored; an integer
+    gives a float, evaluated on a 0-d array as rho evaluates it.  The
+    dyadic scale (2^{-m})^{4H} is the caller's business.
     """
     lags = np.abs(np.asarray(lag, dtype=int))
-    if which in ("qhat", "qcheck") or (which == "cross" and n_sub is None):
+    if which in ("qhat", "qcheck", "cross"):
         out = (0.5 if which == "qcheck" else 0.25) * rho(lags, H) ** 2
-    elif which == "qtilde" and n_sub is None:
-        out = tilde_rho(lags, H)
-    elif which in ("qtilde", "cross"):
-        out = _lag_covs(H, (which,), lags, n_sub)[0].reshape(lags.shape)
+    elif which == "qtilde":
+        out = (tilde_rho(lags, H) if n_sub is None else
+               _lag_covs(H, (which,), lags, n_sub)[0].reshape(lags.shape))
     elif which in ("qhat_qcheck", "qtilde_qcheck"):
         out = np.zeros(lags.shape)
     else:
@@ -174,20 +177,20 @@ def exact_second_moment_Q(H, m, which, s=0.0, t=1.0, n_sub=None):
     """Closed-form E[X^m_{s,t} Y^m_{s,t}] for the order-2 family (unnormalized).
 
     ``which`` is a pair of Q_PAIRS, or "q" for Q = Qhat - Qtilde, whose
-    per-lag covariance is qtilde + qhat - 2 cross.  Increment stationarity
-    turns the double sum over the cells of (s, t] into a sum of cov_Q_pair
-    over lags, scaled by Delta^{4H}; ``n_sub`` is passed on to cov_Q_pair.
+    per-lag covariance is qtilde + qhat - 2 cross, that is qtilde - rho^2/4
+    at every n_sub.  Increment stationarity turns the double sum over the
+    cells of (s, t] into a sum of cov_Q_pair over lags, scaled by
+    Delta^{4H}; ``n_sub`` is passed on to cov_Q_pair.
     """
     i0, i1 = _cell_range(m, s, t)
     count = i1 - i0
     lags = np.arange(count)
     if which != "q":
         per = cov_Q_pair(H, which, lags, n_sub)
-    else:  # with n_sub, both area entries from one sweep of the lag tables
-        areas = ("qtilde", "cross")
-        qtilde, cross = ([cov_Q_pair(H, w, lags) for w in areas]
-                         if n_sub is None else _lag_covs(H, areas, lags, n_sub))
-        per = qtilde + cov_Q_pair(H, "qhat", lags, n_sub) - 2.0 * cross
+    else:
+        qtilde, qhat, cross = (cov_Q_pair(H, w, lags, n_sub)
+                               for w in ("qtilde", "qhat", "cross"))
+        per = qtilde + qhat - 2.0 * cross
     return (2.0 ** -m) ** (4 * H) * _lag_weighted_sum(count, per)
 
 
@@ -255,9 +258,10 @@ def _cross_Y_Z(t):
 
 def _cov_tables(pattern, tb, tt, term):
     """One table pattern per lag: tb holds cell i against cell j at offset
-    +lag, tt the mirrored pair (offset -lag).  ``term(f, tables)`` is
-    f(tables) for the shared terms, formed once per chunk and orientation.
-    The patterns are K_PATTERNS and the order-2 area entries of cov_Q_pair."""
+    +lag, tt the mirrored pair (offset -lag), which the l3_aba and l3_baa
+    cross terms read.  ``term(f, tables)`` is f(tables) for the shared
+    terms, formed once per chunk and orientation.  The patterns are
+    K_PATTERNS and the order-2 qtilde of cov_Q_pair."""
     r, F, g = tb["r"], tb["F"], tb["g"]
     if pattern == "qtilde":
         # E[Btilde_i Btilde_j] of geometric areas: the four-corner average
@@ -266,11 +270,6 @@ def _cov_tables(pattern, tb, tt, term):
         P = tb["P"]  # F = P[:, :-1, :-1]
         corner = 0.25 * (F + P[:, 1:, :-1] + P[:, :-1, 1:] + P[:, 1:, 1:])
         return np.sum(corner * g, axis=(1, 2))
-    if pattern == "cross":
-        # E[Qhat_i Qtilde_j] = (1/2) sum_l (pi_l + hi_l/2) hi_l, tending to
-        # rho(lag)^2/4 (equal to it at every n when H = 1/2)
-        hi = g.sum(axis=1)  # R(cell_i x sub_l) by additivity
-        return 0.5 * np.sum((tb["pi"] + 0.5 * hi) * hi, axis=1)
     if pattern.startswith("prod_"):
         # triple increment products: E[K_i K_j] = a rho^3 + b rho
         a, b = {"prod_abc": (1.0, 0.0), "prod_aab": (2.0, 1.0),
@@ -309,13 +308,10 @@ def _cov_tables(pattern, tb, tt, term):
     )
 
 
-def _lag_covs(H, names, lags, n, symmetrized=False):
-    """The _cov_tables patterns ``names`` per signed lag at resolution n, a
-    (names, lags) array from one sweep of the lag tables.  c(-l) reads the
-    transposed tables of |l|, evaluated only when a negative lag or
-    ``symmetrized`` ((c(l) + c(-l)) / 2 at l != 0) asks for them."""
-    lags = np.asarray(lags).astype(int).ravel()
-    mirrored = symmetrized or bool(np.any(lags < 0))
+def _lag_covs(H, names, lags, n):
+    """The _cov_tables patterns ``names`` per lag at resolution n, sign
+    ignored: a (names, lags) array from one sweep of the lag tables."""
+    lags = np.abs(np.asarray(lags).astype(int).ravel())
 
     def per_chunk(t):
         tt = _transposed(t)
@@ -327,31 +323,23 @@ def _lag_covs(H, names, lags, n, symmetrized=False):
                 shared[key] = f(tb)
             return shared[key]
 
-        sides = ((t, tt), (tt, t)) if mirrored else ((t, tt),)
-        return np.array([[_cov_tables(name, tb, tm, term) for name in names]
-                         for tb, tm in sides])
+        return np.array([_cov_tables(name, t, tt, term) for name in names])
 
-    tables = np.concatenate(
-        [per_chunk(t) for t in _lag_tables(H, np.abs(lags), n)], axis=2)
-    plus, minus = tables[0], tables[-1]
-    if symmetrized:
-        return np.where(lags == 0, plus, 0.5 * (plus + minus))
-    return np.where(lags < 0, minus, plus)
+    return np.concatenate([per_chunk(t) for t in _lag_tables(H, lags, n)],
+                          axis=1)
 
 
-def cov_K_lags(H, pattern, lags, n_quad=32, symmetrized=True):
-    """Unit-lattice pattern covariances per signed lag, vectorized.
+def cov_K_lags(H, pattern, lags, n_quad=32):
+    """Unit-lattice pattern covariances per lag, sign ignored, vectorized.
 
     ``pattern`` is a name of K_PATTERNS, which gives one value per lag, or
     a tuple of names, which gives a (patterns, lags) array from one sweep
-    of the lag tables.  With ``symmetrized`` the value at lag l is
-    (c(l) + c(-l)) / 2, which is what enters stationary double sums.  The
-    product patterns are closed forms in the tables' rho(|l|), even in l.
+    of the lag tables; the product patterns are closed forms in rho(l).
     """
     names = (pattern,) if isinstance(pattern, str) else tuple(pattern)
     if not names or not set(names) <= set(K_PATTERNS):
         raise DomainError(f"unknown pattern {pattern!r}")
-    out = _lag_covs(H, names, lags, n_quad, symmetrized)
+    out = _lag_covs(H, names, lags, n_quad)
     return out[0] if isinstance(pattern, str) else out
 
 

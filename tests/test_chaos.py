@@ -153,8 +153,20 @@ def k_cell(pattern, n):
 
 
 def _cov_K_unit(H, pattern, offset, n):
-    """Unit-lattice covariance of one K pattern at signed cell offset."""
-    return float(cov_K_lags(H, pattern, [offset], n, symmetrized=False)[0])
+    """Unit-lattice covariance of one K pattern at cell offset, sign
+    ignored: stationarity makes c(-l) = c(l)."""
+    return float(cov_K_lags(H, pattern, [offset], n)[0])
+
+
+def hand_cross(H, lags, n):
+    """E[Qhat_i Qtilde_j] at n sub-steps by the lag-table formula
+    (1/2) sum_l (pi_l + hi_l/2) hi_l, hi_l = R(cell_i x sub_l): an oracle
+    for the rho^2/4 of cov_Q_pair that reads the sub-cell tables."""
+    parts = []
+    for t in gaussian._lag_tables(H, lags, n):
+        hi = t["g"].sum(axis=1)  # R(cell_i x sub_l) by additivity
+        parts.append(0.5 * np.sum((t["pi"] + 0.5 * hi) * hi, axis=1))
+    return np.concatenate(parts)
 
 
 def exact_cov_K(H, m, pattern, i, j, n_quad=32):
@@ -384,6 +396,30 @@ class TestFiniteResolutionOracles:
             assert cov_Q_pair(0.5, "cross", [0], n_sub=n)[0] == \
                 pytest.approx(0.25, abs=1e-13)
 
+    @pytest.mark.parametrize("n", [2, 4, 8, 24, 64])
+    def test_cross_is_the_lag_table_formula(self, n):
+        # rho^2/4 at every n, since M + M^T = ones.  Both sides cancel as
+        # rho does: at H = 0.45 they differ by 1.45e-11 at lag 61, the same
+        # at every n, and each errs by up to 1.7e-11 against 40 digits
+        lags = np.arange(64)
+        for H in (0.35, 0.4, 0.45, 0.5):
+            np.testing.assert_allclose(
+                cov_Q_pair(H, "cross", lags, n_sub=n), hand_cross(H, lags, n),
+                rtol=2e-11, atol=0, err_msg=f"H={H}")
+
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    def test_q_entry_is_the_wick_contraction_of_its_kernel(self, n):
+        # Q = Qhat - Qtilde is the antisymmetric kernel J/2 - M on (a, b)
+        lags = np.arange(64)
+        cell = ((0, 1), 0.5 * np.ones((n, n)) - chaos._area_kernel(n))
+        for H in (0.35, 0.4, 0.45, 0.5):
+            per = (cov_Q_pair(H, "qtilde", lags, n_sub=n)
+                   + cov_Q_pair(H, "qhat", lags, n_sub=n)
+                   - 2.0 * cov_Q_pair(H, "cross", lags, n_sub=n))
+            want = wick_cov(H, n, lags, cell, cell)
+            np.testing.assert_allclose(per, want, rtol=0,
+                                       atol=2e-15 * abs(want[0]))
+
     def test_cross_converges_to_quarter_rho_sq(self):
         H = 0.4
         v = cov_Q_pair(H, "cross", [0, 1, 2], n_sub=512)
@@ -503,13 +539,22 @@ class TestCovKOracles:
                 assert hand == pytest.approx(brute, rel=1e-10, abs=1e-14)
 
     def test_lag_reflection_symmetry(self):
-        # stationarity: covariance depends on |i - j| even for asymmetric
-        # patterns once both cross orderings are included
-        for pattern in ("area_own", "l3_aba", "l3_baa"):
-            for lag in (1, 3):
-                a = _cov_K_unit(0.4, pattern, lag, 8)
-                b = _cov_K_unit(0.4, pattern, -lag, 8)
-                assert a == pytest.approx(b, rel=1e-10)
+        # c(-l), every pattern on the mirrored tables (cell j before cell
+        # i), which cov_K_lags does not evaluate: stationarity makes it c(l)
+        lags = np.arange(1, 512)
+
+        def term(f, tb):
+            return f(tb)
+
+        for n in (3, 8, 24):
+            for H in (0.35, 0.4, 0.45, 0.5):
+                minus = np.concatenate([
+                    [chaos._cov_tables(name, gaussian._transposed(t), t, term)
+                     for name in K_PATTERNS]
+                    for t in gaussian._lag_tables(H, lags, n)], axis=1)
+                np.testing.assert_allclose(
+                    minus, cov_K_lags(H, K_PATTERNS, lags, n),
+                    rtol=1e-13, atol=0, err_msg=f"H={H}, n={n}")
 
     def test_product_patterns_closed_form(self):
         H = 0.42
@@ -757,7 +802,7 @@ class TestWickContraction:
             for signed in (lags, -lags):
                 self._close(
                     wick_cov(0.4, n, signed, *(k_cell(pattern, n),) * 2),
-                    cov_K_lags(0.4, pattern, signed, n, symmetrized=False))
+                    cov_K_lags(0.4, pattern, signed, n))
 
     def test_integer_lag_and_unknown_pair(self):
         cells = chaos.q_pair_cells("qtilde", 4)
@@ -839,26 +884,23 @@ class TestLagTableEngine:
     @pytest.mark.parametrize("pattern", K_PATTERNS)
     def test_vector_matches_per_lag_calls(self, pattern):
         H, lags = 0.4, self.lags()
-        signed = cov_K_lags(H, pattern, lags, self.n, symmetrized=False)
-        sym = cov_K_lags(H, pattern, lags, self.n)
-        for lag, c, cs in zip(lags, signed, sym):
+        vec = cov_K_lags(H, pattern, lags, self.n)
+        for lag, c in zip(lags, vec):
             one = _cov_K_unit(H, pattern, int(lag), self.n)
-            mirror = _cov_K_unit(H, pattern, -int(lag), self.n)
             assert c == pytest.approx(one, rel=1e-13, abs=0)
-            want = one if lag == 0 else 0.5 * (one + mirror)
-            assert cs == pytest.approx(want, rel=1e-13, abs=0)
+        # the sign of a lag is ignored, bit for bit
+        np.testing.assert_array_equal(
+            cov_K_lags(H, pattern, -lags, self.n), vec)
 
     @pytest.mark.parametrize("n", [4, 8, 24])
-    @pytest.mark.parametrize("symmetrized", [True, False])
-    def test_pattern_tuple_is_the_stack_of_single_calls(self, n, symmetrized):
+    def test_pattern_tuple_is_the_stack_of_single_calls(self, n):
         # one sweep for all patterns gives every table bit for bit; at
         # n = 24 the 104-lag chunks split these lags in two
         H, lags = 0.4, np.arange(-3, 120)
         for patterns in (K_PATTERNS, ("l3_baa", "prod_aab", "area_own")):
-            stacked = cov_K_lags(H, patterns, lags, n, symmetrized=symmetrized)
+            stacked = cov_K_lags(H, patterns, lags, n)
             np.testing.assert_array_equal(stacked, np.stack([
-                cov_K_lags(H, pattern, lags, n, symmetrized=symmetrized)
-                for pattern in patterns]))
+                cov_K_lags(H, pattern, lags, n) for pattern in patterns]))
 
     def test_unknown_or_no_pattern_refused(self):
         for pattern in ("septic", ("area_own", "septic"), ()):
@@ -884,7 +926,7 @@ class TestLagTableEngine:
         assert len(sweeps) == 1
 
     def test_q_second_moment_sweeps_the_lag_tables_once(self, monkeypatch):
-        # qtilde and cross are two patterns of one sweep
+        # qtilde reads the tables; cross and qhat are closed forms in rho
         sweeps = self.count_sweeps(monkeypatch)
         exact_second_moment_Q(0.4, 6, "q", n_sub=8)
         assert len(sweeps) == 1

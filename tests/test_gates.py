@@ -7,7 +7,7 @@ import json
 
 import numpy as np
 
-from fbmchaos import chaos, cli, experiments, rde, young
+from fbmchaos import chaos, cli, experiments, gaussian, rde, young
 
 
 def test_verdict_is_conjunction_of_checking_rows():
@@ -60,6 +60,32 @@ def test_area_kernel_without_half_diagonal_fails(tmp_path, monkeypatch):
     code, rows = _covariance(tmp_path)
     assert code == 1
     assert [r["which"] for r in rows if not r["pass"]] == ["qtilde"] * 5
+
+
+def _covariance_with_cross(tmp_path):
+    # seed 405 draws three cross rows; seed 404 draws none
+    return _run(tmp_path, "verify-moment", "--which", "covariance",
+                "--seed", "405")
+
+
+def test_covariance_rows_pass_unmutated_at_the_cross_seed(tmp_path):
+    code, rows = _covariance_with_cross(tmp_path)
+    assert code == 0
+    assert [r["which"] for r in rows].count("cross") == 3
+
+
+def test_doubled_cross_entry_fails_its_rows(tmp_path, monkeypatch):
+    # production mutant: the hat/tilde cross entry as rho^2/2
+    cov_Q_pair = chaos.cov_Q_pair
+
+    def doubled(H, which, lag, n_sub=None):
+        out = cov_Q_pair(H, which, lag, n_sub)
+        return 2.0 * out if which == "cross" else out
+
+    monkeypatch.setattr(chaos, "cov_Q_pair", doubled)
+    code, rows = _covariance_with_cross(tmp_path)
+    assert code == 1
+    assert [r["which"] for r in rows if not r["pass"]] == ["cross"] * 3
 
 
 def test_pvar_rows_pass_unmutated(tmp_path):
@@ -203,6 +229,28 @@ def test_squared_fclt_constant_fails_the_brownian_anchor(tmp_path,
     code, rows = _run(tmp_path, "constants")
     assert code == 1
     assert _failing(rows, "H") == [0.5]
+
+
+def test_series_bookkeeping_mismatch_exits_2(tmp_path, monkeypatch, capsys):
+    # the unit variance cov(1, 1, H) read as 1 + 1e-9: the series
+    # constants refuse their two assemblies before a row can be written
+    cov = gaussian.cov
+
+    def nudged(s, t, H):
+        out = cov(s, t, H)
+        scalar = np.ndim(s) == np.ndim(t) == 0
+        return out + 1e-9 if scalar and s == t == 1.0 else out
+
+    monkeypatch.setattr(gaussian, "cov", nudged)
+    gaussian._series_constants.cache_clear()
+    try:
+        code = cli.main(["constants", "--identity", "--out", str(tmp_path)])
+    finally:
+        gaussian._series_constants.cache_clear()
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("consistency error: series bookkeeping mismatch")
 
 
 def _young(tmp_path):
