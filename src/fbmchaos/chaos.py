@@ -26,13 +26,14 @@ cov_K_lags); order 2 also has a stationary sum over lags
 their one caller, experiments.third_order_experiment, from one table for
 every level.  Increment stationarity makes the covariances functions of
 the lag only, turning the 2^m x 2^m double sums into single sums over
-lags.  Every finite-resolution entry, the order-2 area qtilde and the
-order-3 patterns alike, is a named pattern of one evaluator over the lag
-tables of gaussian.py on the unit lattice (cells of width 1 at integer
-offsets), and one sweep of those tables gives every pattern a caller asks
+lags.  Two functions read the lag tables of gaussian.py on the unit
+lattice (cells of width 1 at integer offsets): _qtilde_lags, the order-2
+area qtilde at finite resolution, and _order3_chunk, every order-3 pattern
+from one chunk of tables, so one sweep gives every pattern a caller asks
 for.  A pattern is one cell functional taken at two cells, so c(-l) = c(l)
 and a lag's sign is ignored; the hat/tilde cross is rho^2/4 at every
-resolution and needs no table.
+resolution and needs no table.  The oracles refuse an H outside
+(1/3, 1/2], fewer than one sub-step and lags that are not integers.
 """
 
 import functools
@@ -42,8 +43,7 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .gaussian import (_check_H, _lag_tables, _transposed, rho,
-                       rho_tail_bound, tilde_rho)
+from .gaussian import _check_H, _lag_tables, rho, rho_tail_bound, tilde_rho
 
 __all__ = [
     "sum_process",
@@ -121,6 +121,30 @@ def q_processes(level1, level2, H):
             "qtilde": qtilde, "q": qhat - qtilde}
 
 
+def _lattice_lags(H, lag, n):
+    """``lag`` as an int array, after refusing an H outside (1/3, 1/2], a
+    sub-step count n < 1 (None passes) or a lag that is not an integer."""
+    _check_H(H)
+    if n is not None and not (isinstance(n, (int, np.integer)) and n >= 1):
+        raise DomainError(f"need an integer n >= 1 sub-steps, got {n!r}")
+    lag = np.asarray(lag)
+    if np.any(lag % 1):  # NaN too
+        raise DomainError("lags must be integers")
+    return lag.astype(int)
+
+
+def _qtilde_lags(H, lags, n):
+    """E[Btilde_i Btilde_j] of geometric areas at n sub-steps per lag >= 0:
+    the four-corner average (tensor trapezoid) of the prefix covariance
+    against the cell measure, exact at any n and tending to tilde_rho."""
+    out = []
+    for t in _lag_tables(H, lags, n):
+        P, F = t["P"], t["F"]  # F = P[:, :-1, :-1]
+        corner = 0.25 * (F + P[:, 1:, :-1] + P[:, :-1, 1:] + P[:, 1:, 1:])
+        out.append(np.sum(corner * t["g"], axis=(1, 2)))
+    return np.concatenate(out)
+
+
 Q_PAIRS = ("qhat", "qcheck", "qtilde", "cross", "qhat_qcheck", "qtilde_qcheck")
 
 
@@ -135,21 +159,21 @@ def cov_Q_pair(H, which, lag, n_sub=None):
         qtilde: tilde_rho(l)          cross:  (1/4) rho(l)^2
 
     with tilde_rho from gaussian.tilde_rho, which answers every lag.  With
-    ``n_sub`` qtilde is the finite-resolution geometric value, the "qtilde"
-    pattern of the lag tables, so Monte Carlo on a lift with n_sub
-    sub-steps is matched without discretization bias.  cross is rho^2/4 at
-    every n_sub: the area kernel M has M + M^T = ones, so with
-    h_k = R(cell_i x sub_k), E[Qhat_i Qtilde_j] = h^T M h / 2 = (sum h)^2 / 4.
-    ``lag`` is an integer or an integer array, sign ignored; an integer
-    gives a float, evaluated on a 0-d array as rho evaluates it.  The
-    dyadic scale (2^{-m})^{4H} is the caller's business.
+    ``n_sub`` >= 1 qtilde is the finite-resolution geometric value read
+    off the lag tables, so Monte Carlo on a lift with n_sub sub-steps is
+    matched without discretization bias.  cross is rho^2/4 at every n_sub:
+    the area kernel M has M + M^T = ones, so with h_k = R(cell_i x sub_k),
+    E[Qhat_i Qtilde_j] = h^T M h / 2 = (sum h)^2 / 4.  ``lag`` is an
+    integer or an integer array (integral floats too), sign ignored; an
+    integer gives a float, evaluated on a 0-d array as rho evaluates it.
+    The dyadic scale (2^{-m})^{4H} is the caller's business.
     """
-    lags = np.abs(np.asarray(lag, dtype=int))
+    lags = np.abs(_lattice_lags(H, lag, n_sub))
     if which in ("qhat", "qcheck", "cross"):
         out = (0.5 if which == "qcheck" else 0.25) * rho(lags, H) ** 2
     elif which == "qtilde":
         out = (tilde_rho(lags, H) if n_sub is None else
-               _lag_covs(H, (which,), lags, n_sub)[0].reshape(lags.shape))
+               _qtilde_lags(H, lags.ravel(), n_sub).reshape(lags.shape))
     elif which in ("qhat_qcheck", "qtilde_qcheck"):
         out = np.zeros(lags.shape)
     else:
@@ -219,114 +243,45 @@ K_PATTERNS = (
 )
 
 
-def _cov_area_own(t):
-    # E[(B^{ab}B^a)_i (B^{ab}B^a)_j] = 6S + 6T + U  (left-point sums)
-    g = t["g"]
-    return (t["r"] * np.einsum("lkj,lkj->l", t["F"], g)
-            + np.einsum("lk,lj,lkj->l", t["pj"], t["pi"], g)
-            + np.einsum("lk,lj,lkj->l", t["q"], t["q"], g))
+def _order3_chunk(t):
+    """The (K_PATTERNS, lags) covariances from one chunk of _lag_tables.
 
-
-def _cov_l3_aab(t):
-    # E[B^{aab}_i B^{aab}_j] = (1/2) sum F^2 g + (1/4) sum si sj g
-    F, g = t["F"], t["g"]
-    return (0.5 * np.einsum("lkj,lkj,lkj->l", F, F, g)
-            + 0.25 * np.einsum("lk,lj,lkj->l", t["si"], t["si"], g))
-
-
-def _cross_X_Z(t):
-    # X = (B^{ab}B^a) on cell i, Z = B^{aab} on cell j:
-    # E[X_i Z_j] = sum_{kl} (1/2)(q_k s_l + 2 F_kl pi_l) g_kl
-    F, g = t["F"], t["g"]
-    return (0.5 * np.einsum("lk,lj,lkj->l", t["q"], t["si"], g)
-            + np.einsum("lkj,lj,lkj->l", F, t["pi"], g))
-
-
-def _cross_Y_X(t):
-    # Y = (B^a)^2 B^b on cell i, X = (B^{ab}B^a) on cell j:
-    # E[Y_i X_j] = sum_l (q_l + 2 pi_l r) hi_l,  hi_l = R(cell_i x sub_l)
-    hi = t["g"].sum(axis=1)  # R(cell_i x sub_l) by additivity
-    return np.einsum("lj,lj->l", t["q"] + 2.0 * t["pi"] * t["r"][:, None], hi)
-
-
-def _cross_Y_Z(t):
-    # Y = (B^a)^2 B^b on cell i, Z = B^{aab} on cell j:
-    # E[Y_i Z_j] = (1/2) sum_l (s_l + 2 pi_l^2) hi_l
-    hi = t["g"].sum(axis=1)
-    return 0.5 * np.einsum("lj,lj->l", t["si"] + 2.0 * t["pi"] ** 2, hi)
-
-
-def _cov_tables(pattern, tb, tt, term):
-    """One table pattern per lag: tb holds cell i against cell j at offset
-    +lag, tt the mirrored pair (offset -lag), which the l3_aba and l3_baa
-    cross terms read.  ``term(f, tables)`` is f(tables) for the shared
-    terms, formed once per chunk and orientation.  The patterns are
-    K_PATTERNS and the order-2 qtilde of cov_Q_pair."""
-    r, F, g = tb["r"], tb["F"], tb["g"]
-    if pattern == "qtilde":
-        # E[Btilde_i Btilde_j] of geometric areas: the four-corner average
-        # (tensor trapezoid) of the prefix covariance against the cell
-        # measure, exact at any n and tending to tilde_rho(lag)
-        P = tb["P"]  # F = P[:, :-1, :-1]
-        corner = 0.25 * (F + P[:, 1:, :-1] + P[:, :-1, 1:] + P[:, 1:, 1:])
-        return np.sum(corner * g, axis=(1, 2))
-    if pattern.startswith("prod_"):
-        # triple increment products: E[K_i K_j] = a rho^3 + b rho
-        a, b = {"prod_abc": (1.0, 0.0), "prod_aab": (2.0, 1.0),
-                "prod_aaa": (6.0, 9.0)}[pattern]
-        return a * r ** 3 + b * r
-    if pattern == "area_cross":
-        return r * np.einsum("lkj,lkj->l", F, g)
-    if pattern == "area_own":
-        return term(_cov_area_own, tb)
-    if pattern == "l3_abc":
-        # double discrete Young sum over k < l, k' < l' of F g g
-        acc = np.cumsum(np.cumsum(F * g, axis=1), axis=2)
-        return np.einsum("lkj,lkj->l", acc[:, :-1, :-1], g[:, 1:, 1:])
-    if pattern == "l3_aab":
-        return term(_cov_l3_aab, tb)
-    if pattern == "l3_aba":
-        # B^{aba} = X - 2 Z with X = B^{ab}B^a, Z = B^{aab}
-        return (
-            term(_cov_area_own, tb)
-            - 2.0 * term(_cross_X_Z, tb)
-            - 2.0 * term(_cross_X_Z, tt)
-            + 4.0 * term(_cov_l3_aab, tb)
-        )
-    # l3_baa: B^{baa} = Y/2 - X + Z with Y = (B^a)^2 B^b
-    yy = 2.0 * r ** 3 + r
-    return (
-        0.25 * yy
-        - 0.5 * term(_cross_Y_X, tb)
-        - 0.5 * term(_cross_Y_X, tt)
-        + 0.5 * term(_cross_Y_Z, tb)
-        + 0.5 * term(_cross_Y_Z, tt)
-        + term(_cov_area_own, tb)
-        - term(_cross_X_Z, tb)
-        - term(_cross_X_Z, tt)
-        + term(_cov_l3_aab, tb)
-    )
-
-
-def _lag_covs(H, names, lags, n):
-    """The _cov_tables patterns ``names`` per lag at resolution n, sign
-    ignored: a (names, lags) array from one sweep of the lag tables."""
-    lags = np.abs(np.asarray(lags).astype(int).ravel())
-
-    def per_chunk(t):
-        tt = _transposed(t)
-        shared = {}
-
-        def term(f, tb):
-            key = (f, tb is tt)
-            if key not in shared:
-                shared[key] = f(tb)
-            return shared[key]
-
-        return np.array([_cov_tables(name, t, tt, term) for name in names])
-
-    return np.concatenate([per_chunk(t) for t in _lag_tables(H, lags, n)],
-                          axis=1)
+    The level-3 cells are l3_aab = Z, l3_aba = X - 2Z and l3_baa =
+    Y/2 - X + Z, with X = B^{ab}B^a, Y = (B^a)^2 B^b and Z = B^{aab}.  UV
+    is E[U_i V_j] as left-point sums over the sub-cells; VU swaps the
+    cells' roles, which is the same sum with the table subscripts swapped.
+    """
+    r, F, g, pi, pj, si, q = (t[k] for k in ("r", "F", "g", "pi", "pj",
+                                             "si", "q"))
+    # R(cell_i x sub_l) and R(sub_k x cell_j) by additivity
+    hi, hj = g.sum(axis=1), g.sum(axis=2)
+    Fg = np.einsum("lkj,lkj->l", F, g)
+    XX = (r * Fg + np.einsum("lk,lj,lkj->l", pj, pi, g)
+          + np.einsum("lk,lj,lkj->l", q, q, g))
+    ZZ = (0.5 * np.einsum("lkj,lkj,lkj->l", F, F, g)
+          + 0.25 * np.einsum("lk,lj,lkj->l", si, si, g))
+    XZ = (0.5 * np.einsum("lk,lj,lkj->l", q, si, g)
+          + np.einsum("lkj,lj,lkj->l", F, pi, g))
+    ZX = (0.5 * np.einsum("lk,lj,ljk->l", q, si, g)
+          + np.einsum("ljk,lj,ljk->l", F, pj, g))
+    YX = np.einsum("lj,lj->l", q + 2.0 * pi * r[:, None], hi)
+    XY = np.einsum("lj,lj->l", q + 2.0 * pj * r[:, None], hj)
+    YZ = 0.5 * np.einsum("lj,lj->l", si + 2.0 * pi ** 2, hi)
+    ZY = 0.5 * np.einsum("lj,lj->l", si + 2.0 * pj ** 2, hj)
+    YY = 2.0 * r ** 3 + r
+    # l3_abc: the double discrete Young sum over k < l, k' < l' of F g g
+    acc = np.cumsum(np.cumsum(F * g, axis=1), axis=2)
+    rows = {
+        "prod_abc": r ** 3, "prod_aab": YY,
+        "prod_aaa": 6.0 * r ** 3 + 9.0 * r,
+        "area_cross": r * Fg, "area_own": XX,
+        "l3_abc": np.einsum("lkj,lkj->l", acc[:, :-1, :-1], g[:, 1:, 1:]),
+        "l3_aab": ZZ,
+        "l3_aba": XX - 2.0 * XZ - 2.0 * ZX + 4.0 * ZZ,
+        "l3_baa": (0.25 * YY - 0.5 * YX - 0.5 * XY + 0.5 * YZ + 0.5 * ZY
+                   + XX - XZ - ZX + ZZ),
+    }
+    return np.array([rows[name] for name in K_PATTERNS])
 
 
 def cov_K_lags(H, pattern, lags, n_quad=32):
@@ -335,11 +290,16 @@ def cov_K_lags(H, pattern, lags, n_quad=32):
     ``pattern`` is a name of K_PATTERNS, which gives one value per lag, or
     a tuple of names, which gives a (patterns, lags) array from one sweep
     of the lag tables; the product patterns are closed forms in rho(l).
+    ``lags`` are integers (integral floats too) and n_quad >= 1 is the
+    number of sub-cells per cell.
     """
     names = (pattern,) if isinstance(pattern, str) else tuple(pattern)
     if not names or not set(names) <= set(K_PATTERNS):
         raise DomainError(f"unknown pattern {pattern!r}")
-    out = _lag_covs(H, names, lags, n_quad)
+    lags = np.abs(_lattice_lags(H, lags, n_quad)).ravel()
+    out = np.concatenate([_order3_chunk(t)
+                          for t in _lag_tables(H, lags, n_quad)], axis=1)
+    out = out[[K_PATTERNS.index(name) for name in names]]
     return out[0] if isinstance(pattern, str) else out
 
 
@@ -385,9 +345,10 @@ def wick_cov(H, n, lag, left, right):
     equal components and pairs some slot across (the rest make E[X] E[Y])
     contracts T_i, T_j against S = n^{-2H} rho(l - k) within a cell and
     G = n^{-2H} rho(lag n + l - k) across, each side reduced by its own pairs
-    first.  Any degree; an integer ``lag`` gives a float, an array an array.
+    first.  Any degree; an integer ``lag`` gives a float, an array an array
+    (integral floats too).
     """
-    lags = np.asarray(lag, dtype=int)
+    lags = _lattice_lags(H, lag, n)
     step = np.arange(n) - np.arange(n)[:, None]  # l - k
     S = float(n) ** (-2 * H) * rho(step, H)
     G = float(n) ** (-2 * H) * rho(lags.reshape(-1, 1, 1) * n + step, H)

@@ -18,11 +18,14 @@ which normalize the central limit behaviour of the antisymmetric sum
 processes built in chaos.py; their series are summed term by term to lag
 32 and in closed form, by Hurwitz zeta values, beyond.
 
-One lag-table engine, ``_lag_tables``, serves every second moment computed
-on sub-cell grids: for a vector of lags it builds, in chunks of bounded
-size, the prefix and sub-cell covariance tables of the unit cells [0,1] and
-[lag,lag+1].  Every finite-resolution cell-pair covariance in chaos.py is
-a named pattern over these tables, and each call reads them in one sweep.
+One lag-table engine, ``_lag_tables``, serves the second moments that
+chaos.py sums over sub-cell grids: for a vector of lags it builds, in
+chunks of bounded size, the prefix and sub-cell covariance tables of the
+unit cells [0,1] and [lag,lag+1].  Two readers in chaos.py sum them:
+_qtilde_lags, the finite-resolution Levy-area covariance, and
+_order3_chunk, the order-3 patterns; each oracle call reads the tables in
+one sweep.  The other finite-resolution entries are closed forms in rho
+and read no table.
 
 Valid Hurst range is 1/3 < H <= 1/2.  H = 1/2 is the Brownian anchor where
 everything has an elementary closed form (rho(k) = 0 for k >= 1,
@@ -172,12 +175,6 @@ def _lag_tables(H, lags, n):
         yield {"P": P, "F": P[:, :-1, :-1], "g": g,
                "si": si, "pj": P[:, :-1, -1], "pi": P[:, -1, :-1],
                "q": q, "r": rho(lg, H)}
-
-
-def _transposed(t):
-    """Tables of the mirrored pair at offset -lag: cells i and j swap roles."""
-    return dict(t, P=t["P"].transpose(0, 2, 1), F=t["F"].transpose(0, 2, 1),
-                g=t["g"].transpose(0, 2, 1), pi=t["pj"], pj=t["pi"])
 
 
 def tilde_rho(lags, H):

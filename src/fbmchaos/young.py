@@ -214,11 +214,9 @@ def discrete_young_integral(f, g):
     return float(np.sum(left * _cell_increments(g)))
 
 
-def _vanishes_on_base_faces(values, tol=0.0):
-    return all(
-        np.all(np.abs(np.take(values, 0, axis=ax)) <= tol)
-        for ax in range(values.ndim)
-    )
+def _vanishes_on_base_faces(values):
+    return all(np.all(np.take(values, 0, axis=ax) == 0.0)
+               for ax in range(values.ndim))
 
 
 def towghi_check(f, g, p, q):

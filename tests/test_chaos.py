@@ -391,16 +391,12 @@ class TestFiniteResolutionOracles:
             lim = float(tilde_rho(lag, H))
             assert abs(fine - lim) < abs(coarse - lim) + 1e-12
 
-    def test_brownian_cross_is_quarter(self):
-        for n in (2, 16):
-            assert cov_Q_pair(0.5, "cross", [0], n_sub=n)[0] == \
-                pytest.approx(0.25, abs=1e-13)
-
-    @pytest.mark.parametrize("n", [2, 4, 8, 24, 64])
+    @pytest.mark.parametrize("n", [2, 4, 8, 16, 24, 64, 512])
     def test_cross_is_the_lag_table_formula(self, n):
         # rho^2/4 at every n, since M + M^T = ones.  Both sides cancel as
         # rho does: at H = 0.45 they differ by 1.45e-11 at lag 61, the same
-        # at every n, and each errs by up to 1.7e-11 against 40 digits
+        # at every n, and each errs by up to 1.7e-11 against 40 digits.
+        # At H = 1/2, lag 0, both are the Brownian 1/4
         lags = np.arange(64)
         for H in (0.35, 0.4, 0.45, 0.5):
             np.testing.assert_allclose(
@@ -419,12 +415,6 @@ class TestFiniteResolutionOracles:
             want = wick_cov(H, n, lags, cell, cell)
             np.testing.assert_allclose(per, want, rtol=0,
                                        atol=2e-15 * abs(want[0]))
-
-    def test_cross_converges_to_quarter_rho_sq(self):
-        H = 0.4
-        v = cov_Q_pair(H, "cross", [0, 1, 2], n_sub=512)
-        lim = 0.25 * rho(np.arange(3), H) ** 2
-        np.testing.assert_allclose(v, lim, atol=2e-4)
 
 
 class TestExactSecondMomentQ:
@@ -543,14 +533,14 @@ class TestCovKOracles:
         # i), which cov_K_lags does not evaluate: stationarity makes it c(l)
         lags = np.arange(1, 512)
 
-        def term(f, tb):
-            return f(tb)
+        def mirrored(t):  # cells i and j swap roles
+            return dict(t, F=t["F"].transpose(0, 2, 1),
+                        g=t["g"].transpose(0, 2, 1), pi=t["pj"], pj=t["pi"])
 
         for n in (3, 8, 24):
             for H in (0.35, 0.4, 0.45, 0.5):
                 minus = np.concatenate([
-                    [chaos._cov_tables(name, gaussian._transposed(t), t, term)
-                     for name in K_PATTERNS]
+                    chaos._order3_chunk(mirrored(t))
                     for t in gaussian._lag_tables(H, lags, n)], axis=1)
                 np.testing.assert_allclose(
                     minus, cov_K_lags(H, K_PATTERNS, lags, n),
@@ -762,6 +752,46 @@ class TestCovQPairs:
         for which in Q_PAIRS:
             assert cov_Q_pair(0.4, which, -2, n_sub=4) == pytest.approx(
                 cov_Q_pair(0.4, which, 2, n_sub=4), abs=1e-15)
+
+
+QTILDE_CELLS = chaos.q_pair_cells("qtilde", 4)
+
+
+class TestOracleInputs:
+    # refused, not read as a nearby value: an H outside (1/3, 1/2], fewer
+    # than one sub-step, a lag that is not an integer
+    @pytest.mark.parametrize("call", [
+        lambda: exact_second_moment_Q(0.4, 3, "qtilde", n_sub=0),
+        lambda: cov_Q_pair(0.4, "qhat", 3, n_sub=0),
+        lambda: cov_Q_pair(0.9, "qhat", 3),
+        lambda: cov_Q_pair(0.4, "qhat", 2.5),
+        lambda: cov_Q_pair(0.4, "qtilde", [1, 2.5], n_sub=4),
+        lambda: cov_K_lags(0.4, "area_own", [0, 1], n_quad=0),
+        lambda: cov_K_lags(0.4, "area_own", [0, 1], n_quad=8.0),
+        lambda: cov_K_lags(0.9, "area_own", [0, 1], 4),
+        lambda: cov_K_lags(0.4, "area_own", [0, 2.5], 4),
+        lambda: cov_K_lags(0.4, "area_own", [np.nan], 4),
+        lambda: wick_cov(0.9, 4, 1, *QTILDE_CELLS),
+        lambda: wick_cov(0.4, 0, 1, *QTILDE_CELLS),
+        lambda: wick_cov(0.4, 4, 2.5, *QTILDE_CELLS),
+    ], ids=["second-moment-n0", "q-n0", "q-H", "q-lag", "q-lag-table",
+            "K-n0", "K-float-n", "K-H", "K-lag", "K-nan-lag", "wick-H", "wick-n0",
+            "wick-lag"])
+    def test_refused(self, call):
+        with pytest.raises(DomainError):
+            call()
+
+    def test_integral_float_lags_are_the_integers(self):
+        lags, floats = np.array([0, -3, 70]), np.array([0.0, -3.0, 70.0])
+        for n_sub in (None, 4):
+            np.testing.assert_array_equal(
+                cov_Q_pair(0.4, "qtilde", floats, n_sub),
+                cov_Q_pair(0.4, "qtilde", lags, n_sub))
+        np.testing.assert_array_equal(
+            cov_K_lags(0.4, K_PATTERNS, floats, 4),
+            cov_K_lags(0.4, K_PATTERNS, lags, 4))
+        np.testing.assert_array_equal(wick_cov(0.4, 4, floats, *QTILDE_CELLS),
+                                      wick_cov(0.4, 4, lags, *QTILDE_CELLS))
 
 
 class TestWickContraction:

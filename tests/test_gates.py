@@ -37,16 +37,13 @@ def test_covariance_rows_pass_unmutated(tmp_path):
 
 
 def test_area_table_without_corner_average_fails(tmp_path, monkeypatch):
-    # production mutant: the qtilde lag-table pattern as the left-point sum
-    # of F g, no four-corner average
-    cov_tables = chaos._cov_tables
+    # production mutant: the qtilde lag-table sum as the left-point sum of
+    # F g, no four-corner average
+    def left_point(H, lags, n):
+        return np.concatenate([np.sum(t["F"] * t["g"], axis=(1, 2))
+                               for t in chaos._lag_tables(H, lags, n)])
 
-    def left_point(pattern, tb, tt, term):
-        if pattern == "qtilde":
-            return np.sum(tb["F"] * tb["g"], axis=(1, 2))
-        return cov_tables(pattern, tb, tt, term)
-
-    monkeypatch.setattr(chaos, "_cov_tables", left_point)
+    monkeypatch.setattr(chaos, "_qtilde_lags", left_point)
     code, rows = _covariance(tmp_path)
     assert code == 1
     assert [r["which"] for r in rows if not r["pass"]] == ["qtilde"] * 5

@@ -5,7 +5,9 @@ would drop an assert.  Every cache has a bound: ``functools.lru_cache``
 takes an integer ``maxsize``, and the unbounded ``functools.cache`` sits
 only on functions without parameters, which hold one entry.  The lift
 makes no contraction that numpy may hand to BLAS, whose kernels round each
-their own way: its bits must not depend on the host.
+their own way: its bits must not depend on the host.  Every module-level
+``_private`` function has a caller in the package: code that only the tests
+use lives in the tests.
 """
 
 import ast
@@ -76,9 +78,34 @@ def _blas_contractions(source):
     return sorted(out)
 
 
+def _uncalled_private(sources):
+    """(module, line, name) for each module-level ``_private`` function of
+    ``sources`` (module name -> source) that no code in them names outside
+    the function's own definition; an import is not a use."""
+    defs, used = [], set()
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            if (isinstance(stmt, ast.FunctionDef)
+                    and stmt.name.startswith("_")
+                    and not stmt.name.startswith("__")):
+                defs.append((module, stmt.lineno, stmt.name))
+            names = {node.id if isinstance(node, ast.Name) else node.attr
+                     for node in ast.walk(stmt)
+                     if isinstance(node, (ast.Name, ast.Attribute))}
+            if isinstance(stmt, ast.FunctionDef):
+                names.discard(stmt.name)
+            used |= names
+    return sorted(d for d in defs if d[2] not in used)
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_module_keeps_the_source_rules(path):
     assert _violations(path.read_text()) == []
+
+
+def test_private_functions_have_a_caller_in_the_package():
+    assert _uncalled_private({path.name: path.read_text()
+                              for path in MODULES}) == []
 
 
 def test_lift_makes_no_blas_contraction():
@@ -119,6 +146,36 @@ def e(x):
     assert x
 """
     assert [line for line, _ in _violations(bad)] == [5, 8, 11, 14, 17]
+    called = {"a": """
+import b
+
+def _direct(x): return x
+
+def _nested(x): return x
+
+def public(x):
+    def inner(): return _nested(x)
+    return _direct(x) + inner() + b._across(x)
+""", "b": """
+from a import _direct
+
+def _across(x): return x
+"""}
+    assert _uncalled_private(called) == []
+    uncalled = {"a": """
+import functools
+
+def _lonely(x): return _lonely(x - 1) if x else 0
+
+@functools.lru_cache(maxsize=4)
+def _cached(x): return x
+
+def __dunder__(): return 1
+""", "b": """
+from a import _cached
+"""}
+    assert _uncalled_private(uncalled) == [("a", 4, "_lonely"),
+                                           ("a", 7, "_cached")]
     assert _blas_contractions(good) == []
     elementwise = """
 import numpy as np
