@@ -96,20 +96,21 @@ def _config_value(key, kind, text):
 
 def _merge(args, options):
     """Resolve each option: explicit flag > config file > its ``COMMANDS``
-    default, None for an option whose runner holds the default."""
+    default, None for an option whose runner holds the default.  A float
+    option must resolve to a finite value."""
     config = _read_config(args.config) if args.config else {}
     unknown = set(config) - set(options)
     if unknown:
         raise DomainError(f"unknown config keys: {sorted(unknown)}")
     merged = {}
     for key, (kind, default, *_) in options.items():
-        cli_val = getattr(args, key)
-        if cli_val is not None:
-            merged[key] = cli_val
-        elif key in config:
-            merged[key] = _config_value(key, kind, config[key])
-        else:
-            merged[key] = default
+        val = getattr(args, key)
+        if val is None:
+            val = (_config_value(key, kind, config[key]) if key in config
+                   else default)
+        if kind is float and val is not None and not np.isfinite(val):
+            raise DomainError(f"{key}={val}: expected a finite float")
+        merged[key] = val
     return merged
 
 

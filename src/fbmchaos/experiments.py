@@ -521,6 +521,8 @@ def rde_demo_experiment(H=0.5, N=400, seed=12):
     change in the terminal value under step halving; the Jacobian defect at
     the finest level must stay within 10x the finest halving RMS.
     """
+    if N < 1:
+        raise DomainError(f"N must be >= 1, got {N}")
     m_range = [5, 6, 7, 8, 9]
     m_max = m_range[-1]
     spec = SimSpec(model=HurstModel(H, 1), m=m_max, refine=1, seed=seed)
@@ -533,7 +535,7 @@ def rde_demo_experiment(H=0.5, N=400, seed=12):
         inc = _coarse_increments(inc_f, 2 ** m, 1)
         l1, l2 = levy_areas(inc)
         l3 = level3_areas(inc)
-        Y = taylor_steps(linear_1d(), np.array([1.0]), 2.0 ** -m, l1, l2, l3)
+        Y = taylor_steps(linear_1d(), np.array([1.0]), l1, l2, l3)
         ends[m] = Y[:, -1, 0]
     pairs = list(zip(m_range[:-1], m_range[1:]))
     rms = [float(np.sqrt(np.mean((ends[a] - ends[b]) ** 2))) for a, b in pairs]
@@ -541,9 +543,8 @@ def rde_demo_experiment(H=0.5, N=400, seed=12):
                        np.log(rms))
 
     inc = inc_all[:DEFECT_REPLICAS, ..., None]
-    _, J, Jinv = taylor_steps(linear_1d(), np.array([1.0]), 2.0 ** -m_max,
-                              *levy_areas(inc), level3_areas(inc),
-                              with_jacobian=True)
+    _, J, Jinv = taylor_steps(linear_1d(), np.array([1.0]), *levy_areas(inc),
+                              level3_areas(inc), with_jacobian=True)
     defect = jacobian_defect(J, Jinv)
     estimate = rms[-1]
     rows = [

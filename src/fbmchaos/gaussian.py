@@ -331,7 +331,7 @@ def series_constants(H, tol=1e-6):
     Results are cached per H, at most 16 entries, and shared by callers.
     """
     _check_H(H)
-    if tol <= 0:
+    if not tol > 0:
         raise DomainError("tol must be positive")
     tail_bound = _remainder_bound(H, SERIES_K)
     if tol < tail_bound + _ROUNDING:

@@ -67,7 +67,7 @@ def _cell_increments(values):
 def tilde_Vp(f, p):
     """(sum over grid cells of |rectangular increment|^p)^{1/p}."""
     f = _grid(f)
-    if p < 1:
+    if not p >= 1:
         raise DomainError("p must be >= 1")
     return float(np.sum(np.abs(_cell_increments(f)) ** p) ** (1.0 / p))
 
@@ -98,7 +98,7 @@ def Vp(f, p):
 
 
 def _vp(values, p):
-    if p < 1:
+    if not p >= 1:
         raise DomainError("p must be >= 1")
     n0, *rest = values.shape
     ops = n0 ** 2
@@ -192,7 +192,7 @@ def controlled_pvar(f, p):
     from one corner-difference table of all rectangle increments.
     """
     f = _grid(f)
-    if p < 1:
+    if not p >= 1:
         raise DomainError("p must be >= 1")
     if f.ndim == 1:
         return Vp(f, p)

@@ -28,6 +28,12 @@ def run(tmp_path, *argv):
     return cli.main(list(argv) + ["--out", str(tmp_path)])
 
 
+# (command, option) for every float option of the command table
+FLOAT_OPTIONS = [(command, key) for command, (_, options, _) in
+                 cli.COMMANDS.items()
+                 for key, (kind, *_) in options.items() if kind is float]
+
+
 class TestConstantsCommand:
     def test_writes_results_and_manifest(self, tmp_path):
         assert run(tmp_path, "constants") == 0
@@ -394,6 +400,32 @@ class TestRefusals:
         err = capsys.readouterr().err
         assert err.strip() == "numerical error: state became non-finite"
 
+    @pytest.mark.parametrize("replicas", ["0", "-3"])
+    def test_rde_demo_refuses_fewer_than_one_replica(self, tmp_path, capsys,
+                                                     replicas):
+        # 0 wrote a NaN slope; -3 ran on 5 of the 8 replicas drawn
+        assert run(tmp_path, "rde-demo", "--replicas", replicas) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "N must be" in err
+        assert not (tmp_path / "rde-demo.json").exists()
+
+    @pytest.mark.parametrize("by_config", [False, True])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("command, key", FLOAT_OPTIONS)
+    def test_non_finite_float_option_exits_2(self, tmp_path, capsys, command,
+                                             key, value, by_config):
+        if by_config:
+            cfg = tmp_path / "cfg.txt"
+            cfg.write_text(f"{key} = {value}\n")
+            argv = ["--config", str(cfg)]
+        else:
+            argv = [f"--{key.replace('_', '-')}={value}"]
+        assert run(tmp_path, command, *argv) == 2
+        err = capsys.readouterr().err
+        assert err.strip() == (f"config error: {key}={float(value)}: "
+                               "expected a finite float")
+        assert not (tmp_path / f"{command}.json").exists()
+
     def test_negative_seed_exits_2(self, tmp_path):
         assert run(tmp_path, "simulate", "--seed", "-1") == 2
 
@@ -514,9 +546,11 @@ class TestImport:
 # GridPartition and GridFunction (no variation functional reads where the
 # breakpoints lie, so the Young layer takes value arrays) and
 # second_moment_K (no command calls it; it moved into the tests as the
-# order-3 oracle of their scaling checks) and exact_cov_Q (the dyadic
+# order-3 oracle of their scaling checks), exact_cov_Q (the dyadic
 # scaling of one cov_Q_pair entry; its one caller scales the entry
-# itself): every one must still be exported
+# itself) and CoefficientField (taylor_steps takes a linear field as its
+# (d, n, n) array of matrices, and no caller had a drift): every one must
+# still be exported
 KEPT_EXPORTS = [
     "CapacityError", "ConsistencyError", "DivergenceError", "DomainError",
     "FbmchaosError",
@@ -524,7 +558,7 @@ KEPT_EXPORTS = [
     "rho_tail_bound", "tilde_rho", "series_constants",
     "SimSpec", "simulate_batch", "dump_csv",
     "levy_areas", "level3_areas",
-    "CoefficientField", "linear_1d", "taylor_steps",
+    "linear_1d", "taylor_steps",
     "K_PATTERNS", "Q_PAIRS", "admissible_assignments", "cov_K_lags",
     "cov_Q_pair", "exact_second_moment_Q",
     "q_processes", "rho_sum_bound_verify", "third_order_sums",

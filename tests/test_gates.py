@@ -304,8 +304,8 @@ def test_jacobian_steps_without_level_two_fail_the_defect(tmp_path,
     # reads about 0.67 against a bound of about 0.006; the state steps, and
     # so the order row, keep level 2
     step = rde._step_J_Jinv
-    monkeypatch.setattr(rde, "_step_J_Jinv", lambda coeff, y, J, K, x, B2, dt:
-                        step(coeff, y, J, K, x, 0 * B2, dt))
+    monkeypatch.setattr(rde, "_step_J_Jinv", lambda ds, J, K, x, B2:
+                        step(ds, J, K, x, 0 * B2))
     code, rows = _rde(tmp_path)
     assert code == 1
     assert _failing(rows, "check") == ["jacobian"]

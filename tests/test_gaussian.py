@@ -537,6 +537,11 @@ class TestSeriesConstants:
         with pytest.raises(CapacityError, match="certify"):
             series_constants(0.4, tol=1e-15)
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-6, float("nan")])
+    def test_tol_not_positive_is_refused(self, tol):
+        with pytest.raises(DomainError, match="tol must be positive"):
+            series_constants(0.4, tol=tol)
+
     def test_tight_tol_is_answered(self):
         # the proven bound is near 1e-17, so 1e-13 is certified
         sc = series_constants(0.4, tol=1e-13)

@@ -1,16 +1,11 @@
 import numpy as np
 import pytest
 
-from fbmchaos.errors import DivergenceError
+from fbmchaos.errors import DivergenceError, DomainError
 from fbmchaos.fbm import SimSpec, simulate_batch
 from fbmchaos.gaussian import HurstModel
 from fbmchaos.lift import level3_areas, levy_areas
-from fbmchaos.rde import (
-    CoefficientField,
-    jacobian_defect,
-    linear_1d,
-    taylor_steps,
-)
+from fbmchaos.rde import jacobian_defect, linear_1d, taylor_steps
 
 
 def make_lift(H=0.4, d=1, m=5, seed=1, with_l3=True, replica=0):
@@ -23,10 +18,9 @@ def make_lift(H=0.4, d=1, m=5, seed=1, with_l3=True, replica=0):
     return inc, (l1, l2, level3_areas(cells) if with_l3 else None)
 
 
-def steps_with_jacobian(levels, coeff, xi):
-    """(Y, J, Jinv) of the stepper over one replica's cells of width 1/cells."""
-    return taylor_steps(coeff, xi, 1.0 / len(levels[0]), *levels,
-                        with_jacobian=True)
+def steps_with_jacobian(levels, A, xi):
+    """(Y, J, Jinv) of the stepper over one replica's cells."""
+    return taylor_steps(A, xi, *levels, with_jacobian=True)
 
 
 class TestLinearExample:
@@ -66,28 +60,16 @@ class TestLinearExample:
 
 
 class TestMultidimensional:
-    def _affine_field(self, A1, A2, bvec):
-        # sigma(y) = [A1 y, A2 y], constant drift
-        def sigma(y):
-            return np.stack([y @ A1.T, y @ A2.T], axis=-1)
-
-        def dsigma(y):
-            base = np.stack([A1, A2], axis=1)  # (n, 2, n) at [i, a, k]
-            return np.broadcast_to(base, y.shape[:-1] + base.shape)
-
-        return CoefficientField(
-            sigma=sigma,
-            b=lambda y: np.broadcast_to(bvec, y.shape),
-            dsigma=dsigma,
-            db=lambda y: np.zeros(y.shape + (y.shape[-1],)),
-        )
+    def _affine_field(self, A1, A2):
+        # sigma(y) = [A1 y, A2 y]
+        return np.stack([A1, A2])
 
     def test_commuting_case_matches_scalar_exponential(self):
         # A1 = I, A2 = 0: each component solves the scalar linear equation in B^1
         A1, A2 = np.eye(2), np.zeros((2, 2))
-        coeff = self._affine_field(A1, A2, np.zeros(2))
+        A = self._affine_field(A1, A2)
         inc, L = make_lift(H=0.4, d=2, m=5, seed=6)
-        Y, _, _ = steps_with_jacobian(L, coeff, np.array([1.0, 2.0]))
+        Y, _, _ = steps_with_jacobian(L, A, np.array([1.0, 2.0]))
         x = inc[0]
         scalar = np.cumprod(1 + x + x ** 2 / 2 + x ** 3 / 6)
         np.testing.assert_allclose(Y[1:, 0], scalar, rtol=1e-11)
@@ -96,16 +78,17 @@ class TestMultidimensional:
     def test_jacobian_product_near_identity(self):
         A1 = np.array([[0.0, 1.0], [-1.0, 0.0]])
         A2 = np.array([[0.5, 0.0], [0.2, -0.3]])
-        coeff = self._affine_field(A1, A2, np.array([0.1, -0.2]))
+        A = self._affine_field(A1, A2)
         _, L = make_lift(H=0.45, d=2, m=7, seed=7)
-        _, J, Jinv = steps_with_jacobian(L, coeff, np.array([1.0, 0.5]))
+        _, J, Jinv = steps_with_jacobian(L, A, np.array([1.0, 0.5]))
         assert jacobian_defect(J, Jinv) < 5e-2
 
-    def test_drift_only_is_euler_exact_direction(self):
-        coeff = self._affine_field(np.zeros((2, 2)), np.zeros((2, 2)), np.array([1.0, -1.0]))
-        _, L = make_lift(d=2, m=5, seed=8)
-        Y, _, _ = steps_with_jacobian(L, coeff, np.zeros(2))
-        np.testing.assert_allclose(Y[-1], [1.0, -1.0], atol=1e-12)
+    @pytest.mark.parametrize("shape", [(1, 2, 2), (2, 2, 3), (2, 2), (3, 2, 2)])
+    def test_field_of_another_shape_is_refused(self, shape):
+        # d = 2 driving components, n = 2 state components: A is (2, 2, 2)
+        _, L = make_lift(d=2, m=3, seed=8)
+        with pytest.raises(DomainError, match="A must have shape"):
+            taylor_steps(np.ones(shape), np.zeros(2), *L)
 
 
 class TestBatchStepper:
@@ -116,7 +99,7 @@ class TestBatchStepper:
         inc = simulate_batch(sp, N).reshape(N, 1, 16, 1)
         l1, l2 = levy_areas(inc)
         l3 = level3_areas(inc)
-        Y = taylor_steps(linear_1d(), np.array([1.0]), 2.0 ** -4, l1, l2, l3)
+        Y = taylor_steps(linear_1d(), np.array([1.0]), l1, l2, l3)
         for r in range(N):
             _, L = make_lift(H=H, m=4, seed=9, replica=r)
             one, _, _ = steps_with_jacobian(L, linear_1d(), np.array([1.0]))
@@ -126,7 +109,7 @@ class TestBatchStepper:
         # rde-demo takes its Jacobian defect over one batch of replicas
         sp = SimSpec(model=HurstModel(0.45, 1), m=6, refine=1, seed=7)
         inc = simulate_batch(sp, 4)[..., None]
-        _, J, Jinv = taylor_steps(linear_1d(), np.array([1.0]), 2.0 ** -6,
+        _, J, Jinv = taylor_steps(linear_1d(), np.array([1.0]),
                                   *levy_areas(inc), level3_areas(inc),
                                   with_jacobian=True)
         singles = []
@@ -137,16 +120,11 @@ class TestBatchStepper:
         assert jacobian_defect(J, Jinv) == max(singles) > 0
 
     def test_divergence_raises_with_step(self):
-        bad = CoefficientField(
-            sigma=lambda y: y[..., None] ** 3,
-            b=lambda y: y ** 3,
-            dsigma=lambda y: 3 * y[..., None, None] ** 2,
-            db=lambda y: 3 * y[..., None] ** 2,
-        )
+        bad = np.full((1, 1, 1), 1e10)
         l1 = np.full((1, 40, 1), 2.0)
         l2 = 0.5 * np.einsum("rca,rcb->rcab", l1, l1)
         with pytest.raises(DivergenceError) as ei:
-            taylor_steps(bad, np.array([2.0]), 1.0, l1, l2)
+            taylor_steps(bad, np.array([2.0]), l1, l2)
         assert ei.value.step is not None
 
     def test_self_convergence_order_above_one(self):
@@ -161,7 +139,7 @@ class TestBatchStepper:
             inc = inc_f.reshape(N, 1, n, 512 // n).sum(axis=3)[..., None]
             l1, l2 = levy_areas(inc)
             l3 = level3_areas(inc)
-            Y = taylor_steps(linear_1d(), np.array([1.0]), 2.0 ** -m, l1, l2, l3)
+            Y = taylor_steps(linear_1d(), np.array([1.0]), l1, l2, l3)
             ends[m] = Y[:, -1, 0]
         ms = np.array([5, 6, 7, 8])
         ds = np.array([np.sqrt(np.mean((ends[m] - ends[m + 1]) ** 2)) for m in ms])

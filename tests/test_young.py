@@ -101,6 +101,13 @@ class TestGrid:
         with pytest.raises(DomainError, match="at least 2 breakpoints"):
             product_pvar_check(np.zeros(3), np.zeros(1), 2.0)
 
+    @pytest.mark.parametrize("p", [0.5, float("nan")])
+    def test_p_below_one_or_nan_refused(self, p):
+        f = np.zeros((3, 3))
+        for norm in (tilde_Vp, Vp, controlled_pvar, bar_Vp):
+            with pytest.raises(DomainError, match="p must be >= 1"):
+                norm(f, p)
+
 
 class TestRectIncrement:
     def test_one_dimensional_difference(self):
